@@ -1,6 +1,7 @@
-"""Deterministic fan-out of per-path Monte Carlo work.
+"""Deterministic fan-out of Monte Carlo work.
 
-Results come back in path-index order and every path derives its own seed
+Work items are indexed (rate, bias and limit runs index blocks of paths),
+results come back in index order and every path derives its own seed
 from the master seed, so the reduction is bit-identical for any worker
 count.  Workers are separate processes; payloads must be picklable, which
 holds for the built-in drift specs and plain configuration tuples.

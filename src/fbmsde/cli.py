@@ -11,7 +11,9 @@ Subcommands:
 Exit codes: 0 on success, 1 on runtime or solver failures, 2 on usage or
 configuration errors.  Each run writes a ``meta.json`` style manifest next
 to its outputs; manifests carry no timestamps, so a rerun of the same
-command reproduces every byte.
+command reproduces every byte.  The ``rate``, ``limit`` and ``stability``
+manifests also leave out the worker count, which changes no output, so
+their bytes do not depend on ``--threads``.
 
 ``--threads`` falls back to the ``FBMSDE_THREADS`` environment variable,
 then to the config file, then to 1.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -206,6 +208,13 @@ def _experiment_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
+def _config_echo(config: dict) -> dict:
+    """The run's settings for a manifest, without the worker count, which
+    changes no output."""
+    return {k: (list(v) if isinstance(v, tuple) else v)
+            for k, v in config.items() if k != "threads"}
+
+
 def _require_out(cfg_out: str | None) -> str:
     if not cfg_out:
         raise ConfigError("an output directory is required: set 'out' in the "
@@ -241,8 +250,10 @@ def cmd_rate(args: argparse.Namespace) -> int:
             shift = reference_bias_check(replace(cfg, hurst_values=(h,)))
             print(f"H={h:g} reference bias at finest mesh: {shift:.4%}")
     manifest = os.path.join(out_dir, "meta.json")
-    write_manifest(manifest, "rate", cfg.as_dict(), cfg.seed, __version__,
-                   outputs)
+    write_manifest(manifest, "rate", _config_echo(cfg.as_dict()), cfg.seed,
+                   __version__, outputs,
+                   solve_stats={f"{r.hurst:g}": asdict(r.solve_stats)
+                                for r in reports})
     return 0
 
 
@@ -276,9 +287,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
     monotone = bool(np.all(np.diff(dists) <= 1e-12)) if dists.size > 1 else True
     print(f"lp distance monotone decreasing: {'yes' if monotone else 'no'}")
     write_manifest(os.path.join(out_dir, "meta.json"), "limit",
-                   {k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in params.items()},
-                   params["seed"], __version__, [target])
+                   _config_echo(params), params["seed"], __version__, [target])
     return 0
 
 
@@ -293,7 +302,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     for scheme, t, value in rows:
         print(f"{scheme:>10}  T={format_float(t)}  value={format_float(value)}")
     write_manifest(os.path.join(out_dir, "meta.json"), "stability",
-                   cfg.as_dict(), cfg.seed, __version__, [target])
+                   _config_echo(cfg.as_dict()), cfg.seed, __version__, [target])
     return 0
 
 

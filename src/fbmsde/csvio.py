@@ -115,8 +115,12 @@ def write_limit_csv(comparison, target) -> None:
 
 
 def write_manifest(target, subcommand: str, config: dict, seed: int,
-                   version: str, outputs: list[str]) -> None:
-    """JSON run manifest; deliberately timestamp-free for reproducibility."""
+                   version: str, outputs: list[str],
+                   solve_stats: dict | None = None) -> None:
+    """JSON run manifest; deliberately timestamp-free for reproducibility.
+
+    ``solve_stats`` holds deterministic solver counts, keyed by run.
+    """
     payload = {
         "subcommand": subcommand,
         "config": config,
@@ -124,6 +128,8 @@ def write_manifest(target, subcommand: str, config: dict, seed: int,
         "version": version,
         "outputs": list(outputs),
     }
+    if solve_stats is not None:
+        payload["solve_stats"] = solve_stats
     handle, owned = _open_for_write(target)
     try:
         json.dump(payload, handle, indent=2, sort_keys=True)

@@ -45,6 +45,12 @@ class DriftSpec:
         jacobian: callable mapping a state to the ``(m, m)`` Jacobian of ``b``.
         kappa: one-sided Lipschitz constant; may be negative.
         mu: polynomial growth exponent of ``|b|``.
+        eval_batch: optional ``eval`` over the rows of an ``(M, m)`` array.
+        jacobian_batch: optional ``jacobian`` over the rows of an ``(M, m)``
+            array, returning ``(M, m, m)``.
+
+    Batched callables must compute each row from that row alone, with no
+    reduction across rows, so a row's value does not depend on the others.
     """
 
     name: str
@@ -53,9 +59,25 @@ class DriftSpec:
     jacobian: Callable[[np.ndarray], np.ndarray]
     kappa: float
     mu: float
+    eval_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    jacobian_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.eval(x)
+
+    def eval_rows(self, xs: np.ndarray) -> np.ndarray:
+        """``b`` at every row of ``xs``, shape ``(M, m)``; loops over the
+        rows when the spec has no batched evaluation."""
+        if self.eval_batch is not None:
+            return self.eval_batch(xs)
+        return np.stack([np.asarray(self.eval(x), dtype=np.float64) for x in xs])
+
+    def jacobian_rows(self, xs: np.ndarray) -> np.ndarray:
+        """Jacobian at every row of ``xs``, shape ``(M, m, m)``."""
+        if self.jacobian_batch is not None:
+            return self.jacobian_batch(xs)
+        return np.stack([np.asarray(self.jacobian(x), dtype=np.float64)
+                         for x in xs])
 
     def drift_drift_product(self, x: np.ndarray) -> np.ndarray:
         """The vector ``(Jacobian b)(x) @ b(x)``, shape ``(m,)``."""
@@ -70,12 +92,19 @@ class DriftSpec:
         return x
 
 
+# The built-in drifts take one state of shape ``(m,)`` or a stack of states
+# of shape ``(M, m)``.  ``x.T[i]`` is coordinate ``i`` as a scalar or as a
+# column, and ``np.array(...).T`` moves the coordinates back to the last
+# axis, so both shapes run the same floating-point operations.  Jacobians are written
+# column by column for the same reason: the full transpose turns the
+# columns back into rows.
+
 def _cubic1d_eval(x: np.ndarray) -> np.ndarray:
     return -(x**3)
 
 
 def _cubic1d_jac(x: np.ndarray) -> np.ndarray:
-    return np.array([[-3.0 * x[0] ** 2]])
+    return np.array([[-3.0 * x.T[0] ** 2]]).T
 
 
 def _doublewell1d_eval(x: np.ndarray) -> np.ndarray:
@@ -83,21 +112,24 @@ def _doublewell1d_eval(x: np.ndarray) -> np.ndarray:
 
 
 def _doublewell1d_jac(x: np.ndarray) -> np.ndarray:
-    return np.array([[1.0 - 3.0 * x[0] ** 2]])
+    return np.array([[1.0 - 3.0 * x.T[0] ** 2]]).T
 
 
 def _planar_cubic_eval(x: np.ndarray) -> np.ndarray:
-    r2 = x[0] ** 2 + x[1] ** 2
-    return np.array([x[0] - x[1] - x[0] * r2, x[0] + x[1] - x[1] * r2])
+    xt = x.T
+    a, b = xt[0], xt[1]
+    r2 = a**2 + b**2
+    return np.array([a - b - a * r2, a + b - b * r2]).T
 
 
 def _planar_cubic_jac(x: np.ndarray) -> np.ndarray:
-    a, b = x[0], x[1]
+    xt = x.T
+    a, b = xt[0], xt[1]
     r2 = a * a + b * b
     return np.array([
-        [1.0 - r2 - 2.0 * a * a, -1.0 - 2.0 * a * b],
-        [1.0 - 2.0 * a * b, 1.0 - r2 - 2.0 * b * b],
-    ])
+        [1.0 - r2 - 2.0 * a * a, 1.0 - 2.0 * a * b],
+        [-1.0 - 2.0 * a * b, 1.0 - r2 - 2.0 * b * b],
+    ]).T
 
 
 def _linear_eval(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -106,6 +138,19 @@ def _linear_eval(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _linear_jac(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     return matrix
+
+
+def _linear_eval_rows(matrix: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # Column by column rather than ``xs @ matrix.T``: a matrix product may
+    # block its sums differently for different numbers of rows.
+    out = xs[:, :1] * matrix[:, 0]
+    for j in range(1, matrix.shape[1]):
+        out = out + xs[:, j:j + 1] * matrix[:, j]
+    return out
+
+
+def _linear_jac_rows(matrix: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(matrix, (xs.shape[0],) + matrix.shape)
 
 
 def make_linear_drift(matrix: np.ndarray, name: str = "linear") -> DriftSpec:
@@ -124,21 +169,28 @@ def make_linear_drift(matrix: np.ndarray, name: str = "linear") -> DriftSpec:
         jacobian=partial(_linear_jac, matrix),
         kappa=kappa,
         mu=1.0,
+        eval_batch=partial(_linear_eval_rows, matrix),
+        jacobian_batch=partial(_linear_jac_rows, matrix),
     )
 
 
 # The dissipative cubic contracts pairs of states everywhere, so kappa = 0.
 CUBIC1D = DriftSpec(name="cubic1d", dim=1, eval=_cubic1d_eval,
-                    jacobian=_cubic1d_jac, kappa=0.0, mu=3.0)
+                    jacobian=_cubic1d_jac, kappa=0.0, mu=3.0,
+                    eval_batch=_cubic1d_eval, jacobian_batch=_cubic1d_jac)
 
 # x - x^3 has derivative 1 - 3x^2 <= 1 with equality at the origin.
 DOUBLEWELL1D = DriftSpec(name="doublewell1d", dim=1, eval=_doublewell1d_eval,
-                         jacobian=_doublewell1d_jac, kappa=1.0, mu=3.0)
+                         jacobian=_doublewell1d_jac, kappa=1.0, mu=3.0,
+                         eval_batch=_doublewell1d_eval,
+                         jacobian_batch=_doublewell1d_jac)
 
 # Rotation plus radial double-well; the symmetric Jacobian part is
 # (1 - r^2) I - 2 xx^T, bounded above by the identity.
 PLANAR_CUBIC = DriftSpec(name="planar_cubic", dim=2, eval=_planar_cubic_eval,
-                         jacobian=_planar_cubic_jac, kappa=1.0, mu=3.0)
+                         jacobian=_planar_cubic_jac, kappa=1.0, mu=3.0,
+                         eval_batch=_planar_cubic_eval,
+                         jacobian_batch=_planar_cubic_jac)
 
 _REGISTRY: dict[str, DriftSpec] = {}
 _ALIASES = {"example1": "cubic1d", "example2": "planar_cubic"}

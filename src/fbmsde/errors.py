@@ -46,8 +46,11 @@ class SolverError(FbmSdeError):
     """Base class for implicit-step solver failures.
 
     ``step`` is the time-step index when the failure happened inside an
-    integrator loop, or ``None`` for a bare solver call.
+    integrator loop, or ``None`` for a bare solver call.  ``path`` is the
+    Monte Carlo path index when a batched run failed on one of its paths.
     """
+
+    path: int | None = None
 
     def __init__(self, message: str, step: int | None = None):
         self.step = step

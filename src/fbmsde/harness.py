@@ -5,17 +5,34 @@ index subsets of one fine master grid and every scheme run on a path reuses
 the restriction of that path's master noise, so error estimates compare
 schemes on identical randomness.  Per-path seeds derive from the master seed
 by path index, which makes results independent of the worker count.
+
+Rate and bias runs split their paths into blocks of consecutive indices,
+one or more per worker, and integrate the implicit scheme for a whole block
+at once with :mod:`fbmsde.engine`.  Neither a path's result nor the path a
+failure names depends on the blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
 from ._parallel import map_indexed
 from .drifts import DriftSpec, get_drift, make_linear_drift
-from .errors import ConfigError, DomainError
+from .engine import (
+    NoiseBlock,
+    SolveStats,
+    backward_euler_block,
+    block_count,
+    block_range,
+    block_size,
+    lowest_failure,
+    name_path,
+    sq_norms,
+)
+from .errors import ConfigError, DomainError, SolverError
 from .fbm import FbmPath, HurstVector, child_seed, coarsen, sample_multi, zero_path
 from .grids import Partition
 from .integrate import (
@@ -179,6 +196,8 @@ def validate_stability_config(cfg: ExperimentConfig) -> DriftSpec:
         issues.append("stability tables are defined for one-dimensional drifts")
     if len(cfg.meshes) != 1:
         issues.append("stability runs use exactly one mesh")
+    if cfg.mc_paths != 1:
+        issues.append("stability runs use exactly one noise path (mc_paths = 1)")
     if len(cfg.hurst_values) != 1:
         issues.append("stability runs use exactly one Hurst value")
     if not cfg.schemes:
@@ -195,7 +214,10 @@ def validate_stability_config(cfg: ExperimentConfig) -> DriftSpec:
 
 @dataclass(frozen=True, eq=False)
 class RateReport:
-    """Strong-error table for one drift, Hurst index and scheme."""
+    """Strong-error table for one drift, Hurst index and scheme.
+
+    ``solve_stats`` counts the implicit solves of the batched runs.
+    """
 
     hurst: float
     scheme: str
@@ -206,6 +228,7 @@ class RateReport:
     slope: float
     slope_stderr: float
     sup_errors: np.ndarray | None = field(default=None, repr=False)
+    solve_stats: SolveStats = SolveStats()
 
     def rows(self):
         """Yield per-mesh CSV rows; the first pairwise order is undefined."""
@@ -258,24 +281,56 @@ def _master_noise(payload: dict, index: int) -> FbmPath:
                         method=payload["sampler"])
 
 
-def _rate_path_worker(payload: dict, index: int) -> tuple[np.ndarray, np.ndarray]:
+def _master_block(payload: dict, block: int) -> NoiseBlock:
+    indices = block_range(block, payload["paths"], payload["block_size"])
+    return NoiseBlock.stack([_master_noise(payload, i) for i in indices],
+                            indices.start)
+
+
+def _scheme_states(scheme: str, spec: DriftSpec, noise: NoiseBlock,
+                   x0: np.ndarray, cfg: SolveConfig, ratio: int
+                   ) -> tuple[np.ndarray, SolveStats]:
+    """States of every lane on the grid keeping every ``ratio``-th node;
+    only the implicit scheme runs batched."""
+    if scheme == "bem":
+        return backward_euler_block(spec, noise, x0, cfg, ratio)
+    coarse = noise.grid.subsample(ratio)
+    states = []
+    for lane in range(noise.values.shape[0]):
+        try:
+            traj = _run_scheme(scheme, spec, coarsen(noise.path(lane), coarse), x0,
+                               cfg)
+        except SolverError as exc:
+            name_path(exc, noise, lane)
+            raise
+        states.append(traj.states)
+    return np.stack(states), SolveStats()
+
+
+def _rate_block_worker(payload: dict, block: int
+                       ) -> tuple[np.ndarray, np.ndarray, SolveStats]:
+    return lowest_failure(partial(_rate_block, payload),
+                          _master_block(payload, block))
+
+
+def _rate_block(payload: dict, noise: NoiseBlock
+                ) -> tuple[np.ndarray, np.ndarray, SolveStats]:
     spec: DriftSpec = payload["spec"]
     solve_cfg: SolveConfig = payload["solve_cfg"]
-    grid: Partition = payload["grid"]
-    noise = _master_noise(payload, index)
-    ref = reference_solution(spec, noise, payload["x0"], solve_cfg)
+    x0 = payload["x0"]
+    ref, stats = backward_euler_block(spec, noise, x0, solve_cfg)
     ratios = payload["ratios"]
-    sq_terminal = np.empty(len(ratios))
-    sq_sup = np.empty(len(ratios))
+    sq_terminal = np.empty((ref.shape[0], len(ratios)))
+    sq_sup = np.empty((ref.shape[0], len(ratios)))
     with np.errstate(all="ignore"):
         for i, ratio in enumerate(ratios):
-            sub = coarsen(noise, grid.subsample(ratio))
-            traj = _run_scheme(payload["scheme"], spec, sub, payload["x0"], solve_cfg)
-            diff_t = ref.states[-1] - traj.states[-1]
-            sq_terminal[i] = float(diff_t @ diff_t)
-            diff_all = ref.states[::ratio] - traj.states
-            sq_sup[i] = float(np.max(np.sum(diff_all * diff_all, axis=1)))
-    return sq_terminal, sq_sup
+            states, run_stats = _scheme_states(payload["scheme"], spec, noise, x0,
+                                               solve_cfg, ratio)
+            stats = stats + run_stats
+            sq_terminal[:, i] = sq_norms(ref[:, -1] - states[:, -1])
+            diff_all = ref[:, ::ratio] - states
+            sq_sup[:, i] = np.max(np.sum(diff_all * diff_all, axis=2), axis=1)
+    return sq_terminal, sq_sup, stats
 
 
 def _mean_sqrt_with_se(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,14 +368,19 @@ def mc_strong_error(cfg: ExperimentConfig) -> RateReport:
         "hurst": HurstVector.constant(h, spec.dim),
         "scheme": cfg.schemes[0],
         "ratios": ratios,
+        "paths": cfg.mc_paths,
+        "block_size": block_size(cfg.mc_paths, cfg.threads),
         "seed": cfg.seed,
         "sampler": cfg.sampler,
         "zero_noise": cfg.zero_noise,
         "solve_cfg": cfg.solve_config(),
     }
-    rows = map_indexed(_rate_path_worker, payload, cfg.mc_paths, cfg.threads)
-    sq_terminal = np.stack([row[0] for row in rows])
-    sq_sup = np.stack([row[1] for row in rows])
+    blocks = map_indexed(_rate_block_worker, payload,
+                         block_count(cfg.mc_paths, payload["block_size"]),
+                         cfg.threads)
+    sq_terminal = np.concatenate([b[0] for b in blocks])
+    sq_sup = np.concatenate([b[1] for b in blocks])
+    stats = sum((b[2] for b in blocks), SolveStats())
 
     errors, stderrs = _mean_sqrt_with_se(sq_terminal)
     sup_errors = _mean_sqrt_with_se(sq_sup)[0] if cfg.sup_error else None
@@ -338,7 +398,7 @@ def mc_strong_error(cfg: ExperimentConfig) -> RateReport:
     return RateReport(hurst=h, scheme=cfg.schemes[0], meshes=cfg.meshes,
                       errors=errors, stderrs=stderrs, pairwise_orders=orders,
                       slope=slope, slope_stderr=slope_stderr,
-                      sup_errors=sup_errors)
+                      sup_errors=sup_errors, solve_stats=stats)
 
 
 def stability_compare(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
@@ -388,20 +448,21 @@ def stability_compare(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
     return rows
 
 
-def _bias_path_worker(payload: dict, index: int) -> tuple[float, float]:
+def _bias_block_worker(payload: dict, block: int) -> tuple[np.ndarray, np.ndarray]:
+    return lowest_failure(partial(_bias_block, payload),
+                          _master_block(payload, block))
+
+
+def _bias_block(payload: dict, noise: NoiseBlock) -> tuple[np.ndarray, np.ndarray]:
     spec: DriftSpec = payload["spec"]
     solve_cfg: SolveConfig = payload["solve_cfg"]
-    fine_grid: Partition = payload["grid"]
-    noise_fine = _master_noise(payload, index)
-    noise_half = coarsen(noise_fine, fine_grid.subsample(2))
-    coarse = coarsen(noise_fine, fine_grid.subsample(payload["ratio"]))
     x0 = payload["x0"]
-    ref_fine = backward_euler(spec, noise_fine, x0, solve_cfg)
-    ref_half = backward_euler(spec, noise_half, x0, solve_cfg)
-    y = _run_scheme(payload["scheme"], spec, coarse, x0, solve_cfg)
-    d_fine = ref_fine.states[-1] - y.states[-1]
-    d_half = ref_half.states[-1] - y.states[-1]
-    return float(d_fine @ d_fine), float(d_half @ d_half)
+    ref_fine, _ = backward_euler_block(spec, noise, x0, solve_cfg)
+    ref_half, _ = backward_euler_block(spec, noise, x0, solve_cfg, ratio=2)
+    y, _ = _scheme_states(payload["scheme"], spec, noise, x0, solve_cfg,
+                          payload["ratio"])
+    return (sq_norms(ref_fine[:, -1] - y[:, -1]),
+            sq_norms(ref_half[:, -1] - y[:, -1]))
 
 
 def reference_bias_check(cfg: ExperimentConfig) -> float:
@@ -425,14 +486,18 @@ def reference_bias_check(cfg: ExperimentConfig) -> float:
         "hurst": HurstVector.constant(cfg.hurst_values[0], spec.dim),
         "scheme": cfg.schemes[0],
         "ratio": _int_ratio(finest, cfg.master_mesh) * 2,
+        "paths": cfg.mc_paths,
+        "block_size": block_size(cfg.mc_paths, cfg.threads),
         "seed": cfg.seed,
         "sampler": cfg.sampler,
         "zero_noise": cfg.zero_noise,
         "solve_cfg": cfg.solve_config(),
     }
-    rows = map_indexed(_bias_path_worker, payload, cfg.mc_paths, cfg.threads)
-    sq_fine = np.array([row[0] for row in rows])
-    sq_half = np.array([row[1] for row in rows])
+    blocks = map_indexed(_bias_block_worker, payload,
+                         block_count(cfg.mc_paths, payload["block_size"]),
+                         cfg.threads)
+    sq_fine = np.concatenate([b[0] for b in blocks])
+    sq_half = np.concatenate([b[1] for b in blocks])
     eps_fine = float(np.sqrt(sq_fine.mean()))
     eps_half = float(np.sqrt(sq_half.mean()))
     if eps_fine == 0.0 and eps_half == 0.0:

@@ -21,7 +21,12 @@ from .drifts import DriftSpec
 from .errors import DomainError, NoConvergenceError, SolverError, StepTooLargeError
 from .fbm import FbmPath
 from .grids import Partition, nested_indices
-from .solver import DEFAULT_SOLVE_CONFIG, SolveConfig, solve_backward_step
+from .solver import (
+    _KAPPA_DELTA_LIMIT,
+    DEFAULT_SOLVE_CONFIG,
+    SolveConfig,
+    solve_backward_step,
+)
 
 __all__ = [
     "Trajectory",
@@ -34,8 +39,6 @@ __all__ = [
     "fundamental_matrix_reference",
     "fundamental_matrix_fb_euler",
 ]
-
-_KAPPA_DELTA_LIMIT = 0.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,10 +287,7 @@ def fundamental_matrix_fb_euler(spec: DriftSpec, traj: Trajectory,
     if traj.dim != spec.dim:
         raise DomainError("trajectory dimension does not match the drift")
     idx = nested_indices(coarse, traj.grid)
-    if spec.kappa > 0.0 and spec.kappa * coarse.mesh > _KAPPA_DELTA_LIMIT:
-        raise StepTooLargeError(
-            f"kappa * mesh = {spec.kappa * coarse.mesh:.6g} exceeds the "
-            f"{_KAPPA_DELTA_LIMIT} solvability guard")
+    _check_step_guard(spec, coarse.mesh, DEFAULT_SOLVE_CONFIG)
     m = spec.dim
     eye = np.eye(m)
     mats = np.empty((coarse.times.size, m, m))

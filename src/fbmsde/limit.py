@@ -20,15 +20,24 @@ drives the expansion: the raw defect ``R``, the quadratic drift correction
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ._parallel import map_indexed
 from .drifts import DriftSpec
+from .engine import (
+    NoiseBlock,
+    backward_euler_block,
+    block_count,
+    block_range,
+    block_size,
+    lowest_failure,
+)
 from .errors import ConfigError, DomainError, GridError
-from .fbm import FbmPath, HurstVector, child_seed, coarsen, sample_multi
+from .fbm import FbmPath, HurstVector, child_seed, sample_multi
 from .grids import Partition, nested_indices
-from .integrate import (
+from .integrate import (  # noqa: F401  backward_euler is looked up by name here
     FundamentalMatrixPath,
     Trajectory,
     backward_euler,
@@ -173,23 +182,40 @@ def solve_U_ode(spec: DriftSpec, traj: Trajectory, noise: FbmPath) -> Trajectory
                       drift=spec.name, path_seed=noise.seed)
 
 
-def _limit_path_worker(payload: tuple, index: int) -> tuple:
-    (spec, x0, hurst, t, n_values, master_n, seed, sampler, tol) = payload
-    grid = Partition.uniform(t, master_n)
-    noise = sample_multi(grid, hurst, child_seed(seed, index), method=sampler)
-    cfg = SolveConfig(tol=tol)
-    ref = backward_euler(spec, noise, x0, cfg)
-    phi = fundamental_matrix_reference(spec, ref)
-    u_t = compute_U(spec, ref, phi, noise, t)
-    dists = np.empty(len(n_values))
-    nz_norms = np.empty(len(n_values))
-    for i, n in enumerate(n_values):
-        sub = coarsen(noise, grid.subsample(master_n // n))
-        coarse_run = backward_euler(spec, sub, x0, cfg)
-        rescale = float(n) * (ref.states[-1] - coarse_run.states[-1])
-        dists[i] = float(np.linalg.norm(rescale - u_t))
-        nz_norms[i] = float(np.linalg.norm(rescale))
-    return dists, nz_norms, float(np.linalg.norm(u_t))
+def _limit_block_worker(payload: dict, block: int) -> list[tuple]:
+    grid = Partition.uniform(payload["t"], payload["master_n"])
+    indices = block_range(block, payload["paths"], payload["block_size"])
+    noise = NoiseBlock.stack([sample_multi(grid, payload["hurst"],
+                                           child_seed(payload["seed"], i),
+                                           method=payload["sampler"])
+                              for i in indices], indices.start)
+    return lowest_failure(partial(_limit_block, payload), noise)
+
+
+def _limit_block(payload: dict, noise: NoiseBlock) -> list[tuple]:
+    spec: DriftSpec = payload["spec"]
+    x0, t, n_values = payload["x0"], payload["t"], payload["n_values"]
+    grid = noise.grid
+    cfg = SolveConfig(tol=payload["tol"])
+    ref, _ = backward_euler_block(spec, noise, x0, cfg)
+    terminal = [backward_euler_block(spec, noise, x0, cfg,
+                                     payload["master_n"] // n)[0][:, -1]
+                for n in n_values]
+    rows = []
+    for lane in range(noise.values.shape[0]):
+        path = noise.path(lane)
+        traj = Trajectory(grid=grid, states=ref[lane], scheme="bem",
+                          drift=spec.name, path_seed=path.seed)
+        phi = fundamental_matrix_reference(spec, traj)
+        u_t = compute_U(spec, traj, phi, path, t)
+        dists = np.empty(len(n_values))
+        nz_norms = np.empty(len(n_values))
+        for i, n in enumerate(n_values):
+            rescale = float(n) * (ref[lane, -1] - terminal[i][lane])
+            dists[i] = float(np.linalg.norm(rescale - u_t))
+            nz_norms[i] = float(np.linalg.norm(rescale))
+        rows.append((dists, nz_norms, float(np.linalg.norm(u_t))))
+    return rows
 
 
 def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
@@ -229,9 +255,23 @@ def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
     if issues:
         raise ConfigError(issues)
 
-    payload = (spec, np.atleast_1d(np.asarray(x0, dtype=np.float64)), hurst,
-               float(t), n_values, master_n, int(seed), sampler, float(tol))
-    rows = map_indexed(_limit_path_worker, payload, mc_paths, threads)
+    payload = {
+        "spec": spec,
+        "x0": np.atleast_1d(np.asarray(x0, dtype=np.float64)),
+        "hurst": hurst,
+        "t": float(t),
+        "n_values": n_values,
+        "master_n": master_n,
+        "paths": mc_paths,
+        "block_size": block_size(mc_paths, threads),
+        "seed": int(seed),
+        "sampler": sampler,
+        "tol": float(tol),
+    }
+    rows = [row for block in map_indexed(
+                _limit_block_worker, payload,
+                block_count(mc_paths, payload["block_size"]), threads)
+            for row in block]
     dists = np.stack([row[0] for row in rows])
     nz = np.stack([row[1] for row in rows])
     u_norms = np.array([row[2] for row in rows])

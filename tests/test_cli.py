@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ master_mesh = 2^-7
 mc_paths = 4
 seed = 5
 """
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 LIMIT_CFG = """\
 drift = linear
@@ -285,6 +288,24 @@ def test_rate_threads_env_and_flag(tmp_path, monkeypatch, capsys):
     assert "FBMSDE_THREADS" in capsys.readouterr().err
 
 
+def test_rate_manifest_is_identical_across_threads(tmp_path):
+    # --threads 2 and 3 split the 10 paths into 2 and 3 blocks of paths.
+    outdir = tmp_path / "out"
+    manifests = []
+    for threads in ("1", "2", "3"):
+        assert main(["rate", "--config", str(CONFIGS / "example2_smoke.cfg"),
+                     "--mc-paths", "10", "--threads", threads,
+                     "--out", str(outdir)]) == 0
+        manifests.append((outdir / "meta.json").read_bytes())
+    assert manifests[0] == manifests[1] == manifests[2]
+    assert "threads" not in json.loads(manifests[0])["config"]
+    stats = json.loads(manifests[0])["solve_stats"]
+    assert sorted(stats) == ["0.6", "0.7", "0.8", "0.9"]
+    for counts in stats.values():
+        assert counts["fallbacks"] == 0
+        assert counts["newton_iterations"] > 0
+
+
 # --- limit subcommand ----------------------------------------------------------------
 
 def test_limit_pipeline_reports_monotonicity(tmp_path, capsys):
@@ -325,12 +346,35 @@ def test_stability_pipeline_writes_table(tmp_path):
     assert len(lines) == 1 + 4 * 9
 
 
+@pytest.mark.parametrize("subcommand, text", [("stability", STAB_CFG),
+                                               ("limit", LIMIT_CFG)])
+def test_manifests_leave_out_the_worker_count(tmp_path, subcommand, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    manifests = []
+    for threads in ("1", "2"):
+        assert main([subcommand, "--config", str(cfg), "--threads", threads,
+                     "--out", str(tmp_path / "out")]) == 0
+        manifests.append((tmp_path / "out" / "meta.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert "threads" not in json.loads(manifests[0])["config"]
+
+
 def test_stability_rejects_multi_mesh_config(tmp_path, capsys):
     cfg = tmp_path / "stab.cfg"
     cfg.write_text(STAB_CFG.replace("meshes = 0.08", "meshes = 0.08 0.04"))
     rc = main(["stability", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_stability_rejects_multiple_paths(tmp_path, capsys):
+    cfg = tmp_path / "stab.cfg"
+    cfg.write_text(STAB_CFG)
+    rc = main(["stability", "--config", str(cfg), "--out", str(tmp_path / "o"),
+               "--mc-paths", "100"])
+    assert rc == 2
+    assert "stability runs use exactly one noise path" in capsys.readouterr().err
 
 
 # --- packaging glue ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ import pytest
 from fbmsde import (
     ConfigError,
     ExperimentConfig,
+    NoConvergenceError,
+    child_seed,
     fit_order,
     mc_strong_error,
     reference_bias_check,
@@ -183,6 +185,20 @@ def test_mc_strong_error_deterministic_across_threads():
     b = mc_strong_error(rate_cfg(threads=2))
     assert np.array_equal(a.errors, b.errors)
     assert np.array_equal(a.stderrs, b.stderrs)
+
+
+def test_mc_strong_error_failure_names_path_and_seed():
+    # From 1e5 the cubic's first implicit step stalls below rounding.
+    messages = []
+    for threads in (1, 2):
+        cfg = rate_cfg(drift="example1", x0=(1e5,), mc_paths=3, threads=threads)
+        with pytest.raises(NoConvergenceError) as err:
+            mc_strong_error(cfg)
+        assert err.value.step == 0 and err.value.path == 0
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("step 0: damping stalled")
+    assert messages[0].endswith(f"(path 0, path seed {child_seed(5, 0)})")
 
 
 def test_sweep_strong_error_runs_each_hurst():
