@@ -3,8 +3,9 @@
 Work items are indexed (rate, bias and limit runs index blocks of paths),
 results come back in index order and every path derives its own seed
 from the master seed, so the reduction is bit-identical for any worker
-count.  Workers are separate processes; payloads must be picklable, which
-holds for the built-in drift specs and plain configuration tuples.
+count.  Workers are separate processes; the worker and its payload must
+pickle, which holds for :func:`~fbmsde.harness.map_blocks`'s partials of
+module-level block functions and its :class:`~fbmsde.harness.Ensemble`.
 """
 
 from __future__ import annotations

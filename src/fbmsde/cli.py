@@ -43,12 +43,13 @@ from .csvio import (
     write_stability_csv,
     write_trajectory_csv,
 )
-from .drifts import get_drift, make_linear_drift
+from .drifts import get_drift
 from .errors import ConfigError, DomainError, FbmSdeError, GridError, SolverError
 from .fbm import HurstVector, sample_multi, zero_path
 from .grids import Partition
 from .harness import (
     reference_bias_check,
+    resolve_drift,
     stability_compare,
     sweep_strong_error,
 )
@@ -197,7 +198,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_overrides(args: argparse.Namespace) -> dict:
+def _overrides(args: argparse.Namespace) -> dict:
     overrides: dict = {}
     if args.out is not None:
         overrides["out"] = args.out
@@ -208,11 +209,10 @@ def _experiment_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
-def _config_echo(config: dict) -> dict:
-    """The run's settings for a manifest, without the worker count, which
-    changes no output."""
-    return {k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in config.items() if k != "threads"}
+def _config_echo(cfg) -> dict:
+    """A run config's settings for a manifest, without the worker count,
+    which changes no output."""
+    return {k: v for k, v in asdict(cfg).items() if k != "threads"}
 
 
 def _require_out(cfg_out: str | None) -> str:
@@ -225,7 +225,7 @@ def _require_out(cfg_out: str | None) -> str:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     mapping = load_config_file(args.config)
-    cfg = experiment_config_from_mapping(mapping, _experiment_overrides(args))
+    cfg = experiment_config_from_mapping(mapping, _overrides(args))
     cfg = replace(cfg, threads=_resolve_threads(args.threads, cfg.threads))
     out_dir = _require_out(cfg.out)
     reports = sweep_strong_error(cfg)
@@ -250,7 +250,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
             shift = reference_bias_check(replace(cfg, hurst_values=(h,)))
             print(f"H={h:g} reference bias at finest mesh: {shift:.4%}")
     manifest = os.path.join(out_dir, "meta.json")
-    write_manifest(manifest, "rate", _config_echo(cfg.as_dict()), cfg.seed,
+    write_manifest(manifest, "rate", _config_echo(cfg), cfg.seed,
                    __version__, outputs,
                    solve_stats={f"{r.hurst:g}": asdict(r.solve_stats)
                                 for r in reports})
@@ -259,25 +259,14 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 def cmd_limit(args: argparse.Namespace) -> int:
     mapping = load_config_file(args.config)
-    params = limit_params_from_mapping(mapping)
-    if args.mc_paths is not None:
-        params["mc_paths"] = args.mc_paths
-    if args.out is not None:
-        params["out"] = args.out
-    params["threads"] = _resolve_threads(args.threads, params["threads"])
-    out_dir = _require_out(params["out"])
-    if params["drift"] == "linear":
-        if params["linear_matrix"] is None:
-            raise ConfigError("drift 'linear' needs linear_matrix")
-        spec = make_linear_drift(np.asarray(params["linear_matrix"]))
-    else:
-        spec = get_drift(params["drift"])
+    cfg = limit_params_from_mapping(mapping, _overrides(args))
+    cfg = replace(cfg, threads=_resolve_threads(args.threads, cfg.threads))
+    out_dir = _require_out(cfg.out)
     comparison = limit_check(
-        spec, np.asarray(params["x0"], dtype=np.float64), params["hurst"],
-        params["t"], params["n_values"], params["mc_paths"], params["seed"],
-        p=params["p"], master_factor=params["master_factor"],
-        threads=params["threads"], sampler=params["sampler"],
-        tol=params["newton_tol"])
+        resolve_drift(cfg), np.asarray(cfg.x0, dtype=np.float64), cfg.hurst,
+        cfg.t, cfg.n_values, cfg.mc_paths, cfg.seed, p=cfg.p,
+        master_factor=cfg.master_factor, threads=cfg.threads,
+        sampler=cfg.sampler, tol=cfg.newton_tol)
     target = os.path.join(out_dir, "limit_comparison.csv")
     write_limit_csv(comparison, target)
     for i, n in enumerate(comparison.n_values):
@@ -287,13 +276,13 @@ def cmd_limit(args: argparse.Namespace) -> int:
     monotone = bool(np.all(np.diff(dists) <= 1e-12)) if dists.size > 1 else True
     print(f"lp distance monotone decreasing: {'yes' if monotone else 'no'}")
     write_manifest(os.path.join(out_dir, "meta.json"), "limit",
-                   _config_echo(params), params["seed"], __version__, [target])
+                   _config_echo(cfg), cfg.seed, __version__, [target])
     return 0
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
     mapping = load_config_file(args.config)
-    cfg = experiment_config_from_mapping(mapping, _experiment_overrides(args))
+    cfg = experiment_config_from_mapping(mapping, _overrides(args))
     cfg = replace(cfg, threads=_resolve_threads(args.threads, cfg.threads))
     out_dir = _require_out(cfg.out)
     rows = stability_compare(cfg)
@@ -302,7 +291,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     for scheme, t, value in rows:
         print(f"{scheme:>10}  T={format_float(t)}  value={format_float(value)}")
     write_manifest(os.path.join(out_dir, "meta.json"), "stability",
-                   _config_echo(cfg.as_dict()), cfg.seed, __version__, [target])
+                   _config_echo(cfg), cfg.seed, __version__, [target])
     return 0
 
 

@@ -6,22 +6,26 @@ tokens.  Mesh-like quantities accept dyadic shorthand (``2^-7`` or
 ``2**-7``) next to plain floats because refinement studies are usually
 expressed in powers of two.
 
-Every problem in a file is collected and reported at once through
-:class:`~fbmsde.errors.ConfigError`.
+Each config type has a schema: a table of ``(key, field, value kind,
+default)`` rows.  Every problem in a file is collected and reported at once
+through :class:`~fbmsde.errors.ConfigError`, in the order of the rows.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 from .errors import ConfigError
-from .harness import ExperimentConfig
+from .harness import ExperimentConfig, LimitConfig
 
 __all__ = [
     "parse_config_text",
     "load_config_file",
     "experiment_config_from_mapping",
     "limit_params_from_mapping",
+    "EXPERIMENT_SCHEMA",
+    "LIMIT_SCHEMA",
 ]
 
 
@@ -63,179 +67,117 @@ def _parse_dyadic(token: str) -> float:
     return float(token)
 
 
-def _get_float(mapping, key, issues, default=None, dyadic=False):
-    if key not in mapping:
-        if default is None:
-            issues.append(f"missing required key {key!r}")
-        return default
-    try:
-        return _parse_dyadic(mapping[key]) if dyadic else float(mapping[key])
-    except ValueError:
-        issues.append(f"key {key!r}: cannot parse {mapping[key]!r} as a number")
-        return default
-
-
-def _get_int(mapping, key, issues, default=None):
-    if key not in mapping:
-        if default is None:
-            issues.append(f"missing required key {key!r}")
-        return default
-    try:
-        return int(mapping[key])
-    except ValueError:
-        issues.append(f"key {key!r}: cannot parse {mapping[key]!r} as an integer")
-        return default
-
-
-def _get_floats(mapping, key, issues, default=None, dyadic=False):
-    if key not in mapping:
-        if default is None:
-            issues.append(f"missing required key {key!r}")
-        return default
-    try:
-        return tuple(_parse_dyadic(tok) if dyadic else float(tok)
-                     for tok in _tokens(mapping[key]))
-    except ValueError:
-        issues.append(f"key {key!r}: cannot parse {mapping[key]!r} as numbers")
-        return default
-
-def _get_bool(mapping, key, issues, default=False):
-    if key not in mapping:
-        return default
-    token = mapping[key].strip().lower()
+def _parse_bool(value: str) -> bool:
+    token = value.strip().lower()
     if token in ("1", "true", "yes", "on"):
         return True
     if token in ("0", "false", "no", "off"):
         return False
-    issues.append(f"key {key!r}: cannot parse {mapping[key]!r} as a boolean")
-    return default
+    raise ValueError(value)
 
 
-def _parse_matrix(value: str, issues: list[str]):
-    try:
-        rows = tuple(tuple(float(tok) for tok in _tokens(chunk))
-                     for chunk in value.split(";") if chunk.strip())
-    except ValueError:
-        issues.append(f"key 'linear_matrix': cannot parse {value!r}")
-        return None
+def _parse_matrix(value: str) -> tuple[tuple[float, ...], ...]:
+    rows = tuple(tuple(float(tok) for tok in _tokens(chunk))
+                 for chunk in value.split(";") if chunk.strip())
     if not rows or any(len(row) != len(rows) for row in rows):
-        issues.append("key 'linear_matrix': matrix must be square, rows "
-                      "separated by ';'")
-        return None
+        raise ConfigError("key 'linear_matrix': matrix must be square, rows "
+                          "separated by ';'")
     return rows
 
 
-_EXPERIMENT_KEYS = {
-    "drift", "x0", "t_final", "hurst", "schemes", "meshes", "master_mesh",
-    "mc_paths", "seed", "out", "threads", "sup_error", "newton_tol",
-    "newton_max_iter", "sampler", "zero_noise", "linear_matrix",
-}
+def _each(parse):
+    """A parser of every token of a list value."""
+    return lambda value: tuple(parse(tok) for tok in _tokens(value))
+
+
+# Value kinds: a parser and the end of its "cannot parse" message.
+_TEXT = (str, "")
+_WORDS = (_each(str), "")
+_NUMBER = (float, " as a number")
+_MESH = (_parse_dyadic, " as a number")
+_INTEGER = (int, " as an integer")
+_NUMBERS = (_each(float), " as numbers")
+_MESHES = (_each(_parse_dyadic), " as numbers")
+_STEP_COUNTS = (_each(lambda tok: int(round(_parse_dyadic(tok)))), "")
+_BOOLEAN = (_parse_bool, " as a boolean")
+_MATRIX = (_parse_matrix, "")
+
+_REQUIRED = object()
+
+# (key, field, kind, default or _REQUIRED), in the order issues are reported.
+EXPERIMENT_SCHEMA = (
+    ("drift", "drift", _TEXT, _REQUIRED),
+    ("x0", "x0", _NUMBERS, _REQUIRED),
+    ("t_final", "t_final", _NUMBER, _REQUIRED),
+    ("hurst", "hurst_values", _NUMBERS, _REQUIRED),
+    ("schemes", "schemes", _WORDS, ("bem",)),
+    ("meshes", "meshes", _MESHES, _REQUIRED),
+    ("master_mesh", "master_mesh", _MESH, None),
+    ("mc_paths", "mc_paths", _INTEGER, 1),
+    ("seed", "seed", _INTEGER, _REQUIRED),
+    ("out", "out", _TEXT, None),
+    ("threads", "threads", _INTEGER, 1),
+    ("sup_error", "sup_error", _BOOLEAN, False),
+    ("zero_noise", "zero_noise", _BOOLEAN, False),
+    ("newton_tol", "newton_tol", _NUMBER, 1e-12),
+    ("newton_max_iter", "newton_max_iter", _INTEGER, 50),
+    ("sampler", "sampler", _TEXT, "circulant"),
+    ("linear_matrix", "linear_matrix", _MATRIX, None),
+)
+
+LIMIT_SCHEMA = (
+    ("drift", "drift", _TEXT, _REQUIRED),
+    ("x0", "x0", _NUMBERS, _REQUIRED),
+    ("hurst", "hurst", _NUMBER, _REQUIRED),
+    ("t", "t", _NUMBER, _REQUIRED),
+    ("n_values", "n_values", _STEP_COUNTS, _REQUIRED),
+    ("p", "p", _NUMBER, 1.0),
+    ("mc_paths", "mc_paths", _INTEGER, 100),
+    ("master_factor", "master_factor", _INTEGER, 8),
+    ("seed", "seed", _INTEGER, _REQUIRED),
+    ("threads", "threads", _INTEGER, 1),
+    ("sampler", "sampler", _TEXT, "circulant"),
+    ("newton_tol", "newton_tol", _NUMBER, 1e-12),
+    ("out", "out", _TEXT, None),
+    ("linear_matrix", "linear_matrix", _MATRIX, None),
+)
+
+
+def _from_schema(schema, mapping: dict[str, str], build, overrides: dict | None):
+    """Build ``build(**fields)`` from ``mapping``, reporting all problems at
+    once, then apply ``overrides`` (already-typed values, usually from
+    command-line flags)."""
+    known = {key for key, _, _, _ in schema}
+    issues = [f"unknown key {key!r}" for key in sorted(set(mapping) - known)]
+    values = {}
+    for key, name, (parse, what), default in schema:
+        if key not in mapping:
+            if default is _REQUIRED:
+                issues.append(f"missing required key {key!r}")
+            values[name] = default
+            continue
+        raw = mapping[key]
+        try:
+            values[name] = parse(raw)
+        except ConfigError as exc:
+            issues.extend(exc.issues)
+        except (ValueError, OverflowError):
+            issues.append(f"key {key!r}: cannot parse {raw!r}{what}")
+    if issues:
+        raise ConfigError(issues)
+    return replace(build(**values), **(overrides or {}))
 
 
 def experiment_config_from_mapping(mapping: dict[str, str],
                                    overrides: dict | None = None
                                    ) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig`, reporting all problems at once.
-
-    ``overrides`` (already-typed values, usually from command-line flags)
-    replace file values after parsing.
-    """
-    issues: list[str] = []
-    unknown = sorted(set(mapping) - _EXPERIMENT_KEYS)
-    issues.extend(f"unknown key {key!r}" for key in unknown)
-
-    drift = mapping.get("drift")
-    if drift is None:
-        issues.append("missing required key 'drift'")
-    x0 = _get_floats(mapping, "x0", issues)
-    t_final = _get_float(mapping, "t_final", issues)
-    hurst = _get_floats(mapping, "hurst", issues)
-    schemes = tuple(_tokens(mapping["schemes"])) if "schemes" in mapping \
-        else ("bem",)
-    meshes = _get_floats(mapping, "meshes", issues, dyadic=True)
-    master_mesh = None
-    if "master_mesh" in mapping:
-        master_mesh = _get_float(mapping, "master_mesh", issues, dyadic=True)
-    mc_paths = _get_int(mapping, "mc_paths", issues, default=1)
-    seed = _get_int(mapping, "seed", issues)
-    threads = _get_int(mapping, "threads", issues, default=1)
-    sup_error = _get_bool(mapping, "sup_error", issues)
-    zero_noise = _get_bool(mapping, "zero_noise", issues)
-    newton_tol = _get_float(mapping, "newton_tol", issues, default=1e-12)
-    newton_max_iter = _get_int(mapping, "newton_max_iter", issues, default=50)
-    sampler = mapping.get("sampler", "circulant")
-    linear_matrix = None
-    if "linear_matrix" in mapping:
-        linear_matrix = _parse_matrix(mapping["linear_matrix"], issues)
-
-    if issues:
-        raise ConfigError(issues)
-    cfg = ExperimentConfig(
-        drift=drift,
-        x0=x0,
-        t_final=t_final,
-        hurst_values=hurst,
-        schemes=schemes,
-        meshes=meshes,
-        master_mesh=master_mesh,
-        mc_paths=mc_paths,
-        seed=seed,
-        out=mapping.get("out"),
-        threads=threads,
-        sup_error=sup_error,
-        newton_tol=newton_tol,
-        newton_max_iter=newton_max_iter,
-        sampler=sampler,
-        zero_noise=zero_noise,
-        linear_matrix=linear_matrix,
-    )
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-    return cfg
+    """Build an :class:`ExperimentConfig` from the keys of
+    :data:`EXPERIMENT_SCHEMA`; ``overrides`` replace file values."""
+    return _from_schema(EXPERIMENT_SCHEMA, mapping, ExperimentConfig, overrides)
 
 
-_LIMIT_KEYS = {
-    "drift", "x0", "hurst", "t", "n_values", "p", "mc_paths", "master_factor",
-    "seed", "out", "threads", "sampler", "newton_tol", "linear_matrix",
-}
-
-
-def limit_params_from_mapping(mapping: dict[str, str]) -> dict:
-    """Typed parameters for a limit-comparison run."""
-    issues: list[str] = []
-    unknown = sorted(set(mapping) - _LIMIT_KEYS)
-    issues.extend(f"unknown key {key!r}" for key in unknown)
-
-    params: dict = {}
-    params["drift"] = mapping.get("drift")
-    if params["drift"] is None:
-        issues.append("missing required key 'drift'")
-    params["x0"] = _get_floats(mapping, "x0", issues)
-    params["hurst"] = _get_float(mapping, "hurst", issues)
-    params["t"] = _get_float(mapping, "t", issues)
-    n_values = mapping.get("n_values")
-    if n_values is None:
-        issues.append("missing required key 'n_values'")
-        params["n_values"] = None
-    else:
-        try:
-            params["n_values"] = tuple(
-                int(round(_parse_dyadic(tok))) for tok in _tokens(n_values))
-        except ValueError:
-            issues.append(f"key 'n_values': cannot parse {n_values!r}")
-            params["n_values"] = None
-    params["p"] = _get_float(mapping, "p", issues, default=1.0)
-    params["mc_paths"] = _get_int(mapping, "mc_paths", issues, default=100)
-    params["master_factor"] = _get_int(mapping, "master_factor", issues, default=8)
-    params["seed"] = _get_int(mapping, "seed", issues)
-    params["threads"] = _get_int(mapping, "threads", issues, default=1)
-    params["sampler"] = mapping.get("sampler", "circulant")
-    params["newton_tol"] = _get_float(mapping, "newton_tol", issues, default=1e-12)
-    params["out"] = mapping.get("out")
-    params["linear_matrix"] = None
-    if "linear_matrix" in mapping:
-        params["linear_matrix"] = _parse_matrix(mapping["linear_matrix"], issues)
-    if issues:
-        raise ConfigError(issues)
-    return params
+def limit_params_from_mapping(mapping: dict[str, str],
+                              overrides: dict | None = None) -> LimitConfig:
+    """Build a :class:`LimitConfig` from the keys of :data:`LIMIT_SCHEMA`;
+    ``overrides`` replace file values."""
+    return _from_schema(LIMIT_SCHEMA, mapping, LimitConfig, overrides)

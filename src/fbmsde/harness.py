@@ -6,16 +6,18 @@ the restriction of that path's master noise, so error estimates compare
 schemes on identical randomness.  Per-path seeds derive from the master seed
 by path index, which makes results independent of the worker count.
 
-Rate and bias runs split their paths into blocks of consecutive indices,
-one or more per worker, and integrate the implicit scheme for a whole block
-at once with :mod:`fbmsde.engine`.  Neither a path's result nor the path a
-failure names depends on the blocks.
+The noise of a Monte Carlo run is an :class:`Ensemble`.  :func:`map_blocks`
+splits its paths into blocks of consecutive indices, one or more per
+worker, and hands each block to a block function that integrates the
+implicit scheme for the whole block at once with :mod:`fbmsde.engine`.
+Neither a path's result nor the path a failure names depends on the blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +48,9 @@ from .solver import SolveConfig
 
 __all__ = [
     "ExperimentConfig",
+    "LimitConfig",
+    "Ensemble",
+    "map_blocks",
     "RateReport",
     "resolve_drift",
     "mc_strong_error",
@@ -102,7 +107,28 @@ class ExperimentConfig:
         return SolveConfig(tol=self.newton_tol, max_iter=self.newton_max_iter)
 
 
-def resolve_drift(cfg: ExperimentConfig) -> DriftSpec:
+@dataclass(frozen=True)
+class LimitConfig:
+    """Declarative description of a run of :func:`fbmsde.limit.limit_check`;
+    the defaults live in :data:`fbmsde.configio.LIMIT_SCHEMA`."""
+
+    drift: str
+    x0: tuple[float, ...]
+    hurst: float
+    t: float
+    n_values: tuple[int, ...]
+    p: float
+    mc_paths: int
+    master_factor: int
+    seed: int
+    threads: int
+    sampler: str
+    newton_tol: float
+    out: str | None
+    linear_matrix: tuple[tuple[float, ...], ...] | None
+
+
+def resolve_drift(cfg: ExperimentConfig | LimitConfig) -> DriftSpec:
     """Look up the configured drift, instantiating ``linear`` from its matrix."""
     name = cfg.drift.strip()
     if name == "linear":
@@ -272,19 +298,55 @@ def _run_scheme(scheme: str, spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
-def _master_noise(payload: dict, index: int) -> FbmPath:
-    grid: Partition = payload["grid"]
-    hurst: HurstVector = payload["hurst"]
-    if payload["zero_noise"]:
-        return zero_path(grid, hurst)
-    return sample_multi(grid, hurst, child_seed(payload["seed"], index),
-                        method=payload["sampler"])
+@dataclass(frozen=True)
+class Ensemble:
+    """The noise paths of one Monte Carlo run on its master grid.
+
+    Path ``i`` is drawn from ``child_seed(seed, i)``, or is zero when
+    ``zero_noise`` is set, so it does not depend on how paths are split.
+    """
+
+    grid: Partition
+    hurst: HurstVector
+    paths: int
+    seed: int
+    sampler: str
+    zero_noise: bool = False
+
+    @classmethod
+    def of(cls, cfg: ExperimentConfig, spec: DriftSpec, grid: Partition
+           ) -> "Ensemble":
+        """The ensemble of a one-Hurst-value experiment on ``grid``."""
+        return cls(grid=grid,
+                   hurst=HurstVector.constant(cfg.hurst_values[0], spec.dim),
+                   paths=cfg.mc_paths, seed=cfg.seed, sampler=cfg.sampler,
+                   zero_noise=cfg.zero_noise)
+
+    def path(self, index: int) -> FbmPath:
+        if self.zero_noise:
+            return zero_path(self.grid, self.hurst)
+        return sample_multi(self.grid, self.hurst, child_seed(self.seed, index),
+                            method=self.sampler)
 
 
-def _master_block(payload: dict, block: int) -> NoiseBlock:
-    indices = block_range(block, payload["paths"], payload["block_size"])
-    return NoiseBlock.stack([_master_noise(payload, i) for i in indices],
-                            indices.start)
+def _run_block(run: Callable[[NoiseBlock], object], size: int,
+               ensemble: Ensemble, block: int) -> object:
+    indices = block_range(block, ensemble.paths, size)
+    return lowest_failure(run, NoiseBlock.stack(
+        [ensemble.path(i) for i in indices], indices.start))
+
+
+def map_blocks(run: Callable[[NoiseBlock], object], ensemble: Ensemble,
+               threads: int = 1) -> list:
+    """``run`` on every block of the ensemble's paths, in path order.
+
+    ``run`` must pickle when ``threads > 1``: a :func:`functools.partial`
+    of a module-level block function does.  A failure is that of the
+    lowest failing path (see :func:`~fbmsde.engine.lowest_failure`).
+    """
+    size = block_size(ensemble.paths, threads)
+    return map_indexed(partial(_run_block, run, size), ensemble,
+                       block_count(ensemble.paths, size), threads)
 
 
 def _scheme_states(scheme: str, spec: DriftSpec, noise: NoiseBlock,
@@ -307,24 +369,17 @@ def _scheme_states(scheme: str, spec: DriftSpec, noise: NoiseBlock,
     return np.stack(states), SolveStats()
 
 
-def _rate_block_worker(payload: dict, block: int
-                       ) -> tuple[np.ndarray, np.ndarray, SolveStats]:
-    return lowest_failure(partial(_rate_block, payload),
-                          _master_block(payload, block))
-
-
-def _rate_block(payload: dict, noise: NoiseBlock
+def _rate_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
                 ) -> tuple[np.ndarray, np.ndarray, SolveStats]:
-    spec: DriftSpec = payload["spec"]
-    solve_cfg: SolveConfig = payload["solve_cfg"]
-    x0 = payload["x0"]
+    x0 = np.asarray(cfg.x0, dtype=np.float64)
+    solve_cfg = cfg.solve_config()
     ref, stats = backward_euler_block(spec, noise, x0, solve_cfg)
-    ratios = payload["ratios"]
-    sq_terminal = np.empty((ref.shape[0], len(ratios)))
-    sq_sup = np.empty((ref.shape[0], len(ratios)))
+    sq_terminal = np.empty((ref.shape[0], len(cfg.meshes)))
+    sq_sup = np.empty((ref.shape[0], len(cfg.meshes)))
     with np.errstate(all="ignore"):
-        for i, ratio in enumerate(ratios):
-            states, run_stats = _scheme_states(payload["scheme"], spec, noise, x0,
+        for i, mesh in enumerate(cfg.meshes):
+            ratio = _int_ratio(mesh, cfg.master_mesh)
+            states, run_stats = _scheme_states(cfg.schemes[0], spec, noise, x0,
                                                solve_cfg, ratio)
             stats = stats + run_stats
             sq_terminal[:, i] = sq_norms(ref[:, -1] - states[:, -1])
@@ -358,26 +413,9 @@ def mc_strong_error(cfg: ExperimentConfig) -> RateReport:
         raise ConfigError("mc_strong_error runs one Hurst value at a time; "
                           "sweep by calling it per value")
     h = cfg.hurst_values[0]
-    master_steps = _int_ratio(cfg.t_final, cfg.master_mesh)
-    grid = Partition.uniform(cfg.t_final, master_steps)
-    ratios = tuple(_int_ratio(mesh, cfg.master_mesh) for mesh in cfg.meshes)
-    payload = {
-        "spec": spec,
-        "x0": np.asarray(cfg.x0, dtype=np.float64),
-        "grid": grid,
-        "hurst": HurstVector.constant(h, spec.dim),
-        "scheme": cfg.schemes[0],
-        "ratios": ratios,
-        "paths": cfg.mc_paths,
-        "block_size": block_size(cfg.mc_paths, cfg.threads),
-        "seed": cfg.seed,
-        "sampler": cfg.sampler,
-        "zero_noise": cfg.zero_noise,
-        "solve_cfg": cfg.solve_config(),
-    }
-    blocks = map_indexed(_rate_block_worker, payload,
-                         block_count(cfg.mc_paths, payload["block_size"]),
-                         cfg.threads)
+    grid = Partition.uniform(cfg.t_final, _int_ratio(cfg.t_final, cfg.master_mesh))
+    blocks = map_blocks(partial(_rate_block, cfg, spec),
+                        Ensemble.of(cfg, spec, grid), cfg.threads)
     sq_terminal = np.concatenate([b[0] for b in blocks])
     sq_sup = np.concatenate([b[1] for b in blocks])
     stats = sum((b[2] for b in blocks), SolveStats())
@@ -411,27 +449,13 @@ def stability_compare(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
     spec = validate_stability_config(cfg)
     solve_cfg = cfg.solve_config()
     x0 = np.asarray(cfg.x0, dtype=np.float64)
-    hurst = HurstVector.constant(cfg.hurst_values[0], spec.dim)
     coarse_steps = _int_ratio(cfg.t_final, cfg.meshes[0])
-    payload = {
-        "hurst": hurst,
-        "seed": cfg.seed,
-        "sampler": cfg.sampler,
-        "zero_noise": cfg.zero_noise,
-    }
-    if cfg.master_mesh is not None:
-        master_steps = _int_ratio(cfg.t_final, cfg.master_mesh)
-        master_grid = Partition.uniform(cfg.t_final, master_steps)
-        payload["grid"] = master_grid
-        master_noise = _master_noise(payload, 0)
-        ratio = master_steps // coarse_steps
-        coarse_noise = coarsen(master_noise, master_grid.subsample(ratio))
-    else:
-        master_grid = None
-        master_noise = None
-        ratio = 1
-        payload["grid"] = Partition.uniform(cfg.t_final, coarse_steps)
-        coarse_noise = _master_noise(payload, 0)
+    master_mesh = cfg.meshes[0] if cfg.master_mesh is None else cfg.master_mesh
+    master_steps = _int_ratio(cfg.t_final, master_mesh)
+    master_grid = Partition.uniform(cfg.t_final, master_steps)
+    master_noise = Ensemble.of(cfg, spec, master_grid).path(0)
+    ratio = master_steps // coarse_steps
+    coarse_noise = coarsen(master_noise, master_grid.subsample(ratio))
 
     rows: list[tuple[str, float, float]] = []
     times = coarse_noise.grid.times
@@ -440,7 +464,7 @@ def stability_compare(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
                            stability_mode=True)
         for k in range(1, times.size):
             rows.append((scheme, float(times[k]), float(traj.states[k, 0])))
-    if master_noise is not None:
+    if cfg.master_mesh is not None:
         ref = reference_solution(spec, master_noise, x0, solve_cfg)
         ref_states = ref.states[::ratio]
         for k in range(1, times.size):
@@ -448,19 +472,14 @@ def stability_compare(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
     return rows
 
 
-def _bias_block_worker(payload: dict, block: int) -> tuple[np.ndarray, np.ndarray]:
-    return lowest_failure(partial(_bias_block, payload),
-                          _master_block(payload, block))
-
-
-def _bias_block(payload: dict, noise: NoiseBlock) -> tuple[np.ndarray, np.ndarray]:
-    spec: DriftSpec = payload["spec"]
-    solve_cfg: SolveConfig = payload["solve_cfg"]
-    x0 = payload["x0"]
+def _bias_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
+                ) -> tuple[np.ndarray, np.ndarray]:
+    x0 = np.asarray(cfg.x0, dtype=np.float64)
+    solve_cfg = cfg.solve_config()
     ref_fine, _ = backward_euler_block(spec, noise, x0, solve_cfg)
     ref_half, _ = backward_euler_block(spec, noise, x0, solve_cfg, ratio=2)
-    y, _ = _scheme_states(payload["scheme"], spec, noise, x0, solve_cfg,
-                          payload["ratio"])
+    y, _ = _scheme_states(cfg.schemes[0], spec, noise, x0, solve_cfg,
+                          2 * _int_ratio(min(cfg.meshes), cfg.master_mesh))
     return (sq_norms(ref_fine[:, -1] - y[:, -1]),
             sq_norms(ref_half[:, -1] - y[:, -1]))
 
@@ -476,26 +495,10 @@ def reference_bias_check(cfg: ExperimentConfig) -> float:
     spec = validate_rate_config(cfg)
     if len(cfg.hurst_values) != 1:
         raise ConfigError("reference_bias_check runs one Hurst value at a time")
-    finest = min(cfg.meshes)
     doubled_steps = 2 * _int_ratio(cfg.t_final, cfg.master_mesh)
     grid = Partition.uniform(cfg.t_final, doubled_steps)
-    payload = {
-        "spec": spec,
-        "x0": np.asarray(cfg.x0, dtype=np.float64),
-        "grid": grid,
-        "hurst": HurstVector.constant(cfg.hurst_values[0], spec.dim),
-        "scheme": cfg.schemes[0],
-        "ratio": _int_ratio(finest, cfg.master_mesh) * 2,
-        "paths": cfg.mc_paths,
-        "block_size": block_size(cfg.mc_paths, cfg.threads),
-        "seed": cfg.seed,
-        "sampler": cfg.sampler,
-        "zero_noise": cfg.zero_noise,
-        "solve_cfg": cfg.solve_config(),
-    }
-    blocks = map_indexed(_bias_block_worker, payload,
-                         block_count(cfg.mc_paths, payload["block_size"]),
-                         cfg.threads)
+    blocks = map_blocks(partial(_bias_block, cfg, spec),
+                        Ensemble.of(cfg, spec, grid), cfg.threads)
     sq_fine = np.concatenate([b[0] for b in blocks])
     sq_half = np.concatenate([b[1] for b in blocks])
     eps_fine = float(np.sqrt(sq_fine.mean()))

@@ -24,20 +24,15 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import map_indexed
+# Unused here; tracing tools wrap map_indexed, sample_multi and backward_euler.
+from ._parallel import map_indexed  # noqa: F401
 from .drifts import DriftSpec
-from .engine import (
-    NoiseBlock,
-    backward_euler_block,
-    block_count,
-    block_range,
-    block_size,
-    lowest_failure,
-)
+from .engine import NoiseBlock, backward_euler_block
 from .errors import ConfigError, DomainError, GridError
-from .fbm import FbmPath, HurstVector, child_seed, sample_multi
+from .fbm import FbmPath, HurstVector, sample_multi  # noqa: F401
 from .grids import Partition, nested_indices
-from .integrate import (  # noqa: F401  backward_euler is looked up by name here
+from .harness import Ensemble, map_blocks
+from .integrate import (  # noqa: F401
     FundamentalMatrixPath,
     Trajectory,
     backward_euler,
@@ -182,24 +177,12 @@ def solve_U_ode(spec: DriftSpec, traj: Trajectory, noise: FbmPath) -> Trajectory
                       drift=spec.name, path_seed=noise.seed)
 
 
-def _limit_block_worker(payload: dict, block: int) -> list[tuple]:
-    grid = Partition.uniform(payload["t"], payload["master_n"])
-    indices = block_range(block, payload["paths"], payload["block_size"])
-    noise = NoiseBlock.stack([sample_multi(grid, payload["hurst"],
-                                           child_seed(payload["seed"], i),
-                                           method=payload["sampler"])
-                              for i in indices], indices.start)
-    return lowest_failure(partial(_limit_block, payload), noise)
-
-
-def _limit_block(payload: dict, noise: NoiseBlock) -> list[tuple]:
-    spec: DriftSpec = payload["spec"]
-    x0, t, n_values = payload["x0"], payload["t"], payload["n_values"]
+def _limit_block(spec: DriftSpec, x0: np.ndarray, n_values: tuple[int, ...],
+                 cfg: SolveConfig, noise: NoiseBlock) -> list[tuple]:
     grid = noise.grid
-    cfg = SolveConfig(tol=payload["tol"])
     ref, _ = backward_euler_block(spec, noise, x0, cfg)
     terminal = [backward_euler_block(spec, noise, x0, cfg,
-                                     payload["master_n"] // n)[0][:, -1]
+                                     grid.n_steps // n)[0][:, -1]
                 for n in n_values]
     rows = []
     for lane in range(noise.values.shape[0]):
@@ -207,7 +190,7 @@ def _limit_block(payload: dict, noise: NoiseBlock) -> list[tuple]:
         traj = Trajectory(grid=grid, states=ref[lane], scheme="bem",
                           drift=spec.name, path_seed=path.seed)
         phi = fundamental_matrix_reference(spec, traj)
-        u_t = compute_U(spec, traj, phi, path, t)
+        u_t = compute_U(spec, traj, phi, path, grid.t_final)
         dists = np.empty(len(n_values))
         nz_norms = np.empty(len(n_values))
         for i, n in enumerate(n_values):
@@ -240,6 +223,8 @@ def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
         raise ConfigError("n_values must be a nonempty list of positive integers")
     if mc_paths < 1:
         raise ConfigError(f"mc_paths must be >= 1, got {mc_paths}")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     zeros = np.zeros(len(n_values))
     if t == 0.0:
         return LimitComparison(n_values=n_values, lp_distances=zeros.copy(), p=p,
@@ -255,23 +240,11 @@ def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
     if issues:
         raise ConfigError(issues)
 
-    payload = {
-        "spec": spec,
-        "x0": np.atleast_1d(np.asarray(x0, dtype=np.float64)),
-        "hurst": hurst,
-        "t": float(t),
-        "n_values": n_values,
-        "master_n": master_n,
-        "paths": mc_paths,
-        "block_size": block_size(mc_paths, threads),
-        "seed": int(seed),
-        "sampler": sampler,
-        "tol": float(tol),
-    }
-    rows = [row for block in map_indexed(
-                _limit_block_worker, payload,
-                block_count(mc_paths, payload["block_size"]), threads)
-            for row in block]
+    run = partial(_limit_block, spec, np.atleast_1d(np.asarray(x0, dtype=np.float64)),
+                  n_values, SolveConfig(tol=float(tol)))
+    ensemble = Ensemble(grid=Partition.uniform(float(t), master_n), hurst=hurst,
+                        paths=mc_paths, seed=int(seed), sampler=sampler)
+    rows = [row for block in map_blocks(run, ensemble, threads) for row in block]
     dists = np.stack([row[0] for row in rows])
     nz = np.stack([row[1] for row in rows])
     u_norms = np.array([row[2] for row in rows])

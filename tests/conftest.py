@@ -7,8 +7,17 @@ checks that fail.
 """
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# pytest's ``pythonpath`` setting reaches only this process; tests that run
+# ``python -m fbmsde`` need the checkout's package in their environment too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 _ACCEPTANCE_LINES: list[str] = []
 

@@ -9,6 +9,8 @@ import pytest
 from fbmsde import ConfigError
 from fbmsde.cli import main
 from fbmsde.configio import (
+    EXPERIMENT_SCHEMA,
+    LIMIT_SCHEMA,
     experiment_config_from_mapping,
     limit_params_from_mapping,
     parse_config_text,
@@ -27,7 +29,8 @@ mc_paths = 4
 seed = 5
 """
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 LIMIT_CFG = """\
 drift = linear
@@ -105,11 +108,39 @@ def test_experiment_mapping_overrides_win():
 
 def test_limit_mapping_round_trip():
     params = limit_params_from_mapping(parse_config_text(LIMIT_CFG))
-    assert params["n_values"] == (8, 16)
-    assert params["t"] == 1.0
-    assert params["linear_matrix"] == ((-1.0,),)
+    assert params.n_values == (8, 16)
+    assert params.t == 1.0
+    assert params.linear_matrix == ((-1.0,),)
     with pytest.raises(ConfigError):
         limit_params_from_mapping(parse_config_text(LIMIT_CFG + "oops = 1\n"))
+
+
+def test_limit_mapping_overrides_win():
+    params = limit_params_from_mapping(parse_config_text(LIMIT_CFG),
+                                       overrides={"mc_paths": 99, "out": "o"})
+    assert (params.mc_paths, params.out) == (99, "o")
+
+
+def test_mapping_reports_values_too_large_to_read():
+    mapping = parse_config_text(RATE_CFG.replace("2^-4", "2^5000"))
+    with pytest.raises(ConfigError) as err:
+        experiment_config_from_mapping(mapping)
+    assert err.value.issues == ["key 'meshes': cannot parse '2^5000 2^-5' as numbers"]
+    mapping = parse_config_text(LIMIT_CFG.replace("8 16", "8 inf"))
+    with pytest.raises(ConfigError) as err:
+        limit_params_from_mapping(mapping)
+    assert err.value.issues == ["key 'n_values': cannot parse '8 inf'"]
+
+
+def test_readme_key_lists_match_the_schemas():
+    import re
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("Keys for `rate` / `stability`:", 1)[1]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    table = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert table == {key for key, *_ in EXPERIMENT_SCHEMA}
+    limit_text = section.split("`limit` uses", 1)[1].split(".", 1)[0]
+    assert set(re.findall(r"`(\w+)`", limit_text)) == {key for key, *_ in LIMIT_SCHEMA}
 
 
 # --- fbm subcommand -------------------------------------------------------------
@@ -256,6 +287,65 @@ def test_rate_semantic_stage_reports_each_issue(tmp_path, capsys):
     assert "0.4" in joined
 
 
+BAD_RATE_CFG = """\
+colour = red
+drift = example1
+x0 = a b
+t_final = abc
+meshes = 2^-4 2^x
+master_mesh = 2^-y
+mc_paths = 1.5
+seed = 3
+sup_error = maybe
+zero_noise = 1
+linear_matrix = 1 x; 2 3
+"""
+
+BAD_LIMIT_CFG = """\
+drift = linear
+linear_matrix = 1 2; 3
+x0 = 1.0
+hurst = 0.7
+t = one
+n_values = 8 sixteen
+mc_paths = 1e2
+threads = two
+zero_noise = yes
+"""
+
+
+@pytest.mark.parametrize("subcommand, text, expected", [
+    ("rate", BAD_RATE_CFG, [
+        "config error: unknown key 'colour'",
+        "config error: key 'x0': cannot parse 'a b' as numbers",
+        "config error: key 't_final': cannot parse 'abc' as a number",
+        "config error: missing required key 'hurst'",
+        "config error: key 'meshes': cannot parse '2^-4 2^x' as numbers",
+        "config error: key 'master_mesh': cannot parse '2^-y' as a number",
+        "config error: key 'mc_paths': cannot parse '1.5' as an integer",
+        "config error: key 'sup_error': cannot parse 'maybe' as a boolean",
+        "config error: key 'linear_matrix': cannot parse '1 x; 2 3'",
+    ]),
+    ("limit", BAD_LIMIT_CFG, [
+        "config error: unknown key 'zero_noise'",
+        "config error: key 't': cannot parse 'one' as a number",
+        "config error: key 'n_values': cannot parse '8 sixteen'",
+        "config error: key 'mc_paths': cannot parse '1e2' as an integer",
+        "config error: missing required key 'seed'",
+        "config error: key 'threads': cannot parse 'two' as an integer",
+        "config error: key 'linear_matrix': matrix must be square, rows "
+        "separated by ';'",
+    ]),
+])
+def test_parse_stage_error_lines_are_pinned(tmp_path, capsys, subcommand, text,
+                                            expected):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == expected
+
+
 def test_rate_missing_config_file_exits_one(tmp_path, capsys):
     rc = main(["rate", "--config", str(tmp_path / "nope.cfg"),
                "--out", str(tmp_path / "o")])
@@ -329,6 +419,17 @@ def test_limit_rejects_p_out_of_range(tmp_path, capsys):
     rc = main(["limit", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, key", [(["--threads", "-3"], ""),
+                                       ([], "threads = 0\n")])
+def test_limit_rejects_worker_count_below_one(tmp_path, capsys, flag, key):
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text(LIMIT_CFG + key)
+    rc = main(["limit", "--config", str(cfg), "--out", str(tmp_path / "o")] + flag)
+    assert rc == 2
+    got = -3 if flag else 0
+    assert capsys.readouterr().err == f"config error: threads must be >= 1, got {got}\n"
 
 
 # --- stability subcommand ---------------------------------------------------------------

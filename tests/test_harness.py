@@ -13,7 +13,13 @@ from fbmsde import (
     stability_compare,
     sweep_strong_error,
 )
-from fbmsde.harness import validate_rate_config, validate_stability_config
+from fbmsde import HurstVector, Partition, sample_multi
+from fbmsde.harness import (
+    Ensemble,
+    map_blocks,
+    validate_rate_config,
+    validate_stability_config,
+)
 
 
 def rate_cfg(**kw):
@@ -199,6 +205,27 @@ def test_mc_strong_error_failure_names_path_and_seed():
     assert messages[0] == messages[1]
     assert messages[0].startswith("step 0: damping stalled")
     assert messages[0].endswith(f"(path 0, path seed {child_seed(5, 0)})")
+
+
+def _block_contents(noise):
+    return noise.first, noise.seeds, noise.values
+
+
+def test_map_blocks_covers_the_ensemble_in_path_order():
+    grid = Partition.uniform(1.0, 8)
+    hurst = HurstVector.constant(0.7, 2)
+    ensemble = Ensemble(grid=grid, hurst=hurst, paths=5, seed=9, sampler="circulant")
+    seeds = tuple(child_seed(9, i) for i in range(5))
+    values = np.stack([sample_multi(grid, hurst, s, method="circulant").values
+                       for s in seeds])
+    for threads, starts in ((1, [0]), (2, [0, 3]), (3, [0, 2, 4])):
+        blocks = map_blocks(_block_contents, ensemble, threads)
+        assert [b[0] for b in blocks] == starts
+        assert sum((b[1] for b in blocks), ()) == seeds
+        assert np.array_equal(np.concatenate([b[2] for b in blocks]), values)
+    zero = Ensemble(grid=grid, hurst=hurst, paths=5, seed=9, sampler="circulant",
+                    zero_noise=True)
+    assert not np.any(zero.path(4).values)
 
 
 def test_sweep_strong_error_runs_each_hurst():
