@@ -50,10 +50,11 @@ from .grids import Partition
 from .harness import (
     reference_bias_check,
     resolve_drift,
+    run_scheme,
     stability_compare,
     sweep_strong_error,
 )
-from .integrate import backward_euler, crank_nicolson, forward_euler
+from .integrate import THETA
 from .limit import limit_check
 from .solver import SolveConfig
 
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="integrate one drift on one path")
     p_sim.add_argument("--drift", required=True)
-    p_sim.add_argument("--scheme", choices=("bem", "em", "cn"), default="bem")
+    p_sim.add_argument("--scheme", choices=tuple(THETA), default="bem")
     p_sim.add_argument("--x0", type=float, nargs="+", required=True)
     p_sim.add_argument("--hurst", type=float, default=0.7)
     p_sim.add_argument("--steps", type=int, required=True)
@@ -178,12 +179,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         noise = sample_multi(grid, hurst, args.seed, method=args.method)
     solve_cfg = SolveConfig(tol=args.newton_tol, max_iter=args.newton_max_iter)
-    if args.scheme == "bem":
-        traj = backward_euler(spec, noise, x0, solve_cfg)
-    elif args.scheme == "em":
-        traj = forward_euler(spec, noise, x0)
-    else:
-        traj = crank_nicolson(spec, noise, x0, solve_cfg)
+    traj = run_scheme(args.scheme, spec, noise, x0, solve_cfg)
     write_trajectory_csv(traj, args.out)
     write_manifest(
         args.out + ".meta.json", "simulate",

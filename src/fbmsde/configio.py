@@ -85,6 +85,13 @@ def _parse_matrix(value: str) -> tuple[tuple[float, ...], ...]:
     return rows
 
 
+def _step_count(token: str) -> int:
+    value = _parse_dyadic(token)
+    if value != int(value):
+        raise ConfigError(f"key 'n_values': {token!r} is not a whole number of steps")
+    return int(value)
+
+
 def _each(parse):
     """A parser of every token of a list value."""
     return lambda value: tuple(parse(tok) for tok in _tokens(value))
@@ -98,7 +105,7 @@ _MESH = (_parse_dyadic, " as a number")
 _INTEGER = (int, " as an integer")
 _NUMBERS = (_each(float), " as numbers")
 _MESHES = (_each(_parse_dyadic), " as numbers")
-_STEP_COUNTS = (_each(lambda tok: int(round(_parse_dyadic(tok)))), "")
+_STEP_COUNTS = (_each(_step_count), "")
 _BOOLEAN = (_parse_bool, " as a boolean")
 _MATRIX = (_parse_matrix, "")
 

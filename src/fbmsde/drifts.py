@@ -97,14 +97,17 @@ class DriftSpec:
 # column, and ``np.array(...).T`` moves the coordinates back to the last
 # axis, so both shapes run the same floating-point operations.  Jacobians are written
 # column by column for the same reason: the full transpose turns the
-# columns back into rows.
+# columns back into rows.  Squares of a coordinate are written ``a * a``:
+# for a scalar ``a``, ``a**2`` goes through ``pow`` and can round apart
+# from the array square.
 
 def _cubic1d_eval(x: np.ndarray) -> np.ndarray:
     return -(x**3)
 
 
 def _cubic1d_jac(x: np.ndarray) -> np.ndarray:
-    return np.array([[-3.0 * x.T[0] ** 2]]).T
+    a = x.T[0]
+    return np.array([[-3.0 * (a * a)]]).T
 
 
 def _doublewell1d_eval(x: np.ndarray) -> np.ndarray:
@@ -112,13 +115,14 @@ def _doublewell1d_eval(x: np.ndarray) -> np.ndarray:
 
 
 def _doublewell1d_jac(x: np.ndarray) -> np.ndarray:
-    return np.array([[1.0 - 3.0 * x.T[0] ** 2]]).T
+    a = x.T[0]
+    return np.array([[1.0 - 3.0 * (a * a)]]).T
 
 
 def _planar_cubic_eval(x: np.ndarray) -> np.ndarray:
     xt = x.T
     a, b = xt[0], xt[1]
-    r2 = a**2 + b**2
+    r2 = a * a + b * b
     return np.array([a - b - a * r2, a + b - b * r2]).T
 
 

@@ -1,10 +1,11 @@
-"""Path-batched implicit Euler for Monte Carlo blocks.
+"""Path-batched θ-method stepping for Monte Carlo blocks.
 
 A block is ``M`` noise paths on one master grid, stacked into a tensor of
 shape ``(M, n + 1, d)``; lane ``j`` holds the path of Monte Carlo index
 ``first + j``.  :func:`backward_euler_block` advances all lanes of a block
-together, one batched damped-Newton solve per grid step, and a nested
-coarse run reuses ``values[:, ::ratio]``.
+together by one θ-method step of :data:`fbmsde.integrate.THETA`, with one
+batched damped-Newton solve per grid step, and a nested coarse run reuses
+``values[:, ::ratio]``.
 
 Every Newton decision is taken per lane: stopping, each halving of the
 update, the iteration count and the stall.  A lane's result therefore
@@ -31,11 +32,12 @@ from .drifts import DriftSpec
 from .errors import SolverError
 from .fbm import FbmPath, HurstVector
 from .grids import Partition
-from .integrate import _attach_step, _check_inputs, _check_step_guard
+from .integrate import _attach_step, _check_inputs, _explicit_overflow
 from .solver import (
     _MAX_HALVINGS,
     DEFAULT_SOLVE_CONFIG,
     SolveConfig,
+    _check_step_guard,
     solve_backward_step,
 )
 
@@ -217,26 +219,27 @@ def _newton_rows(spec: DriftSpec, delta: float, c: np.ndarray, cfg: SolveConfig
 
 
 def backward_euler_block(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
-                         cfg: SolveConfig | None = None, ratio: int = 1
-                         ) -> tuple[np.ndarray, SolveStats]:
-    """Implicit Euler on every lane of ``block`` from the common start ``x0``.
+                         cfg: SolveConfig | None = None, ratio: int = 1,
+                         theta: float = 1.0) -> tuple[np.ndarray, SolveStats]:
+    """The θ-method (implicit Euler by default) on every lane of ``block``
+    from the common start ``x0``, each lane as its scalar integrator runs.
 
     ``ratio > 1`` runs on the coarse grid that keeps every ``ratio``-th
     node of the block's grid.  Returns the states, shape ``(M, n + 1, m)``
     with ``n`` the steps of that grid, and the counts of the run.
 
     Raises:
-        StepTooLargeError: ``kappa * mesh`` exceeds the solvability guard;
-            checked once, before the first step.
-        SolverError: from the scalar solver for the first failing lane of
-            the first failing step, with the step index, the path index
-            and the path seed in its message, and the path index in
+        StepTooLargeError: ``kappa * theta * mesh`` exceeds the solvability
+            guard; checked once, before the first step.
+        SolverError: the scalar integrator's error for the first failing
+            lane of the first failing step, with the step index, the path
+            index and the path seed in its message, and the path index in
             ``path``.
     """
     cfg = cfg or DEFAULT_SOLVE_CONFIG
     x0 = _check_inputs(spec, block, x0)
     grid = block.grid.subsample(ratio)
-    _check_step_guard(spec, grid.mesh, cfg)
+    _check_step_guard(spec, theta * grid.mesh, cfg)
     times = grid.times
     values = block.values[:, ::ratio]
     states = np.empty((values.shape[0], times.size, spec.dim))
@@ -245,11 +248,22 @@ def backward_euler_block(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
     with np.errstate(all="ignore"):
         for k in range(times.size - 1):
             delta = times[k + 1] - times[k]
-            c = states[:, k] + (values[:, k + 1] - values[:, k])
-            y, iterations, halvings, fallback = _newton_rows(spec, delta, c, cfg)
+            c = states[:, k]
+            if theta < 1.0:
+                c = c + (1.0 - theta) * delta * spec.eval_rows(states[:, k])
+            c = c + (values[:, k + 1] - values[:, k])
+            if theta == 0.0:
+                states[:, k + 1] = c
+                continue
+            # A lane with a non-finite target always falls back.
+            y, iterations, halvings, fallback = _newton_rows(spec, theta * delta,
+                                                             c, cfg)
             for lane in np.flatnonzero(fallback):
                 try:
-                    y[lane] = solve_backward_step(spec, delta, c[lane], cfg).y
+                    if theta < 1.0 and not np.all(np.isfinite(c[lane])):
+                        raise _explicit_overflow(k)
+                    y[lane] = solve_backward_step(spec, theta * delta, c[lane],
+                                                  cfg).y
                 except SolverError as exc:
                     _attach_step(exc, k)
                     name_path(exc, block, lane)

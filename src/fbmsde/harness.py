@@ -8,9 +8,10 @@ by path index, which makes results independent of the worker count.
 
 The noise of a Monte Carlo run is an :class:`Ensemble`.  :func:`map_blocks`
 splits its paths into blocks of consecutive indices, one or more per
-worker, and hands each block to a block function that integrates the
-implicit scheme for the whole block at once with :mod:`fbmsde.engine`.
-Neither a path's result nor the path a failure names depends on the blocks.
+worker, and hands each block to a block function that integrates every
+scheme for the whole block at once with :mod:`fbmsde.engine`.  Neither a
+path's result nor the path a failure names depends on the blocks.  Single
+paths go through :func:`run_scheme` to the scalar integrators.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ from .engine import (
     block_range,
     block_size,
     lowest_failure,
-    name_path,
     sq_norms,
 )
-from .errors import ConfigError, DomainError, SolverError
+from .errors import ConfigError, DomainError
 from .fbm import FbmPath, HurstVector, child_seed, coarsen, sample_multi, zero_path
 from .grids import Partition
 from .integrate import (
+    THETA,
     Trajectory,
     backward_euler,
     crank_nicolson,
@@ -53,6 +54,7 @@ __all__ = [
     "map_blocks",
     "RateReport",
     "resolve_drift",
+    "run_scheme",
     "mc_strong_error",
     "sweep_strong_error",
     "fit_order",
@@ -60,7 +62,6 @@ __all__ = [
     "reference_bias_check",
 ]
 
-_SCHEMES = ("bem", "em", "cn")
 _REL_TOL = 1e-9
 
 
@@ -165,8 +166,8 @@ def _common_issues(cfg: ExperimentConfig) -> tuple[list[str], DriftSpec | None]:
         if not 0.5 < h < 1.0:
             issues.append(f"Hurst value {h} outside the supported range (0.5, 1)")
     for scheme in cfg.schemes:
-        if scheme not in _SCHEMES:
-            issues.append(f"unknown scheme {scheme!r}; choose from {_SCHEMES}")
+        if scheme not in THETA:
+            issues.append(f"unknown scheme {scheme!r}; choose from {tuple(THETA)}")
     if not cfg.meshes:
         issues.append("at least one mesh is required")
     for mesh in cfg.meshes:
@@ -175,7 +176,9 @@ def _common_issues(cfg: ExperimentConfig) -> tuple[list[str], DriftSpec | None]:
         elif cfg.t_final > 0.0 and _int_ratio(cfg.t_final, mesh) is None:
             issues.append(f"mesh {mesh} does not divide t_final {cfg.t_final} "
                           f"into whole steps")
-    if cfg.master_mesh is not None:
+    if cfg.master_mesh is not None and not cfg.master_mesh > 0.0:
+        issues.append(f"master_mesh must be positive, got {cfg.master_mesh}")
+    elif cfg.master_mesh is not None:
         for mesh in cfg.meshes:
             if mesh > 0.0 and _int_ratio(mesh, cfg.master_mesh) is None:
                 issues.append(f"mesh {mesh} is not an integer multiple of the "
@@ -199,10 +202,8 @@ def validate_rate_config(cfg: ExperimentConfig) -> DriftSpec:
         issues.append("rate runs use exactly one scheme")
     if cfg.master_mesh is None:
         issues.append("rate runs need a master_mesh for the reference solution")
-    else:
-        if not cfg.master_mesh > 0.0:
-            issues.append(f"master_mesh must be positive, got {cfg.master_mesh}")
-        elif cfg.meshes and min(cfg.meshes) > 0.0 \
+    elif cfg.master_mesh > 0.0:
+        if cfg.meshes and min(cfg.meshes) > 0.0 \
                 and cfg.master_mesh > min(cfg.meshes) / 4.0 + _REL_TOL:
             issues.append(
                 f"master_mesh {cfg.master_mesh} must be at most a quarter of "
@@ -287,15 +288,16 @@ def fit_order(meshes, errors) -> tuple[float, float]:
     return float(coeffs[0]), float(np.sqrt(cov[0, 0]))
 
 
-def _run_scheme(scheme: str, spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
-                cfg: SolveConfig, stability_mode: bool = False) -> Trajectory:
-    if scheme == "bem":
+def run_scheme(scheme: str, spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
+               cfg: SolveConfig, stability_mode: bool = False) -> Trajectory:
+    """One path of ``scheme``, a key of :data:`~fbmsde.integrate.THETA`, by
+    its public integrator; ``stability_mode`` applies to ``cn`` alone."""
+    theta = THETA[scheme]
+    if theta == 1.0:
         return backward_euler(spec, noise, x0, cfg)
-    if scheme == "em":
+    if theta == 0.0:
         return forward_euler(spec, noise, x0)
-    if scheme == "cn":
-        return crank_nicolson(spec, noise, x0, cfg, stability_mode=stability_mode)
-    raise ConfigError(f"unknown scheme {scheme!r}")
+    return crank_nicolson(spec, noise, x0, cfg, stability_mode=stability_mode)
 
 
 @dataclass(frozen=True)
@@ -349,26 +351,6 @@ def map_blocks(run: Callable[[NoiseBlock], object], ensemble: Ensemble,
                        block_count(ensemble.paths, size), threads)
 
 
-def _scheme_states(scheme: str, spec: DriftSpec, noise: NoiseBlock,
-                   x0: np.ndarray, cfg: SolveConfig, ratio: int
-                   ) -> tuple[np.ndarray, SolveStats]:
-    """States of every lane on the grid keeping every ``ratio``-th node;
-    only the implicit scheme runs batched."""
-    if scheme == "bem":
-        return backward_euler_block(spec, noise, x0, cfg, ratio)
-    coarse = noise.grid.subsample(ratio)
-    states = []
-    for lane in range(noise.values.shape[0]):
-        try:
-            traj = _run_scheme(scheme, spec, coarsen(noise.path(lane), coarse), x0,
-                               cfg)
-        except SolverError as exc:
-            name_path(exc, noise, lane)
-            raise
-        states.append(traj.states)
-    return np.stack(states), SolveStats()
-
-
 def _rate_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
                 ) -> tuple[np.ndarray, np.ndarray, SolveStats]:
     x0 = np.asarray(cfg.x0, dtype=np.float64)
@@ -379,8 +361,8 @@ def _rate_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
     with np.errstate(all="ignore"):
         for i, mesh in enumerate(cfg.meshes):
             ratio = _int_ratio(mesh, cfg.master_mesh)
-            states, run_stats = _scheme_states(cfg.schemes[0], spec, noise, x0,
-                                               solve_cfg, ratio)
+            states, run_stats = backward_euler_block(
+                spec, noise, x0, solve_cfg, ratio, THETA[cfg.schemes[0]])
             stats = stats + run_stats
             sq_terminal[:, i] = sq_norms(ref[:, -1] - states[:, -1])
             diff_all = ref[:, ::ratio] - states
@@ -460,8 +442,8 @@ def stability_compare(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
     rows: list[tuple[str, float, float]] = []
     times = coarse_noise.grid.times
     for scheme in cfg.schemes:
-        traj = _run_scheme(scheme, spec, coarse_noise, x0, solve_cfg,
-                           stability_mode=True)
+        traj = run_scheme(scheme, spec, coarse_noise, x0, solve_cfg,
+                          stability_mode=True)
         for k in range(1, times.size):
             rows.append((scheme, float(times[k]), float(traj.states[k, 0])))
     if cfg.master_mesh is not None:
@@ -478,8 +460,9 @@ def _bias_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
     solve_cfg = cfg.solve_config()
     ref_fine, _ = backward_euler_block(spec, noise, x0, solve_cfg)
     ref_half, _ = backward_euler_block(spec, noise, x0, solve_cfg, ratio=2)
-    y, _ = _scheme_states(cfg.schemes[0], spec, noise, x0, solve_cfg,
-                          2 * _int_ratio(min(cfg.meshes), cfg.master_mesh))
+    y, _ = backward_euler_block(spec, noise, x0, solve_cfg,
+                                2 * _int_ratio(min(cfg.meshes), cfg.master_mesh),
+                                THETA[cfg.schemes[0]])
     return (sq_norms(ref_fine[:, -1] - y[:, -1]),
             sq_norms(ref_half[:, -1] - y[:, -1]))
 

@@ -6,6 +6,9 @@ with ``kappa * dt`` below the solvability guard.  The explicit Euler and
 trapezoidal schemes exist for comparison experiments; explicit Euler never
 raises on blow-up because divergence is data for stability tables.
 
+All three run one θ-method loop (:data:`THETA`); Monte Carlo blocks take
+the same step in :func:`fbmsde.engine.backward_euler_block`.
+
 All schemes require every Hurst component of the driving path to exceed
 one half; that is the regime where the drift-noise interplay the package
 targets is defined.
@@ -22,13 +25,14 @@ from .errors import DomainError, NoConvergenceError, SolverError, StepTooLargeEr
 from .fbm import FbmPath
 from .grids import Partition, nested_indices
 from .solver import (
-    _KAPPA_DELTA_LIMIT,
     DEFAULT_SOLVE_CONFIG,
     SolveConfig,
+    _check_step_guard,
     solve_backward_step,
 )
 
 __all__ = [
+    "THETA",
     "Trajectory",
     "FundamentalMatrixPath",
     "backward_euler",
@@ -39,6 +43,10 @@ __all__ = [
     "fundamental_matrix_reference",
     "fundamental_matrix_fb_euler",
 ]
+
+# Scheme labels and their θ in ``y - θδ b(y) = y_k + (1 - θ)δ b(y_k) + ΔB``,
+# the stochastic θ-method (Higham 2000).
+THETA = {"bem": 1.0, "em": 0.0, "cn": 0.5}
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,20 +114,52 @@ def _check_inputs(spec: DriftSpec, noise: FbmPath, x0: np.ndarray) -> np.ndarray
     return spec.check_state(np.atleast_1d(np.asarray(x0, dtype=np.float64)))
 
 
-def _check_step_guard(spec: DriftSpec, mesh: float, cfg: SolveConfig,
-                      half_step: bool = False) -> None:
-    effective = 0.5 * mesh if half_step else mesh
-    if cfg.kappa_guard and spec.kappa > 0.0 \
-            and spec.kappa * effective > _KAPPA_DELTA_LIMIT:
-        raise StepTooLargeError(
-            f"kappa * mesh = {spec.kappa * effective:.6g} exceeds the "
-            f"{_KAPPA_DELTA_LIMIT} solvability guard")
-
-
 def _attach_step(exc: SolverError, k: int) -> None:
     if exc.step is None:
         exc.step = k
         exc.args = (f"step {k}: {exc.args[0]}",)
+
+
+def _explicit_overflow(k: int) -> NoConvergenceError:
+    return NoConvergenceError("explicit half produced a non-finite step target", step=k)
+
+
+def _theta_method(scheme: str, spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
+                  cfg: SolveConfig, stability_mode: bool = False) -> Trajectory:
+    """The θ-method of ``scheme``; θ = 1 evaluates no drift at the left
+    node and θ = 0 solves nothing.  ``stability_mode`` records a non-finite
+    target or a solver failure as non-finite states instead of raising."""
+    theta = THETA[scheme]
+    x0 = _check_inputs(spec, noise, x0)
+    _check_step_guard(spec, theta * noise.grid.mesh, cfg)
+    times = noise.grid.times
+    states = np.empty((times.size, spec.dim))
+    states[0] = x0
+    with np.errstate(all="ignore"):
+        for k in range(times.size - 1):
+            delta = times[k + 1] - times[k]
+            c = states[k]
+            if theta < 1.0:
+                c = c + (1.0 - theta) * delta \
+                    * np.asarray(spec.eval(states[k]), dtype=np.float64)
+            c = c + (noise.values[k + 1] - noise.values[k])
+            if theta == 0.0:
+                states[k + 1] = c
+                continue
+            if theta < 1.0 and not np.all(np.isfinite(c)):
+                if not stability_mode:
+                    raise _explicit_overflow(k)
+                states[k + 1] = c
+                continue
+            try:
+                states[k + 1] = solve_backward_step(spec, theta * delta, c, cfg).y
+            except SolverError as exc:
+                if not stability_mode:
+                    _attach_step(exc, k)
+                    raise
+                states[k + 1] = np.nan
+    return Trajectory(grid=noise.grid, states=states, scheme=scheme,
+                      drift=spec.name, path_seed=noise.seed)
 
 
 def backward_euler(spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
@@ -128,23 +168,7 @@ def backward_euler(spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
 
     Solver failures are re-raised with the offending step index attached.
     """
-    cfg = cfg or DEFAULT_SOLVE_CONFIG
-    x0 = _check_inputs(spec, noise, x0)
-    _check_step_guard(spec, noise.grid.mesh, cfg)
-    times = noise.grid.times
-    states = np.empty((times.size, spec.dim))
-    states[0] = x0
-    for k in range(times.size - 1):
-        delta = times[k + 1] - times[k]
-        c = states[k] + (noise.values[k + 1] - noise.values[k])
-        try:
-            step = solve_backward_step(spec, delta, c, cfg)
-        except SolverError as exc:
-            _attach_step(exc, k)
-            raise
-        states[k + 1] = step.y
-    return Trajectory(grid=noise.grid, states=states, scheme="bem",
-                      drift=spec.name, path_seed=noise.seed)
+    return _theta_method("bem", spec, noise, x0, cfg or DEFAULT_SOLVE_CONFIG)
 
 
 def reference_solution(spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
@@ -160,18 +184,7 @@ def reference_solution(spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
 
 def forward_euler(spec: DriftSpec, noise: FbmPath, x0: np.ndarray) -> Trajectory:
     """Explicit Euler.  Overflow and NaN are recorded, never raised."""
-    x0 = _check_inputs(spec, noise, x0)
-    times = noise.grid.times
-    states = np.empty((times.size, spec.dim))
-    states[0] = x0
-    with np.errstate(all="ignore"):
-        for k in range(times.size - 1):
-            delta = times[k + 1] - times[k]
-            b_k = np.asarray(spec.eval(states[k]), dtype=np.float64)
-            states[k + 1] = states[k] + delta * b_k \
-                + (noise.values[k + 1] - noise.values[k])
-    return Trajectory(grid=noise.grid, states=states, scheme="em",
-                      drift=spec.name, path_seed=noise.seed)
+    return _theta_method("em", spec, noise, x0, DEFAULT_SOLVE_CONFIG)
 
 
 def crank_nicolson(spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
@@ -183,35 +196,8 @@ def crank_nicolson(spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
     explicit half overflows or the implicit half stops converging, instead
     of raising; stability tables need the diverging rows.
     """
-    cfg = cfg or DEFAULT_SOLVE_CONFIG
-    x0 = _check_inputs(spec, noise, x0)
-    _check_step_guard(spec, noise.grid.mesh, cfg, half_step=True)
-    times = noise.grid.times
-    states = np.empty((times.size, spec.dim))
-    states[0] = x0
-    with np.errstate(all="ignore"):
-        for k in range(times.size - 1):
-            delta = times[k + 1] - times[k]
-            b_k = np.asarray(spec.eval(states[k]), dtype=np.float64)
-            c = states[k] + 0.5 * delta * b_k \
-                + (noise.values[k + 1] - noise.values[k])
-            if not np.all(np.isfinite(c)):
-                if not stability_mode:
-                    raise NoConvergenceError(
-                        "explicit half produced a non-finite step target", step=k)
-                states[k + 1] = c
-                continue
-            try:
-                step = solve_backward_step(spec, 0.5 * delta, c, cfg)
-            except SolverError as exc:
-                if not stability_mode:
-                    _attach_step(exc, k)
-                    raise
-                states[k + 1] = np.nan
-                continue
-            states[k + 1] = step.y
-    return Trajectory(grid=noise.grid, states=states, scheme="cn",
-                      drift=spec.name, path_seed=noise.seed)
+    return _theta_method("cn", spec, noise, x0, cfg or DEFAULT_SOLVE_CONFIG,
+                         stability_mode)
 
 
 def interpolate_backward(spec: DriftSpec, noise: FbmPath, traj: Trajectory,

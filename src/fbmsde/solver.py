@@ -54,6 +54,14 @@ class SolveConfig:
 DEFAULT_SOLVE_CONFIG = SolveConfig()
 
 
+def _check_step_guard(spec: DriftSpec, delta: float, cfg: SolveConfig) -> None:
+    """Reject ``kappa * delta`` above the guard; integrators pass θ * mesh."""
+    if cfg.kappa_guard and spec.kappa > 0.0 and spec.kappa * delta > _KAPPA_DELTA_LIMIT:
+        raise StepTooLargeError(
+            f"kappa * mesh = {spec.kappa * delta:.6g} exceeds the "
+            f"{_KAPPA_DELTA_LIMIT} solvability guard")
+
+
 @dataclass(frozen=True)
 class StepResult:
     """Solution of one implicit step with its achieved residual norm."""
@@ -134,10 +142,7 @@ def solve_backward_step(spec: DriftSpec, delta: float, c: np.ndarray,
     c = spec.check_state(c)
     if not np.all(np.isfinite(c)):
         raise DomainError("implicit step target must be finite")
-    if cfg.kappa_guard and spec.kappa > 0.0 and spec.kappa * delta > _KAPPA_DELTA_LIMIT:
-        raise StepTooLargeError(
-            f"kappa * delta = {spec.kappa * delta:.6g} exceeds the "
-            f"{_KAPPA_DELTA_LIMIT} solvability guard")
+    _check_step_guard(spec, delta, cfg)
 
     if delta == 0.0:
         return StepResult(y=c.copy(), residual=0.0, iterations=0)

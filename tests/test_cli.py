@@ -379,21 +379,44 @@ def test_rate_threads_env_and_flag(tmp_path, monkeypatch, capsys):
 
 
 def test_rate_manifest_is_identical_across_threads(tmp_path):
-    # --threads 2 and 3 split the 10 paths into 2 and 3 blocks of paths.
-    outdir = tmp_path / "out"
-    manifests = []
-    for threads in ("1", "2", "3"):
-        assert main(["rate", "--config", str(CONFIGS / "example2_smoke.cfg"),
-                     "--mc-paths", "10", "--threads", threads,
-                     "--out", str(outdir)]) == 0
-        manifests.append((outdir / "meta.json").read_bytes())
-    assert manifests[0] == manifests[1] == manifests[2]
-    assert "threads" not in json.loads(manifests[0])["config"]
-    stats = json.loads(manifests[0])["solve_stats"]
-    assert sorted(stats) == ["0.6", "0.7", "0.8", "0.9"]
-    for counts in stats.values():
-        assert counts["fallbacks"] == 0
-        assert counts["newton_iterations"] > 0
+    # --threads 2 and 3 split the 10 paths into 2 and 3 blocks of paths,
+    # for the implicit scheme and for the trapezoidal one.
+    smoke = (CONFIGS / "example2_smoke.cfg").read_text()
+    for scheme in ("bem", "cn"):
+        cfg = tmp_path / f"{scheme}.cfg"
+        cfg.write_text(smoke.replace("schemes = bem", f"schemes = {scheme}"))
+        outputs = []
+        for threads in ("1", "2", "3"):
+            outdir = tmp_path / f"{scheme}-{threads}"
+            assert main(["rate", "--config", str(cfg), "--mc-paths", "10",
+                         "--threads", threads, "--out", str(outdir)]) == 0
+            outputs.append({p.name: p.read_bytes()
+                            for p in sorted(outdir.glob("rate_report*.csv"))})
+            outputs[-1]["meta.json"] = (outdir / "meta.json").read_bytes().replace(
+                str(outdir).encode(), b"OUT")
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1] == outputs[2]
+        manifest = json.loads(outputs[0]["meta.json"])
+        assert manifest["config"]["schemes"] == [scheme]
+        assert "threads" not in manifest["config"]
+        stats = manifest["solve_stats"]
+        assert sorted(stats) == ["0.6", "0.7", "0.8", "0.9"]
+        for counts in stats.values():
+            assert counts["fallbacks"] == 0
+            assert counts["newton_iterations"] > 0
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("rate", RATE_CFG.replace("master_mesh = 2^-7", "master_mesh = 0")),
+    ("stability", STAB_CFG.replace("master_mesh = 0.0001", "master_mesh = 0")),
+])
+def test_zero_master_mesh_is_a_config_error(tmp_path, capsys, subcommand, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "config error: master_mesh must be positive, got 0.0\n"
 
 
 # --- limit subcommand ----------------------------------------------------------------
@@ -430,6 +453,18 @@ def test_limit_rejects_worker_count_below_one(tmp_path, capsys, flag, key):
     assert rc == 2
     got = -3 if flag else 0
     assert capsys.readouterr().err == f"config error: threads must be >= 1, got {got}\n"
+
+
+def test_limit_step_counts_must_be_whole(tmp_path, capsys):
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text(LIMIT_CFG.replace("n_values = 8 16", "n_values = 8 8.6"))
+    rc = main(["limit", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "config error: key 'n_values': '8.6' is not a whole number of steps\n"
+    mapping = parse_config_text(LIMIT_CFG.replace("n_values = 8 16",
+                                                  "n_values = 2^3 2**4 32"))
+    assert limit_params_from_mapping(mapping).n_values == (8, 16, 32)
 
 
 # --- stability subcommand ---------------------------------------------------------------

@@ -78,6 +78,18 @@ def test_jacobian_matches_finite_differences(spec, rng):
         assert np.allclose(jac, fd, rtol=1e-5, atol=1e-5)
 
 
+@pytest.mark.parametrize("spec", [CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC],
+                         ids=lambda spec: spec.name)
+def test_one_state_evaluation_equals_row_evaluation(spec, rng):
+    # Scalar integrators evaluate one state and the path-batched engine a
+    # stack of them; lanes match the scalar runs only if both give the
+    # same bits.
+    xs = 3.0 * rng.standard_normal((20000, spec.dim))
+    assert np.array_equal(np.stack([spec.eval(x) for x in xs]), spec.eval_rows(xs))
+    assert np.array_equal(np.stack([spec.jacobian(x) for x in xs]),
+                          spec.jacobian_rows(xs))
+
+
 # --- structural validation -------------------------------------------------
 
 def test_check_state_validates_shape_and_dtype():

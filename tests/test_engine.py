@@ -15,6 +15,8 @@ from fbmsde import (
     backward_euler,
     child_seed,
     coarsen,
+    crank_nicolson,
+    forward_euler,
     get_drift,
     make_linear_drift,
     mc_strong_error,
@@ -23,6 +25,7 @@ from fbmsde import (
 )
 from fbmsde import drifts
 from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC, _cubic1d_eval, _cubic1d_jac
+from fbmsde.integrate import THETA
 from fbmsde.engine import (
     BLOCK_PATHS,
     NoiseBlock,
@@ -57,23 +60,33 @@ def _paths(dim, seed=11, count=PATHS, hurst=0.7):
             for i in range(count)]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_lanes_match_scalar_backward_euler(name):
+SCALAR = {"bem": backward_euler, "em": forward_euler, "cn": crank_nicolson}
+
+
+# The implicit-Euler cases keep their bare names as ids.
+@pytest.mark.parametrize("name,scheme", [
+    pytest.param(name, scheme, id=name if scheme == "bem" else f"{name}-{scheme}")
+    for scheme in THETA for name in sorted(CASES)])
+def test_lanes_match_scalar_backward_euler(name, scheme):
     spec, x0 = CASES[name]
     x0 = np.array(x0)
     paths = _paths(spec.dim)
     block = NoiseBlock.stack(paths, 0)
     worst = 0.0
     for ratio in (1, 4):
-        states, stats = backward_euler_block(spec, block, x0, ratio=ratio)
+        states, stats = backward_euler_block(spec, block, x0, ratio=ratio,
+                                             theta=THETA[scheme])
         assert stats.fallbacks == 0
         for lane, path in enumerate(paths):
-            want = backward_euler(spec, coarsen(path, GRID.subsample(ratio)), x0).states
+            want = SCALAR[scheme](spec, coarsen(path, GRID.subsample(ratio)), x0).states
             got = states[lane]
             worst = max(worst, float(np.max(np.abs(got - want)
                                             / np.maximum(1.0, np.abs(want)))))
-    print(f"{name}: worst |batched - scalar| / max(1, |y|) = {worst:.3g}")
+    print(f"{name} {scheme}: worst |batched - scalar| / max(1, |y|) = {worst:.3g}")
     assert worst <= 1e-12
+    if not name.startswith("linear"):
+        # Built-in drifts evaluate one state and a stack of states alike.
+        assert worst == 0.0
 
 
 def test_lanes_do_not_depend_on_block_size():
@@ -170,6 +183,32 @@ def test_lowest_failing_path_is_named_whatever_the_partition():
                 lowest_failure(lambda b: backward_euler_block(CUBIC1D, b, x0), part)
         assert err.value.path == 41 and err.value.step == 5
         assert str(err.value).endswith("(path 41, path seed 101)")
+
+
+def test_lowest_non_finite_cn_target_is_named_whatever_the_partition():
+    # A -inf noise increment makes the trapezoidal step target non-finite:
+    # on path 41 at step 5 and on path 43 at step 0.  A loop over single
+    # paths in index order stops at path 41 with the scalar message.
+    block = _stalling_block([(0, 0.1), (5, -np.inf), (0, -0.1), (0, -np.inf)])
+    x0 = np.array([1.0])
+    with pytest.raises(NoConvergenceError) as scalar:
+        for lane in range(4):
+            crank_nicolson(CUBIC1D, block.path(lane), x0)
+    assert scalar.value.step == 5
+    want = f"{scalar.value} (path 41, path seed 101)"
+    with pytest.raises(NoConvergenceError) as first:
+        backward_euler_block(CUBIC1D, block, x0, theta=THETA["cn"])
+    assert first.value.path == 43 and first.value.step == 0
+    for size in (1, 4):
+        with pytest.raises(NoConvergenceError) as err:
+            for start in range(0, 4, size):
+                part = NoiseBlock(grid=GRID, values=block.values[start:start + size],
+                                  hurst=block.hurst, first=block.first + start,
+                                  seeds=block.seeds[start:start + size])
+                lowest_failure(lambda b: backward_euler_block(
+                    CUBIC1D, b, x0, theta=THETA["cn"]), part)
+        assert err.value.path == 41 and err.value.step == 5
+        assert str(err.value) == want
 
 
 def test_singular_newton_rows_are_non_finite():
