@@ -69,9 +69,11 @@ from .integrate import (
 from .limit import (
     LimitComparison,
     ResidualBundle,
+    ResidualGrid,
     compute_U,
     limit_check,
     residual_bundle,
+    residual_grid,
     solve_U_ode,
 )
 from .solver import SolveConfig, StepResult, resolvent_norm_bound, solve_backward_step
@@ -96,8 +98,8 @@ __all__ = [
     "crank_nicolson", "reference_solution", "interpolate_backward",
     "fundamental_matrix_reference", "fundamental_matrix_fb_euler",
     # limit process
-    "ResidualBundle", "LimitComparison", "residual_bundle", "compute_U",
-    "solve_U_ode", "limit_check",
+    "ResidualBundle", "ResidualGrid", "LimitComparison", "residual_bundle",
+    "residual_grid", "compute_U", "solve_U_ode", "limit_check",
     # experiments
     "ExperimentConfig", "RateReport", "resolve_drift", "mc_strong_error",
     "sweep_strong_error", "fit_order", "stability_compare",

@@ -47,7 +47,9 @@ class SolverError(FbmSdeError):
 
     ``step`` is the time-step index when the failure happened inside an
     integrator loop, or ``None`` for a bare solver call.  ``path`` is the
-    Monte Carlo path index when a batched run failed on one of its paths.
+    Monte Carlo path index when a batched run failed on one of its paths,
+    or the lane index when a block function that knows no path indices
+    (:func:`~fbmsde.integrate.fundamental_matrix_block`) failed on a lane.
     """
 
     path: int | None = None

@@ -9,6 +9,11 @@ raises on blow-up because divergence is data for stability tables.
 All three run one θ-method loop (:data:`THETA`); Monte Carlo blocks take
 the same step in :func:`fbmsde.engine.backward_euler_block`.
 
+The linearization flow along the reference scheme is written once, over a
+block of lanes (:func:`fundamental_matrix_block`): one Jacobian evaluation
+over all lanes and nodes, then one stacked linear solve per node.  The
+single-trajectory :func:`fundamental_matrix_reference` is its one-lane call.
+
 All schemes require every Hurst component of the driving path to exceed
 one half; that is the regime where the drift-noise interplay the package
 targets is defined.
@@ -40,6 +45,7 @@ __all__ = [
     "crank_nicolson",
     "reference_solution",
     "interpolate_backward",
+    "fundamental_matrix_block",
     "fundamental_matrix_reference",
     "fundamental_matrix_fb_euler",
 ]
@@ -111,7 +117,10 @@ def _check_inputs(spec: DriftSpec, noise: FbmPath, x0: np.ndarray) -> np.ndarray
         raise DomainError(
             f"integration requires every Hurst component above 1/2, "
             f"got minimum {noise.hurst.min()}")
-    return spec.check_state(np.atleast_1d(np.asarray(x0, dtype=np.float64)))
+    x0 = spec.check_state(np.atleast_1d(np.asarray(x0, dtype=np.float64)))
+    if not np.all(np.isfinite(x0)):
+        raise DomainError(f"start x0 must be finite, got {x0.tolist()}")
+    return x0
 
 
 def _attach_step(exc: SolverError, k: int) -> None:
@@ -228,38 +237,66 @@ def interpolate_backward(spec: DriftSpec, noise: FbmPath, traj: Trajectory,
     return step.y
 
 
+def fundamental_matrix_block(spec: DriftSpec, grid: Partition,
+                             states: np.ndarray) -> np.ndarray:
+    """Second-order flow of the linearization along every lane of ``states``.
+
+    ``states`` holds fine trajectories on ``grid``, shape ``(M, n + 1, m)``;
+    the result holds their flow matrices, shape ``(M, n + 1, m, m)``.  Uses
+    the trapezoidal (implicit midpoint in the Jacobian) update, whose
+    determinant stays positive on meshes fine enough for the guard.  All
+    Jacobians come from one ``jacobian_rows`` call and each node takes one
+    stacked solve, so a lane's matrices do not depend on the other lanes.
+
+    Raises:
+        StepTooLargeError: a step of some lane is not solvable, or its flow
+            loses invertibility: the mesh was too coarse.  The error is that
+            of the lowest such lane, whose index is in ``path``.
+    """
+    lanes, nodes, m = states.shape
+    if m != spec.dim:
+        raise DomainError("trajectory dimension does not match the drift")
+    jacs = spec.jacobian_rows(states.reshape(-1, m)).reshape(lanes, nodes, m, m)
+    half = (0.5 * np.diff(grid.times))[:, None, None]
+    eye = np.eye(m)
+    lhs = eye - half * jacs[:, 1:]
+    rhs = eye + half * jacs[:, :-1]
+    mats = np.empty((lanes, nodes, m, m))
+    mats[:, 0] = eye
+    # First step at which each lane's system is singular; ``nodes`` if none.
+    singular = np.full(lanes, nodes)
+    for k in range(nodes - 1):
+        target = rhs[:, k] @ mats[:, k]
+        try:
+            mats[:, k + 1] = np.linalg.solve(lhs[:, k], target)
+        except np.linalg.LinAlgError:
+            for lane in range(lanes):
+                try:
+                    mats[lane, k + 1] = np.linalg.solve(lhs[lane, k], target[lane])
+                except np.linalg.LinAlgError:
+                    mats[lane, k + 1] = np.nan
+                    singular[lane] = min(singular[lane], k)
+    # A lane with a singular step has NaN determinants, which compare false.
+    lost = np.linalg.det(mats) <= 0.0
+    failed = (singular < nodes) | lost.any(axis=1)
+    if not failed.any():
+        return mats
+    lane = int(np.argmax(failed))
+    if singular[lane] < nodes:
+        exc = StepTooLargeError(f"linearization flow not solvable at step "
+                                f"{singular[lane]}; refine the mesh")
+    else:
+        exc = StepTooLargeError(f"linearization flow lost invertibility at step "
+                                f"{int(np.argmax(lost[lane]))}; refine the mesh")
+    exc.path = lane
+    raise exc
+
+
 def fundamental_matrix_reference(spec: DriftSpec, traj: Trajectory
                                  ) -> FundamentalMatrixPath:
-    """Second-order flow of the linearization along a fine trajectory.
-
-    Uses the trapezoidal (implicit midpoint in the Jacobian) update, whose
-    determinant stays positive on meshes fine enough for the guard; a
-    non-positive determinant means the mesh was too coarse and raises.
-    """
-    if traj.dim != spec.dim:
-        raise DomainError("trajectory dimension does not match the drift")
-    times = traj.grid.times
-    m = spec.dim
-    eye = np.eye(m)
-    jacs = np.empty((times.size, m, m))
-    for k in range(times.size):
-        jacs[k] = np.asarray(spec.jacobian(traj.states[k]), dtype=np.float64)
-    mats = np.empty((times.size, m, m))
-    mats[0] = eye
-    for k in range(times.size - 1):
-        half = 0.5 * (times[k + 1] - times[k])
-        try:
-            mats[k + 1] = np.linalg.solve(eye - half * jacs[k + 1],
-                                          (eye + half * jacs[k]) @ mats[k])
-        except np.linalg.LinAlgError as exc:
-            raise StepTooLargeError(
-                f"linearization flow not solvable at step {k}; refine the mesh"
-            ) from exc
-    dets = np.linalg.det(mats)
-    if np.any(dets <= 0.0):
-        bad = int(np.argmax(dets <= 0.0))
-        raise StepTooLargeError(
-            f"linearization flow lost invertibility at step {bad}; refine the mesh")
+    """Second-order flow of the linearization along one fine trajectory:
+    the one-lane :func:`fundamental_matrix_block`."""
+    mats = fundamental_matrix_block(spec, traj.grid, traj.states[None])[0]
     return FundamentalMatrixPath(grid=traj.grid, matrices=mats, scheme="reference")
 
 

@@ -7,14 +7,19 @@ converges, as the grid is refined, to the process
         + (1/2) int_0^t Phi(t, s) J_b(X_s) dB_s,
 
 where ``Phi(t, s)`` is the linearization flow along the exact solution and
-``J_b`` the drift Jacobian.  :func:`compute_U` evaluates the representation
-with left-point sums on a fine grid, :func:`solve_U_ode` integrates the
-equivalent linear equation step by step, and :func:`limit_check` compares
-``n * (X - Y^n)`` against ``U`` in ``L^p`` over a Monte Carlo ensemble.
+``J_b`` the drift Jacobian.  :func:`compute_U_block` evaluates the
+representation with left-point sums on a fine grid for a block of lanes at
+once, and :func:`compute_U` is its one-lane call; :func:`solve_U_ode`
+integrates the equivalent linear equation step by step, and
+:func:`limit_check` compares ``n * (X - Y^n)`` against ``U`` in ``L^p`` over
+a Monte Carlo ensemble, one block of paths per call of the engine, the
+flow (:func:`~fbmsde.integrate.fundamental_matrix_block`) and ``U``.
 
-:func:`residual_bundle` exposes the per-interval defect decomposition that
-drives the expansion: the raw defect ``R``, the quadratic drift correction
-``R1`` and the noise cross term ``R2`` cancel to higher order when summed.
+:func:`residual_grid` exposes the per-interval defect decomposition that
+drives the expansion, for every interval of a coarse grid from one drift
+evaluation over the trajectory: the raw defect ``R``, the quadratic drift
+correction ``R1`` and the noise cross term ``R2`` cancel to higher order
+when summed.  :func:`residual_bundle` is its one-interval view.
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ from functools import partial
 
 import numpy as np
 
-# Unused here; tracing tools wrap map_indexed, sample_multi and backward_euler.
+# Unused here; tracing tools wrap map_indexed, sample_multi, backward_euler
+# and fundamental_matrix_reference under these names.
 from ._parallel import map_indexed  # noqa: F401
 from .drifts import DriftSpec
-from .engine import NoiseBlock, backward_euler_block
-from .errors import ConfigError, DomainError, GridError
+from .engine import NoiseBlock, backward_euler_block, name_path, sq_norms
+from .errors import ConfigError, DomainError, GridError, StepTooLargeError
 from .fbm import FbmPath, HurstVector, sample_multi  # noqa: F401
 from .grids import Partition, nested_indices
 from .harness import Ensemble, map_blocks
@@ -36,14 +42,18 @@ from .integrate import (  # noqa: F401
     FundamentalMatrixPath,
     Trajectory,
     backward_euler,
+    fundamental_matrix_block,
     fundamental_matrix_reference,
 )
 from .solver import SolveConfig
 
 __all__ = [
     "ResidualBundle",
+    "ResidualGrid",
     "LimitComparison",
+    "residual_grid",
     "residual_bundle",
+    "compute_U_block",
     "compute_U",
     "solve_U_ode",
     "limit_check",
@@ -63,6 +73,17 @@ class ResidualBundle:
     r1: np.ndarray
     r2: np.ndarray
     rhat: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class ResidualGrid:
+    """Defect terms of every interval of a coarse grid: row ``k`` of each
+    array, shape ``(n, m)``, holds the terms of interval ``k``."""
+
+    r: np.ndarray = field(repr=False)
+    r1: np.ndarray = field(repr=False)
+    r2: np.ndarray = field(repr=False)
+    rhat: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,37 +108,104 @@ def _check_same_grid(a: Partition, b: Partition, what: str) -> None:
         raise GridError(f"{what} must share one grid")
 
 
-def residual_bundle(spec: DriftSpec, traj: Trajectory, noise: FbmPath,
-                    coarse: Partition, k: int) -> ResidualBundle:
-    """Defect decomposition of coarse interval ``k`` along a fine trajectory.
+def _apply_rows(jac: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``jac[i] @ v[i]`` for every row ``i``, over the leading axes.
+
+    numpy hands a matrix-vector product to BLAS, whose kernel, and with it
+    the rounding, follows the layout of the matrix.  Each matrix is copied
+    in the layout its one-state Jacobian has (column-major for the built-in
+    nonlinear drifts, which build Jacobians column by column), so each row
+    is bit-identical to ``spec.jacobian(x) @ v``.
+    """
+    if jac.strides[-2] < jac.strides[-1]:
+        jac = np.ascontiguousarray(np.swapaxes(jac, -1, -2)).swapaxes(-1, -2)
+    else:
+        jac = np.ascontiguousarray(jac)
+    return (jac @ v[..., None])[..., 0]
+
+
+def _trapezoid_rows(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.trapezoid`` of every row ``y[i]`` along its axis 0 with step
+    widths ``d[i]``, computed as numpy computes it for one row."""
+    return (d * (y[:, 1:] + y[:, :-1]) / 2.0).sum(axis=1)
+
+
+def residual_grid(spec: DriftSpec, traj: Trajectory, noise: FbmPath,
+                  coarse: Partition) -> ResidualGrid:
+    """Defect decomposition of every coarse interval along a fine trajectory.
 
     ``traj`` and ``noise`` live on the fine grid and ``coarse`` must be
     nested in it.  The integrals are evaluated with the trapezoid rule on
-    the fine nodes inside the interval.
+    the fine nodes inside each interval; the drift is evaluated once, at
+    every fine node.
     """
     if traj.dim != spec.dim or noise.dim != spec.dim:
         raise DomainError("drift, trajectory and noise dimensions must agree")
     _check_same_grid(traj.grid, noise.grid, "trajectory and noise")
     idx = nested_indices(coarse, traj.grid)
+    starts, ends = idx[:-1], idx[1:]
+    times = traj.grid.times
+    drift = spec.eval_rows(traj.states)
+    r = np.empty((coarse.n_steps, spec.dim))
+    tail = np.empty_like(r)
+    lengths = ends - starts
+    # One pass per interval length; a uniform coarse grid has one length.
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        nodes = starts[rows, None] + np.arange(length + 1)
+        d = np.diff(times[nodes], axis=1)[:, :, None]
+        r[rows] = _trapezoid_rows(d, drift[nodes] - drift[nodes[:, -1:]])
+        tail[rows] = _trapezoid_rows(
+            d, noise.values[nodes[:, -1:]] - noise.values[nodes])
+    jac = spec.jacobian_rows(traj.states[starts])
+    delta = times[ends] - times[starts]
+    r1 = _apply_rows(jac, drift[starts]) * (delta * delta)[:, None] / 2.0
+    r2 = _apply_rows(jac, tail)
+    return ResidualGrid(r=r, r1=r1, r2=r2, rhat=r + r1 + r2)
+
+
+def residual_bundle(spec: DriftSpec, traj: Trajectory, noise: FbmPath,
+                    coarse: Partition, k: int) -> ResidualBundle:
+    """Defect decomposition of coarse interval ``k``: row ``k`` of
+    :func:`residual_grid`, which a loop over intervals should call once."""
+    grid = residual_grid(spec, traj, noise, coarse)
     if not 0 <= k < coarse.n_steps:
         raise DomainError(f"interval index {k} outside 0..{coarse.n_steps - 1}")
-    i0, i1 = int(idx[k]), int(idx[k + 1])
-    seg_times = traj.grid.times[i0:i1 + 1]
-    delta = float(seg_times[-1] - seg_times[0])
+    return ResidualBundle(k=k, r=grid.r[k], r1=grid.r1[k], r2=grid.r2[k],
+                          rhat=grid.rhat[k])
 
-    b_seg = np.stack([np.asarray(spec.eval(traj.states[j]), dtype=np.float64)
-                      for j in range(i0, i1 + 1)])
-    r = np.trapezoid(b_seg - b_seg[-1], x=seg_times, axis=0)
-    r1 = spec.drift_drift_product(traj.states[i0]) * (delta**2) / 2.0
-    tail = noise.values[i1] - noise.values[i0:i1 + 1]
-    r2 = np.asarray(spec.jacobian(traj.states[i0]), dtype=np.float64) \
-        @ np.trapezoid(tail, x=seg_times, axis=0)
-    return ResidualBundle(k=k, r=r, r1=r1, r2=r2, rhat=r + r1 + r2)
+
+def compute_U_block(spec: DriftSpec, grid: Partition, states: np.ndarray,
+                    flows: np.ndarray, values: np.ndarray, kt: int) -> np.ndarray:
+    """The limit process at node ``kt`` of ``grid`` for every lane.
+
+    ``states`` holds the fine trajectories, shape ``(M, n + 1, m)``,
+    ``flows`` their flow matrices (:func:`fundamental_matrix_block`), shape
+    ``(M, n + 1, m, m)``, and ``values`` the noise, shape ``(M, n + 1, m)``.
+    Returns ``U`` by left-point sums, shape ``(M, m)``.  No operation mixes
+    lanes, so a lane's value does not depend on the block.
+    """
+    lanes, _, m = states.shape
+    if kt == 0:
+        return np.zeros((lanes, m))
+    left = states[:, :kt].reshape(-1, m)
+    jac = spec.jacobian_rows(left).reshape(lanes, kt, m, m)
+    dt = np.diff(grid.times[:kt + 1])[:, None]
+    forcing = _apply_rows(jac, spec.eval_rows(left).reshape(lanes, kt, m) * dt
+                          + np.diff(values[:, :kt + 1], axis=1))
+    # Phi(t, s) = phi_t phi_s^{-1}; solve phi_s^T X^T = phi_t^T in one batch.
+    lhs = np.swapaxes(flows[:, :kt], -1, -2)
+    rhs = np.broadcast_to(np.swapaxes(flows[:, kt:kt + 1], -1, -2), lhs.shape)
+    terms = np.swapaxes(np.linalg.solve(lhs, rhs), -1, -2) @ forcing[..., None]
+    # Sum over nodes along a contiguous axis, one lane and coordinate per
+    # row, so the rounding of the sum does not depend on the block size.
+    return 0.5 * np.ascontiguousarray(terms[..., 0].swapaxes(1, 2)).sum(axis=-1)
 
 
 def compute_U(spec: DriftSpec, traj: Trajectory, phi: FundamentalMatrixPath,
               noise: FbmPath, t: float) -> np.ndarray:
-    """Evaluate the limit process at ``t`` by left-point sums on the grid.
+    """Evaluate the limit process at ``t`` by left-point sums on the grid:
+    the one-lane :func:`compute_U_block`.
 
     ``traj``, ``phi`` and ``noise`` must share one (fine) grid; ``t`` must
     be one of its nodes.  Returns a vector of shape ``(m,)``.
@@ -127,27 +215,8 @@ def compute_U(spec: DriftSpec, traj: Trajectory, phi: FundamentalMatrixPath,
     _check_same_grid(traj.grid, noise.grid, "trajectory and noise")
     _check_same_grid(traj.grid, phi.grid, "trajectory and flow")
     kt = traj.grid.index_of(float(t))
-    if kt == 0:
-        return np.zeros(spec.dim)
-
-    times = traj.grid.times
-    m = spec.dim
-    jacs = np.empty((kt, m, m))
-    forcing = np.empty((kt, m))
-    for j in range(kt):
-        x_j = traj.states[j]
-        jac_j = np.asarray(spec.jacobian(x_j), dtype=np.float64)
-        jacs[j] = jac_j
-        dt_j = times[j + 1] - times[j]
-        db_j = noise.values[j + 1] - noise.values[j]
-        forcing[j] = jac_j @ (np.asarray(spec.eval(x_j), dtype=np.float64) * dt_j
-                              + db_j)
-    # Phi(t, s) = phi_t phi_s^{-1}; solve phi_s^T X^T = phi_t^T in one batch.
-    phi_t = phi.matrices[kt]
-    lhs = np.transpose(phi.matrices[:kt], (0, 2, 1))
-    rhs = np.broadcast_to(phi_t.T, (kt, m, m))
-    flows = np.transpose(np.linalg.solve(lhs, rhs), (0, 2, 1))
-    return 0.5 * np.einsum("jab,jb->a", flows, forcing)
+    return compute_U_block(spec, traj.grid, traj.states[None],
+                           phi.matrices[None], noise.values[None], kt)[0]
 
 
 def solve_U_ode(spec: DriftSpec, traj: Trajectory, noise: FbmPath) -> Trajectory:
@@ -178,27 +247,23 @@ def solve_U_ode(spec: DriftSpec, traj: Trajectory, noise: FbmPath) -> Trajectory
 
 
 def _limit_block(spec: DriftSpec, x0: np.ndarray, n_values: tuple[int, ...],
-                 cfg: SolveConfig, noise: NoiseBlock) -> list[tuple]:
+                 cfg: SolveConfig, noise: NoiseBlock
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per lane: ``|n Z - U|`` and ``|n Z|`` for every ``n``, and ``|U|``."""
     grid = noise.grid
     ref, _ = backward_euler_block(spec, noise, x0, cfg)
-    terminal = [backward_euler_block(spec, noise, x0, cfg,
-                                     grid.n_steps // n)[0][:, -1]
-                for n in n_values]
-    rows = []
-    for lane in range(noise.values.shape[0]):
-        path = noise.path(lane)
-        traj = Trajectory(grid=grid, states=ref[lane], scheme="bem",
-                          drift=spec.name, path_seed=path.seed)
-        phi = fundamental_matrix_reference(spec, traj)
-        u_t = compute_U(spec, traj, phi, path, grid.t_final)
-        dists = np.empty(len(n_values))
-        nz_norms = np.empty(len(n_values))
-        for i, n in enumerate(n_values):
-            rescale = float(n) * (ref[lane, -1] - terminal[i][lane])
-            dists[i] = float(np.linalg.norm(rescale - u_t))
-            nz_norms[i] = float(np.linalg.norm(rescale))
-        rows.append((dists, nz_norms, float(np.linalg.norm(u_t))))
-    return rows
+    rescaled = np.stack(
+        [float(n) * (ref[:, -1] - backward_euler_block(
+            spec, noise, x0, cfg, grid.n_steps // n)[0][:, -1])
+         for n in n_values], axis=1)
+    try:
+        flows = fundamental_matrix_block(spec, grid, ref)
+    except StepTooLargeError as exc:
+        name_path(exc, noise, exc.path)
+        raise
+    u_t = compute_U_block(spec, grid, ref, flows, noise.values, grid.n_steps)
+    return (np.sqrt(sq_norms(rescaled - u_t[:, None])),
+            np.sqrt(sq_norms(rescaled)), np.sqrt(sq_norms(u_t)))
 
 
 def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
@@ -244,10 +309,8 @@ def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
                   n_values, SolveConfig(tol=float(tol)))
     ensemble = Ensemble(grid=Partition.uniform(float(t), master_n), hurst=hurst,
                         paths=mc_paths, seed=int(seed), sampler=sampler)
-    rows = [row for block in map_blocks(run, ensemble, threads) for row in block]
-    dists = np.stack([row[0] for row in rows])
-    nz = np.stack([row[1] for row in rows])
-    u_norms = np.array([row[2] for row in rows])
+    blocks = map_blocks(run, ensemble, threads)
+    dists, nz, u_norms = (np.concatenate([b[i] for b in blocks]) for i in range(3))
 
     powered = dists**p
     mean_pow = powered.mean(axis=0)

@@ -19,18 +19,17 @@ from fbmsde import (
     ExperimentConfig,
     HurstVector,
     Partition,
+    Trajectory,
     child_seed,
     coarsen,
     covariance,
     fit_order,
     fundamental_matrix_fb_euler,
-    fundamental_matrix_reference,
     limit_check,
     make_linear_drift,
     mc_strong_error,
     nested_indices,
-    reference_solution,
-    residual_bundle,
+    residual_grid,
     resolvent_norm_bound,
     sample_multi,
     sample_path_cholesky,
@@ -39,7 +38,14 @@ from fbmsde import (
 )
 from fbmsde.cli import main
 from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC
-from fbmsde.integrate import backward_euler, crank_nicolson, forward_euler
+from fbmsde.engine import backward_euler_block, sq_norms
+from fbmsde.harness import Ensemble, map_blocks
+from fbmsde.integrate import (
+    backward_euler,
+    crank_nicolson,
+    forward_euler,
+    fundamental_matrix_block,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -251,18 +257,24 @@ def test_criterion_6_flow_approximation_order(criterion):
     master = Partition.uniform(1.0, 2 ** 12)
     ks = (4, 5, 6, 7, 8)
     n_paths = 100
-    sups = np.zeros((n_paths, len(ks)))
-    for i in range(n_paths):
-        noise = sample_multi(master, hv, child_seed(20250600, i),
-                             method="circulant")
-        traj = reference_solution(PLANAR_CUBIC, noise, x0)
-        oracle = fundamental_matrix_reference(PLANAR_CUBIC, traj)
-        for j, k in enumerate(ks):
-            coarse = master.subsample(2 ** 12 // 2 ** k)
-            approx = fundamental_matrix_fb_euler(PLANAR_CUBIC, traj, coarse)
-            at_nodes = oracle.matrices[nested_indices(coarse, master)]
-            diff = approx.matrices - at_nodes
-            sups[i, j] = np.max(np.linalg.norm(diff, axis=(1, 2)))
+
+    def sup_errors(block):
+        states, _ = backward_euler_block(PLANAR_CUBIC, block, x0)
+        oracle = fundamental_matrix_block(PLANAR_CUBIC, master, states)
+        sups = np.zeros((states.shape[0], len(ks)))
+        for lane in range(states.shape[0]):
+            traj = Trajectory(grid=master, states=states[lane], scheme="reference",
+                              drift=PLANAR_CUBIC.name, path_seed=block.seeds[lane])
+            for j, k in enumerate(ks):
+                coarse = master.subsample(2 ** 12 // 2 ** k)
+                approx = fundamental_matrix_fb_euler(PLANAR_CUBIC, traj, coarse)
+                at_nodes = oracle[lane][nested_indices(coarse, master)]
+                diff = approx.matrices - at_nodes
+                sups[lane, j] = np.max(np.linalg.norm(diff, axis=(1, 2)))
+        return sups
+
+    sups = np.concatenate(map_blocks(sup_errors, Ensemble(
+        grid=master, hurst=hv, paths=n_paths, seed=20250600, sampler="circulant")))
     meshes = [2.0 ** -k for k in ks]
     slope, _ = fit_order(meshes, sups.mean(axis=0))
     ok = abs(slope - h) <= 0.15
@@ -287,19 +299,26 @@ def test_criterion_7_residual_scaling(criterion):
     master = Partition.uniform(1.0, 2 ** 14)
     ks = (5, 6, 7, 8, 9)
     n_paths = 40
-    maxs = np.zeros((n_paths, len(ks)))
-    means = np.zeros((n_paths, len(ks)))
-    for i in range(n_paths):
-        noise = sample_multi(master, hv, child_seed(20250700, i),
-                             method="circulant")
-        traj = reference_solution(PLANAR_CUBIC, noise, x0)
-        for j, k in enumerate(ks):
-            coarse = master.subsample(2 ** 14 // 2 ** k)
-            norms = [np.linalg.norm(
-                residual_bundle(PLANAR_CUBIC, traj, noise, coarse, m).rhat)
-                for m in range(coarse.n_steps)]
-            maxs[i, j] = max(norms)
-            means[i, j] = np.mean(norms)
+
+    def rhat_norms(block):
+        states, _ = backward_euler_block(PLANAR_CUBIC, block, x0)
+        maxs = np.zeros((states.shape[0], len(ks)))
+        means = np.zeros((states.shape[0], len(ks)))
+        for lane in range(states.shape[0]):
+            traj = Trajectory(grid=master, states=states[lane], scheme="reference",
+                              drift=PLANAR_CUBIC.name, path_seed=block.seeds[lane])
+            for j, k in enumerate(ks):
+                coarse = master.subsample(2 ** 14 // 2 ** k)
+                norms = np.sqrt(sq_norms(residual_grid(
+                    PLANAR_CUBIC, traj, block.path(lane), coarse).rhat))
+                maxs[lane, j] = np.max(norms)
+                means[lane, j] = np.mean(norms)
+        return maxs, means
+
+    blocks = map_blocks(rhat_norms, Ensemble(
+        grid=master, hurst=hv, paths=n_paths, seed=20250700, sampler="circulant"))
+    maxs = np.concatenate([b[0] for b in blocks])
+    means = np.concatenate([b[1] for b in blocks])
     meshes = [2.0 ** -k for k in ks]
     log_n = np.log([2.0 ** k for k in ks])
     raw_slope, _ = fit_order(meshes, maxs.mean(axis=0))

@@ -230,6 +230,17 @@ def test_simulate_guard_failure_exits_one(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["bem", "em", "cn"])
+def test_simulate_rejects_a_non_finite_start(tmp_path, capsys, scheme):
+    out = tmp_path / "nan.csv"
+    rc = main(["simulate", "--drift", "cubic1d", "--scheme", scheme,
+               "--x0", "nan", "--steps", "4", "--t-final", "1",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: start x0 must be finite, got [nan]\n"
+    assert not out.exists()
+
+
 # --- rate subcommand ---------------------------------------------------------------
 
 def test_rate_pipeline_writes_report_and_manifest(tmp_path, capsys):
@@ -434,6 +445,22 @@ def test_limit_pipeline_reports_monotonicity(tmp_path, capsys):
     assert len(lines) == 3
     n_col = [int(l.split(",")[0]) for l in lines[1:]]
     assert n_col == [8, 16]
+
+
+def test_planar_limit_table_is_identical_across_threads(tmp_path):
+    # 130 paths run in blocks of 64, 64 and 2 lanes on one or two workers
+    # and of 44, 44 and 42 lanes on three.
+    cfg = tmp_path / "planar.cfg"
+    cfg.write_text("drift = planar_cubic\nx0 = 1.0 1.0\nhurst = 0.7\nt = 1.0\n"
+                   "n_values = 8 16\nmc_paths = 130\nmaster_factor = 4\n"
+                   "seed = 20250800\n")
+    tables = set()
+    for threads in (1, 2, 3):
+        outdir = tmp_path / f"t{threads}"
+        assert main(["limit", "--config", str(cfg), "--out", str(outdir),
+                     "--threads", str(threads)]) == 0
+        tables.add((outdir / "limit_comparison.csv").read_bytes())
+    assert len(tables) == 1
 
 
 def test_limit_rejects_p_out_of_range(tmp_path, capsys):

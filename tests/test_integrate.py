@@ -25,6 +25,8 @@ from fbmsde import (
     zero_path,
 )
 from fbmsde.drifts import CUBIC1D, PLANAR_CUBIC
+from fbmsde.engine import backward_euler_block
+from fbmsde.harness import Ensemble, map_blocks
 
 H07 = HurstVector.constant(0.7, 1)
 DECAY = make_linear_drift(np.array([[-1.0]]), name="decay")
@@ -186,6 +188,24 @@ def test_schemes_validate_state_and_dim():
         backward_euler(CUBIC1D, noise, np.array([np.nan]))
 
 
+@pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf])
+def test_every_scheme_rejects_a_non_finite_start(start):
+    from fbmsde.engine import NoiseBlock, backward_euler_block
+
+    g = Partition.uniform(1.0, 4)
+    noise = sample_multi(g, H07, seed=0, method="circulant")
+    x0 = np.array([start])
+    runs = [lambda: backward_euler(CUBIC1D, noise, x0),
+            lambda: forward_euler(CUBIC1D, noise, x0),
+            lambda: crank_nicolson(CUBIC1D, noise, x0, stability_mode=True)]
+    runs += [lambda theta=theta: backward_euler_block(
+        CUBIC1D, NoiseBlock.stack([noise], 0), x0, theta=theta)
+        for theta in (0.0, 0.5, 1.0)]
+    for run in runs:
+        with pytest.raises(DomainError, match="start x0 must be finite"):
+            run()
+
+
 def test_mesh_guard_reports_before_stepping():
     from fbmsde.drifts import DOUBLEWELL1D
 
@@ -329,11 +349,13 @@ def test_fourth_moment_of_running_sup_is_sample_stable():
     x0 = np.array([1.0, 1.0])
     hv = HurstVector.constant(0.7, 2)
     g = Partition.uniform(1.0, 256)
-    sups4 = np.empty(1000)
-    for i in range(1000):
-        noise = sample_multi(g, hv, child_seed(77, i), method="circulant")
-        traj = reference_solution(PLANAR_CUBIC, noise, x0)
-        sups4[i] = np.max(np.linalg.norm(traj.states, axis=1)) ** 4
+
+    def sup4(block):
+        states, _ = backward_euler_block(PLANAR_CUBIC, block, x0)
+        return np.max(np.linalg.norm(states, axis=2), axis=1) ** 4
+
+    sups4 = np.concatenate(map_blocks(sup4, Ensemble(
+        grid=g, hurst=hv, paths=1000, seed=77, sampler="circulant")))
     half = sups4[:500].mean()
     full = sups4.mean()
     assert np.isfinite(full)

@@ -6,6 +6,8 @@ from fbmsde import (
     DomainError,
     HurstVector,
     Partition,
+    SolveConfig,
+    StepTooLargeError,
     Trajectory,
     child_seed,
     coarsen,
@@ -13,22 +15,96 @@ from fbmsde import (
     fundamental_matrix_reference,
     limit_check,
     make_linear_drift,
+    nested_indices,
     reference_solution,
     residual_bundle,
+    residual_grid,
     sample_multi,
     solve_U_ode,
     zero_path,
 )
 from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC
-from fbmsde.harness import fit_order
+from fbmsde.engine import NoiseBlock, backward_euler_block, lowest_failure, sq_norms
+from fbmsde.harness import Ensemble, fit_order, map_blocks
+from fbmsde.integrate import fundamental_matrix_block
+from fbmsde.limit import _limit_block, compute_U_block
 
 H07 = HurstVector.constant(0.7, 1)
+
+
+BLOCK_CASES = {
+    "cubic1d": (CUBIC1D, [1.5]),
+    "doublewell1d": (DOUBLEWELL1D, [0.3]),
+    "planar_cubic": (PLANAR_CUBIC, [1.0, 1.0]),
+    "linear 2x2": (make_linear_drift(np.array([[-1.0, 3.0], [-0.5, -2.0]])),
+                   [1.0, -0.5]),
+}
 
 
 def flat_traj(grid: Partition, value: float, drift: str = "doublewell1d") -> Trajectory:
     states = np.full((grid.times.size, 1), value)
     return Trajectory(grid=grid, states=states, scheme="reference",
                       drift=drift, path_seed=0)
+
+
+def reference_block(spec, x0, paths=15, steps=256):
+    """Noise block and implicit Euler states of ``paths`` lanes."""
+    grid = Partition.uniform(1.0, steps)
+    hv = HurstVector.constant(0.7, spec.dim)
+    block = NoiseBlock.stack([sample_multi(grid, hv, child_seed(23, i),
+                                           method="circulant")
+                              for i in range(paths)], 0)
+    return block, backward_euler_block(spec, block, np.array(x0))[0]
+
+
+def lane_trajectory(spec, block, states, lane):
+    return Trajectory(grid=block.grid, states=states[lane], scheme="bem",
+                      drift=spec.name, path_seed=block.seeds[lane])
+
+
+# Per-node and per-interval formulas, one state and one Python call at a
+# time; the block forms must reproduce them.
+
+def per_node_flow(spec, traj):
+    times = traj.grid.times
+    eye = np.eye(spec.dim)
+    mats = [eye]
+    for k in range(times.size - 1):
+        half = 0.5 * (times[k + 1] - times[k])
+        mats.append(np.linalg.solve(
+            eye - half * np.asarray(spec.jacobian(traj.states[k + 1])),
+            (eye + half * np.asarray(spec.jacobian(traj.states[k]))) @ mats[-1]))
+    return np.stack(mats)
+
+
+def per_node_u(spec, traj, phi, noise, kt):
+    times = traj.grid.times
+    m = spec.dim
+    forcing = np.empty((kt, m))
+    for j in range(kt):
+        x_j = traj.states[j]
+        forcing[j] = np.asarray(spec.jacobian(x_j)) @ (
+            np.asarray(spec.eval(x_j)) * (times[j + 1] - times[j])
+            + (noise.values[j + 1] - noise.values[j]))
+    lhs = np.transpose(phi[:kt], (0, 2, 1))
+    rhs = np.broadcast_to(phi[kt].T, (kt, m, m))
+    flows = np.transpose(np.linalg.solve(lhs, rhs), (0, 2, 1))
+    return 0.5 * np.einsum("jab,jb->a", flows, forcing)
+
+
+def per_interval_bundle(spec, traj, noise, coarse, k):
+    idx = nested_indices(coarse, traj.grid)
+    i0, i1 = int(idx[k]), int(idx[k + 1])
+    seg_times = traj.grid.times[i0:i1 + 1]
+    delta = float(seg_times[-1] - seg_times[0])
+    b_seg = np.stack([np.asarray(spec.eval(traj.states[j]), dtype=np.float64)
+                      for j in range(i0, i1 + 1)])
+    r = np.trapezoid(b_seg - b_seg[-1], x=seg_times, axis=0)
+    r1 = spec.drift_drift_product(traj.states[i0]) * (delta**2) / 2.0
+    tail = noise.values[i1] - noise.values[i0:i1 + 1]
+    r2 = np.asarray(spec.jacobian(traj.states[i0]), dtype=np.float64) \
+        @ np.trapezoid(tail, x=seg_times, axis=0)
+    return r, r1, r2, r + r1 + r2
 
 
 # --- residual decomposition oracles -------------------------------------------
@@ -86,6 +162,27 @@ def test_residual_bundle_validates_interval_index():
         residual_bundle(DOUBLEWELL1D, traj, noise, g, -1)
 
 
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_residual_grid_matches_the_per_interval_formula_to_the_bit(name):
+    spec, x0 = BLOCK_CASES[name]
+    block, states = reference_block(spec, x0, paths=2)
+    fine = block.grid
+    uneven = Partition(fine.times[[0, 3, 4, 20, 64, 65, 200, 256]])
+    for lane in range(2):
+        traj = lane_trajectory(spec, block, states, lane)
+        noise = block.path(lane)
+        for coarse in (fine.subsample(2), fine.subsample(8), fine.subsample(64),
+                       uneven):
+            grid = residual_grid(spec, traj, noise, coarse)
+            assert grid.rhat.shape == (coarse.n_steps, spec.dim)
+            for k in range(coarse.n_steps):
+                want = per_interval_bundle(spec, traj, noise, coarse, k)
+                got = (grid.r[k], grid.r1[k], grid.r2[k], grid.rhat[k])
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                view = residual_bundle(spec, traj, noise, coarse, k)
+                assert np.array_equal(view.rhat, grid.rhat[k])
+
+
 def test_residual_rates_match_smoothness_of_the_path():
     # corrected defect r_hat contracts like dt^{2H + 1} in the mean across
     # intervals; the raw exponent fitted over dyadic meshes lands nearby.
@@ -97,18 +194,25 @@ def test_residual_rates_match_smoothness_of_the_path():
     hv = HurstVector.constant(0.7, 2)
     gm = Partition.uniform(1.0, 2 ** 11)
     ks = (4, 5, 6, 7)
-    means = np.zeros((8, len(ks)))
-    maxs = np.zeros((8, len(ks)))
-    for path in range(8):
-        noise = sample_multi(gm, hv, child_seed(31, path), method="circulant")
-        traj = reference_solution(spec, noise, x0)
-        for i, k in enumerate(ks):
-            coarse = gm.subsample(2 ** 11 // 2 ** k)
-            norms = [np.linalg.norm(
-                residual_bundle(spec, traj, noise, coarse, j).rhat)
-                for j in range(coarse.n_steps)]
-            means[path, i] = np.mean(norms)
-            maxs[path, i] = np.max(norms)
+
+    def rhat_norms(block):
+        states, _ = backward_euler_block(spec, block, x0)
+        means = np.zeros((states.shape[0], len(ks)))
+        maxs = np.zeros((states.shape[0], len(ks)))
+        for lane in range(states.shape[0]):
+            traj = lane_trajectory(spec, block, states, lane)
+            for i, k in enumerate(ks):
+                coarse = gm.subsample(2 ** 11 // 2 ** k)
+                norms = np.sqrt(sq_norms(
+                    residual_grid(spec, traj, block.path(lane), coarse).rhat))
+                means[lane, i] = np.mean(norms)
+                maxs[lane, i] = np.max(norms)
+        return means, maxs
+
+    blocks = map_blocks(rhat_norms, Ensemble(grid=gm, hurst=hv, paths=8, seed=31,
+                                             sampler="circulant"))
+    means = np.concatenate([b[0] for b in blocks])
+    maxs = np.concatenate([b[1] for b in blocks])
     meshes = [2.0 ** -k for k in ks]
     mean_slope, _ = fit_order(meshes, means.mean(axis=0))
     max_slope, _ = fit_order(meshes, maxs.mean(axis=0))
@@ -169,6 +273,70 @@ def test_compute_u_requires_shared_grid_and_node():
         compute_U(CUBIC1D, traj, phi, other, 1.0)
     with pytest.raises(GridError):
         compute_U(CUBIC1D, traj, phi, noise, 0.33)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_flow_and_u_lanes_do_not_depend_on_block_size(name):
+    spec, x0 = BLOCK_CASES[name]
+    block, states = reference_block(spec, x0)
+    grid = block.grid
+    flows = fundamental_matrix_block(spec, grid, states)
+    for kt in (100, grid.n_steps):
+        u = compute_U_block(spec, grid, states, flows, block.values, kt)
+        for size in (1, 7, 15):
+            for start in range(0, 15, size):
+                part = slice(start, start + size)
+                part_flows = fundamental_matrix_block(spec, grid, states[part])
+                assert np.array_equal(part_flows, flows[part])
+                assert np.array_equal(compute_U_block(
+                    spec, grid, states[part], part_flows, block.values[part], kt),
+                    u[part])
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_one_lane_flow_and_u_match_the_per_node_formulas(name):
+    spec, x0 = BLOCK_CASES[name]
+    block, states = reference_block(spec, x0, paths=3)
+    for lane in range(3):
+        traj = lane_trajectory(spec, block, states, lane)
+        phi = fundamental_matrix_reference(spec, traj)
+        assert np.array_equal(phi.matrices, per_node_flow(spec, traj))
+        for t in (0.5, 1.0):
+            got = compute_U(spec, traj, phi, block.path(lane), t)
+            want = per_node_u(spec, traj, phi.matrices, block.path(lane),
+                              traj.grid.index_of(t))
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_flow_failure_names_the_lowest_failing_path():
+    # A noise jump of 50 lifts the cubic's state near 20 for a step, where
+    # 1 - (dt / 2) 3 x^2 < 0 flips the sign of the flow: on path 41 after
+    # step 5 and on path 43 after step 0.  The coarse runs stay solvable.
+    grid = Partition.uniform(1.0, 256)
+    values = np.zeros((4, grid.times.size, 1))
+    for lane, (step, size) in enumerate([(0, 0.1), (5, 50.0), (0, -0.1), (0, 50.0)]):
+        values[lane, step + 1:, 0] = size
+    block = NoiseBlock(grid=grid, values=values, hurst=HurstVector.constant(0.7, 1),
+                       first=40, seeds=tuple(range(100, 104)))
+    x0 = np.array([1.0])
+    cfg = SolveConfig()
+    states, _ = backward_euler_block(CUBIC1D, block, x0, cfg)
+    with pytest.raises(StepTooLargeError) as scalar:
+        fundamental_matrix_reference(CUBIC1D, lane_trajectory(CUBIC1D, block, states, 1))
+    want = f"{scalar.value} (path 41, path seed 101)"
+    with pytest.raises(StepTooLargeError) as lanes:
+        fundamental_matrix_block(CUBIC1D, grid, states)
+    assert lanes.value.path == 1 and str(lanes.value) == str(scalar.value)
+    for size in (1, 4):
+        with pytest.raises(StepTooLargeError) as err:
+            for start in range(0, 4, size):
+                part = NoiseBlock(grid=grid, values=values[start:start + size],
+                                  hurst=block.hurst, first=40 + start,
+                                  seeds=block.seeds[start:start + size])
+                lowest_failure(lambda b: _limit_block(CUBIC1D, x0, (8, 16), cfg, b),
+                               part)
+        assert err.value.path == 41
+        assert str(err.value) == want
 
 
 def test_solve_u_ode_zero_field_stays_zero():
