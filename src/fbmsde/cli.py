@@ -11,9 +11,11 @@ Subcommands:
 Exit codes: 0 on success, 1 on runtime or solver failures, 2 on usage or
 configuration errors.  Each run writes a ``meta.json`` style manifest next
 to its outputs; manifests carry no timestamps, so a rerun of the same
-command reproduces every byte.  The ``rate``, ``limit`` and ``stability``
-manifests also leave out the worker count, which changes no output, so
-their bytes do not depend on ``--threads``.
+command reproduces every byte.  Manifests name the outputs relative to
+their own directory and leave out the output location, and the ``rate``,
+``limit`` and ``stability`` manifests also leave out the worker count,
+which changes no output, so their bytes depend neither on where a run
+writes nor on ``--threads``.
 
 ``--threads`` falls back to the ``FBMSDE_THREADS`` environment variable,
 then to the config file, then to 1.
@@ -160,8 +162,7 @@ def cmd_fbm(args: argparse.Namespace) -> int:
     write_manifest(
         args.out + ".meta.json", "fbm",
         {"hurst": list(hurst.components), "steps": args.steps,
-         "t_final": args.t_final, "dim": args.dim, "method": args.method,
-         "out": args.out},
+         "t_final": args.t_final, "dim": args.dim, "method": args.method},
         args.seed, __version__, [args.out])
     print(f"wrote {args.out} ({args.steps} steps, dim {args.dim})")
     return 0
@@ -186,8 +187,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         {"drift": spec.name, "scheme": args.scheme, "x0": list(map(float, x0)),
          "hurst": args.hurst, "steps": args.steps, "t_final": args.t_final,
          "newton_tol": args.newton_tol, "newton_max_iter": args.newton_max_iter,
-         "method": args.method, "zero_noise": bool(args.zero_noise),
-         "out": args.out},
+         "method": args.method, "zero_noise": bool(args.zero_noise)},
         args.seed, __version__, [args.out])
     terminal = ", ".join(format_float(v) for v in traj.states[-1])
     print(f"wrote {args.out}; terminal state [{terminal}]")
@@ -206,9 +206,9 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _config_echo(cfg) -> dict:
-    """A run config's settings for a manifest, without the worker count,
-    which changes no output."""
-    return {k: v for k, v in asdict(cfg).items() if k != "threads"}
+    """A run config's settings for a manifest, without the worker count and
+    the output directory, which change no output."""
+    return {k: v for k, v in asdict(cfg).items() if k not in ("threads", "out")}
 
 
 def _require_out(cfg_out: str | None) -> str:

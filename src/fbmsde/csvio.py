@@ -119,14 +119,19 @@ def write_manifest(target, subcommand: str, config: dict, seed: int,
                    solve_stats: dict | None = None) -> None:
     """JSON run manifest; deliberately timestamp-free for reproducibility.
 
-    ``solve_stats`` holds deterministic solver counts, keyed by run.
+    ``outputs`` are listed relative to the manifest's directory (to the
+    working directory for an open file), so the manifest does not depend
+    on where a run writes.  ``solve_stats`` holds deterministic solver
+    counts, keyed by run.
     """
+    base = os.curdir if hasattr(target, "write") \
+        else os.path.dirname(os.fspath(target)) or os.curdir
     payload = {
         "subcommand": subcommand,
         "config": config,
         "seed": int(seed),
         "version": version,
-        "outputs": list(outputs),
+        "outputs": [os.path.relpath(o, base) for o in outputs],
     }
     if solve_stats is not None:
         payload["solve_stats"] = solve_stats

@@ -1,21 +1,28 @@
 """Path-batched θ-method stepping for Monte Carlo blocks.
 
 A block is ``M`` noise paths on one master grid, stacked into a tensor of
-shape ``(M, n + 1, d)``; lane ``j`` holds the path of Monte Carlo index
-``first + j``.  :func:`backward_euler_block` advances all lanes of a block
-together by one θ-method step of :data:`fbmsde.integrate.THETA`, with one
-batched damped-Newton solve per grid step, and a nested coarse run reuses
-``values[:, ::ratio]``.
+shape ``(M, n + 1, d)``; lane ``j`` holds path number ``indices[j]`` of the
+Hurst vector ``hursts[j]``, so one block may mix Hurst values.
+:func:`backward_euler_runs` advances several θ-method runs of
+:data:`fbmsde.integrate.THETA` on every lane in one pass over the master
+grid: a run on the coarse grid that keeps every ``ratio``-th node steps
+whenever the master step reaches one of its nodes, reusing
+``values[:, ::ratio]``, and every run that steps at a master step joins one
+batched damped-Newton solve.  :func:`backward_euler_block` is its one-run
+call.
 
-Every Newton decision is taken per lane: stopping, each halving of the
-update, the iteration count and the stall.  A lane's result therefore
-depends on its own path alone, never on its batchmates or the block size.
-A lane that stalls, reaches ``max_iter``, or gets a singular or non-finite
-Newton update is solved again from the same target by the scalar
+Every Newton decision is taken per row, one row per lane and run:
+stopping, each halving of the update, the iteration count and the stall.
+A lane's result therefore depends on its own path alone, never on its
+batchmates, the block size or the other runs of the pass.  A row that
+stalls, reaches ``max_iter``, or gets a singular or non-finite Newton
+update is solved again from the same target by the scalar
 :func:`~fbmsde.solver.solve_backward_step`, which brings the scalar
-bisection rescue and the scalar errors with it.  :func:`lowest_failure`
-turns the error of a failing block into that of its lowest failing path,
-so which path a failure names does not depend on the blocks either.
+bisection rescue and the scalar errors with it.  A failing lane is
+replayed one run at a time, so its error is that of its first failing run
+in the order of ``runs``, and :func:`lowest_failure` turns the error of a
+failing block into that of its lowest failing lane, so which path a
+failure names does not depend on the blocks either.
 
 Single paths stay on the scalar integrators of :mod:`fbmsde.integrate`:
 with one lane a batched step costs more than a scalar solve.
@@ -24,12 +31,12 @@ with one lane a batched step costs more than a scalar solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .drifts import DriftSpec
-from .errors import SolverError
+from .errors import SolverError, StepTooLargeError
 from .fbm import FbmPath, HurstVector
 from .grids import Partition
 from .integrate import _attach_step, _check_inputs, _explicit_overflow
@@ -42,8 +49,8 @@ from .solver import (
 )
 
 __all__ = ["BLOCK_PATHS", "NoiseBlock", "SolveStats", "backward_euler_block",
-           "block_count", "block_range", "block_size", "lowest_failure",
-           "name_path", "sq_norms"]
+           "backward_euler_runs", "block_count", "block_range",
+           "lowest_failure", "name_path", "sq_norms"]
 
 T = TypeVar("T")
 
@@ -52,21 +59,18 @@ T = TypeVar("T")
 BLOCK_PATHS = 64
 
 
-def block_size(paths: int, threads: int = 1) -> int:
-    """Lanes per block: enough blocks for every worker, at most
-    :data:`BLOCK_PATHS` lanes each."""
-    return max(1, min(BLOCK_PATHS, -(-paths // max(1, threads))))
+def block_count(lanes: int, threads: int = 1) -> int:
+    """Number of blocks: one or more per worker, at most
+    :data:`BLOCK_PATHS` lanes each, and no empty block."""
+    return max(1, min(lanes, max(threads, -(-lanes // BLOCK_PATHS))))
 
 
-def block_count(paths: int, size: int) -> int:
-    """Number of blocks of ``size`` lanes that cover ``paths`` paths."""
-    return -(-paths // size)
-
-
-def block_range(block: int, paths: int, size: int) -> range:
-    """Monte Carlo path indices of block number ``block``."""
-    start = block * size
-    return range(start, min(start + size, paths))
+def block_range(block: int, lanes: int, count: int) -> range:
+    """Lanes of block number ``block`` of ``count``; the sizes of the
+    blocks differ by at most one, the larger ones first."""
+    size, extra = divmod(lanes, count)
+    start = block * size + min(block, extra)
+    return range(start, start + size + (block < extra))
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,15 @@ class SolveStats:
     halvings: int = 0
     fallbacks: int = 0
 
+    @classmethod
+    def of(cls, counts: np.ndarray) -> "SolveStats":
+        """The counts of a set of lanes from their rows of the ``(M, 4)``
+        per-lane counts that :func:`backward_euler_runs` returns."""
+        return cls(newton_iterations=int(counts[:, 0].sum()),
+                   max_iterations=int(counts[:, 1].max(initial=0)),
+                   halvings=int(counts[:, 2].sum()),
+                   fallbacks=int(counts[:, 3].sum()))
+
     def __add__(self, other: "SolveStats") -> "SolveStats":
         return SolveStats(
             newton_iterations=self.newton_iterations + other.newton_iterations,
@@ -95,40 +108,44 @@ class SolveStats:
 
 @dataclass(frozen=True, eq=False)
 class NoiseBlock:
-    """Noise paths of consecutive Monte Carlo indices on one grid.
+    """Noise paths on one grid, one per lane.
 
-    ``values[j]`` is the path of index ``first + j``, drawn from seed
-    ``seeds[j]``; a failure names both so the path can be replayed.
+    ``values[j]`` is path number ``indices[j]`` of the Hurst vector
+    ``hursts[j]``, drawn from seed ``seeds[j]``; a failure names the index
+    and the seed so the path can be replayed.
     """
 
     grid: Partition
     values: np.ndarray = field(repr=False)
-    hurst: HurstVector
-    first: int
+    hursts: tuple[HurstVector, ...]
+    indices: tuple[int, ...]
     seeds: tuple[int, ...]
 
     @classmethod
-    def stack(cls, paths: list[FbmPath], first: int) -> "NoiseBlock":
-        """Stack paths that share one grid and Hurst vector."""
+    def stack(cls, paths: list[FbmPath], indices: Sequence[int] | None = None
+              ) -> "NoiseBlock":
+        """Stack paths that share one grid; ``indices`` are their path
+        indices, ``0, 1, ...`` by default."""
         return cls(grid=paths[0].grid,
                    values=np.stack([p.values for p in paths]),
-                   hurst=paths[0].hurst, first=first,
+                   hursts=tuple(p.hurst for p in paths),
+                   indices=tuple(range(len(paths)) if indices is None else indices),
                    seeds=tuple(p.seed for p in paths))
 
     @property
     def dim(self) -> int:
         return self.values.shape[2]
 
-    def head(self, lanes: int) -> "NoiseBlock":
-        """The block of the first ``lanes`` lanes."""
-        return NoiseBlock(grid=self.grid, values=self.values[:lanes],
-                          hurst=self.hurst, first=self.first,
-                          seeds=self.seeds[:lanes])
+    def select(self, lanes: slice) -> "NoiseBlock":
+        """The block of the chosen ``lanes``."""
+        return NoiseBlock(grid=self.grid, values=self.values[lanes],
+                          hursts=self.hursts[lanes], indices=self.indices[lanes],
+                          seeds=self.seeds[lanes])
 
     def path(self, lane: int) -> FbmPath:
         """The noise path of one lane."""
-        return FbmPath(grid=self.grid, values=self.values[lane], hurst=self.hurst,
-                       seed=self.seeds[lane])
+        return FbmPath(grid=self.grid, values=self.values[lane],
+                       hurst=self.hursts[lane], seed=self.seeds[lane])
 
 
 def sq_norms(a: np.ndarray) -> np.ndarray:
@@ -143,9 +160,10 @@ def sq_norms(a: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0]
 
 
-def _newton_updates(spec: DriftSpec, delta: float, y: np.ndarray,
+def _newton_updates(spec: DriftSpec, delta: np.ndarray, y: np.ndarray,
                     res: np.ndarray) -> np.ndarray:
-    """Solve ``(I - delta J(y)) u = -res`` row by row.
+    """Solve ``(I - delta J(y)) u = -res`` row by row; ``delta`` holds the
+    step of every row, shape ``(M, 1)``.
 
     Rows are solved as the scalar solver's ``np.linalg.solve`` solves
     them: a division in one dimension, which is what the 1x1 LU solve
@@ -156,7 +174,7 @@ def _newton_updates(spec: DriftSpec, delta: float, y: np.ndarray,
     jac = spec.jacobian_rows(y)
     if y.shape[1] == 1:
         return -res / (1.0 - delta * jac[:, 0])
-    system = np.eye(y.shape[1]) - delta * jac
+    system = np.eye(y.shape[1]) - delta[:, :, None] * jac
     try:
         return np.linalg.solve(system, -res[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
@@ -169,21 +187,25 @@ def _newton_updates(spec: DriftSpec, delta: float, y: np.ndarray,
         return out
 
 
-def _newton_rows(spec: DriftSpec, delta: float, c: np.ndarray, cfg: SolveConfig
-                 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Damped Newton for ``y - delta b(y) = c``, one lane per row of ``c``.
+def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
+                 cfg: SolveConfig
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton for ``y - delta b(y) = c``, one equation per row of
+    ``c``; ``delta`` holds the step of every row, shape ``(M, 1)``.
 
-    Mirrors :func:`~fbmsde.solver.solve_backward_step` lane by lane: all
-    lanes are computed, and masks decide which lanes take the result.
-    Returns the iterates, the iterations per lane, the number of rejected
-    updates, and a mask of the lanes that need the scalar solver.
+    Mirrors :func:`~fbmsde.solver.solve_backward_step` row by row: all
+    rows are computed, and masks decide which rows take the result.
+    Multiplying by a row's step gives the bits of multiplying by the
+    scalar step.  Returns the iterates, the counts of every row (shape
+    ``(M, 3)``: Newton iterations, rejected updates, and 1 if the row
+    needs the scalar solver) and the mask of the rows that need it.
     """
     y = c.copy()
     res = y - delta * spec.eval_rows(y) - c
     norm = np.sqrt(sq_norms(res))
-    iterations = np.zeros(c.shape[0], dtype=np.int64)
+    tally = np.zeros((c.shape[0], 3), dtype=np.int64)
+    iterations, halvings = tally[:, 0], tally[:, 1]
     fallback = np.zeros(c.shape[0], dtype=bool)
-    halvings = 0
     active = ~(norm <= cfg.tol)
     for _ in range(cfg.max_iter):
         if not active.any():
@@ -210,93 +232,166 @@ def _newton_rows(spec: DriftSpec, delta: float, c: np.ndarray, cfg: SolveConfig
             pending &= ~took
             if not pending.any():
                 break
-            halvings += int(np.count_nonzero(pending))
+            halvings += pending
             scale *= 0.5
         fallback |= pending
         active &= ~fallback & ~(norm <= cfg.tol)
     fallback |= active
-    return y, iterations, halvings, fallback
+    tally[:, 2] = fallback
+    return y, tally, fallback
+
+
+def backward_euler_runs(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
+                        runs: Sequence[tuple[int, float]],
+                        cfg: SolveConfig | None = None
+                        ) -> tuple[list[np.ndarray], np.ndarray]:
+    """θ-method runs on every lane of ``block`` from the common start
+    ``x0``, each lane of each run as its scalar integrator runs it.
+
+    ``runs`` lists ``(ratio, theta)`` pairs: the θ-method of ``theta`` on
+    the coarse grid that keeps every ``ratio``-th node of the block's
+    grid.  The runs advance together in one pass over the block's grid.
+    Returns the states of every run, shape ``(M, n + 1, m)`` with ``n``
+    the steps of its grid, and the counts of all runs per lane, shape
+    ``(M, 4)``, in the fields' order of :class:`SolveStats` (see
+    :meth:`SolveStats.of`).
+
+    Raises:
+        StepTooLargeError: ``kappa * theta * mesh`` of a run exceeds the
+            solvability guard; the guards are checked before the first
+            step, and a lane's failure in an earlier run comes first.
+        SolverError: the scalar integrator's error for the failing lane's
+            first failing run, with the step index of that run, the path
+            index and the path seed in its message, the path index in
+            ``path`` and the lane in ``lane``.
+    """
+    cfg = cfg or DEFAULT_SOLVE_CONFIG
+    x0 = _check_inputs(spec, block.dim, block.hursts, x0)
+    runs = list(runs)
+    stop = None
+    for i, (ratio, theta) in enumerate(runs):
+        mesh = block.grid.subsample(ratio).mesh
+        try:
+            _check_step_guard(spec, theta * mesh, cfg)
+        except StepTooLargeError as exc:
+            # The runs before it still run first, as a sequence of
+            # one-run calls would run them.
+            stop, runs = exc, runs[:i]
+            break
+    try:
+        out = _advance(spec, block, x0, runs, cfg)
+    except SolverError as exc:
+        lane = exc.lane
+        if len(runs) > 1:
+            one = block.select(slice(lane, lane + 1))
+            for run in runs:
+                try:
+                    _advance(spec, one, x0, [run], cfg)
+                except SolverError as first:
+                    exc = first
+                    break
+        name_path(exc, block, lane)
+        raise exc
+    if stop is not None:
+        raise stop
+    return out
+
+
+def _advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
+             runs: list[tuple[int, float]], cfg: SolveConfig
+             ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The pass of :func:`backward_euler_runs` after its checks; a failure
+    carries its lane in ``lane`` and is not yet named."""
+    lanes = block.values.shape[0]
+    times = block.grid.times
+    values = block.values
+    states = [np.empty((lanes, block.grid.n_steps // ratio + 1, spec.dim))
+              for ratio, _ in runs]
+    for run in states:
+        run[:, 0] = x0
+    # Per run and lane: the counts of _newton_rows summed over the run's
+    # steps, and the most iterations of one step.
+    sums = np.zeros((len(runs), lanes, 3), dtype=np.int64)
+    most = np.zeros((len(runs), lanes), dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for k in range(block.grid.n_steps):
+            # (run, its step index) of every run that solves.
+            members: list[tuple[int, int]] = []
+            targets, steps = [], []
+            for r, (ratio, theta) in enumerate(runs):
+                if (k + 1) % ratio:
+                    continue
+                j = (k + 1) // ratio - 1
+                delta = times[k + 1] - times[k + 1 - ratio]
+                c = states[r][:, j]
+                if theta < 1.0:
+                    c = c + (1.0 - theta) * delta * spec.eval_rows(states[r][:, j])
+                c = c + (values[:, k + 1] - values[:, k + 1 - ratio])
+                if theta == 0.0:
+                    states[r][:, j + 1] = c
+                    continue
+                members.append((r, j))
+                targets.append(c)
+                steps.append(np.full((lanes, 1), theta * delta))
+            if not members:
+                continue
+            c, step = (targets[0], steps[0]) if len(members) == 1 \
+                else (np.concatenate(targets), np.concatenate(steps))
+            # A row with a non-finite target always falls back.
+            y, tally, fallback = _newton_rows(spec, step, c, cfg)
+            for row in np.flatnonzero(fallback):
+                member, lane = divmod(int(row), lanes)
+                r, j = members[member]
+                try:
+                    if runs[r][1] < 1.0 and not np.all(np.isfinite(c[row])):
+                        raise _explicit_overflow(j)
+                    y[row] = solve_backward_step(spec, step[row, 0], c[row], cfg).y
+                except SolverError as exc:
+                    _attach_step(exc, j)
+                    exc.lane = lane
+                    raise
+            for m, (r, j) in enumerate(members):
+                rows = slice(m * lanes, (m + 1) * lanes)
+                states[r][:, j + 1] = y[rows]
+                sums[r] += tally[rows]
+                np.maximum(most[r], tally[rows, 0], out=most[r])
+    total = sums.sum(axis=0)
+    return states, np.column_stack([total[:, 0], most.max(axis=0, initial=0),
+                                    total[:, 1], total[:, 2]])
 
 
 def backward_euler_block(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
                          cfg: SolveConfig | None = None, ratio: int = 1,
                          theta: float = 1.0) -> tuple[np.ndarray, SolveStats]:
     """The θ-method (implicit Euler by default) on every lane of ``block``
-    from the common start ``x0``, each lane as its scalar integrator runs.
-
-    ``ratio > 1`` runs on the coarse grid that keeps every ``ratio``-th
-    node of the block's grid.  Returns the states, shape ``(M, n + 1, m)``
-    with ``n`` the steps of that grid, and the counts of the run.
-
-    Raises:
-        StepTooLargeError: ``kappa * theta * mesh`` exceeds the solvability
-            guard; checked once, before the first step.
-        SolverError: the scalar integrator's error for the first failing
-            lane of the first failing step, with the step index, the path
-            index and the path seed in its message, and the path index in
-            ``path``.
-    """
-    cfg = cfg or DEFAULT_SOLVE_CONFIG
-    x0 = _check_inputs(spec, block, x0)
-    grid = block.grid.subsample(ratio)
-    _check_step_guard(spec, theta * grid.mesh, cfg)
-    times = grid.times
-    values = block.values[:, ::ratio]
-    states = np.empty((values.shape[0], times.size, spec.dim))
-    states[:, 0] = x0
-    total = most = halved = fallbacks = 0
-    with np.errstate(all="ignore"):
-        for k in range(times.size - 1):
-            delta = times[k + 1] - times[k]
-            c = states[:, k]
-            if theta < 1.0:
-                c = c + (1.0 - theta) * delta * spec.eval_rows(states[:, k])
-            c = c + (values[:, k + 1] - values[:, k])
-            if theta == 0.0:
-                states[:, k + 1] = c
-                continue
-            # A lane with a non-finite target always falls back.
-            y, iterations, halvings, fallback = _newton_rows(spec, theta * delta,
-                                                             c, cfg)
-            for lane in np.flatnonzero(fallback):
-                try:
-                    if theta < 1.0 and not np.all(np.isfinite(c[lane])):
-                        raise _explicit_overflow(k)
-                    y[lane] = solve_backward_step(spec, theta * delta, c[lane],
-                                                  cfg).y
-                except SolverError as exc:
-                    _attach_step(exc, k)
-                    name_path(exc, block, lane)
-                    raise
-            states[:, k + 1] = y
-            total += int(iterations.sum())
-            most = max(most, int(iterations.max()))
-            halved += halvings
-            fallbacks += int(fallback.sum())
-    return states, SolveStats(newton_iterations=total, max_iterations=most,
-                              halvings=halved, fallbacks=fallbacks)
+    on the grid that keeps every ``ratio``-th node: the one-run call of
+    :func:`backward_euler_runs`.  Returns the states, shape
+    ``(M, n + 1, m)``, and the counts of the run."""
+    (states,), counts = backward_euler_runs(spec, block, x0, [(ratio, theta)], cfg)
+    return states, SolveStats.of(counts)
 
 
 def name_path(exc: SolverError, block: NoiseBlock, lane: int) -> None:
-    """Record the failing lane's path index in ``exc`` and name the path
-    and its seed in the message, so the run can be replayed."""
-    exc.path = block.first + lane
+    """Record the failing lane and its path index in ``exc`` and name the
+    path and its seed in the message, so the run can be replayed."""
+    exc.lane = lane
+    exc.path = block.indices[lane]
     exc.args = (f"{exc.args[0]} (path {exc.path}, "
                 f"path seed {block.seeds[lane]})",)
 
 
 def lowest_failure(run: Callable[[NoiseBlock], T], block: NoiseBlock) -> T:
-    """``run(block)``, failing with the error of the lowest failing path.
+    """``run(block)``, failing with the error of the lowest failing lane.
 
     When a lane fails, the lanes before it run again on their own; a
     failure there is raised instead.  The error therefore names the same
     path, with the same message, whatever the block partition, as a loop
-    over single paths in index order would.
+    over single lanes in order would.
     """
     try:
         return run(block)
     except SolverError as exc:
-        if exc.path is None or exc.path == block.first:
+        if not exc.lane:
             raise
-        lowest_failure(run, block.head(exc.path - block.first))
+        lowest_failure(run, block.select(slice(exc.lane)))
         raise

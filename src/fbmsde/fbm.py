@@ -15,6 +15,7 @@ count.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,10 +155,32 @@ def _cholesky_with_jitter(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
             f"within tolerance {tol:g}") from exc
 
 
+class _LruCache(OrderedDict):
+    """A dict that keeps its ``maxsize`` most recently used entries."""
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize = maxsize
+
+    def get(self, key, default=None):
+        if key not in self:
+            return default
+        self.move_to_end(key)
+        return self[key]
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        while len(self) > self.maxsize:
+            self.popitem(last=False)
+
+
 # Factor caches keyed by (grid bytes, h) and (n, h).  Entries are read-only
 # arrays; a rare concurrent recompute is harmless because results are equal.
-_LEVEL_FACTOR_CACHE: dict[tuple[bytes, float], np.ndarray] = {}
-_FGN_COEFF_CACHE: dict[tuple[int, float], np.ndarray] = {}
+# A sweep draws its lanes Hurst value by Hurst value, so a few entries
+# suffice; a Cholesky factor of a 2048-node grid alone is 32 MB.
+_LEVEL_FACTOR_CACHE = _LruCache(maxsize=4)
+_FGN_COEFF_CACHE = _LruCache(maxsize=16)
 
 
 def _level_factor(grid: Partition, h: float) -> np.ndarray:

@@ -6,12 +6,15 @@ the restriction of that path's master noise, so error estimates compare
 schemes on identical randomness.  Per-path seeds derive from the master seed
 by path index, which makes results independent of the worker count.
 
-The noise of a Monte Carlo run is an :class:`Ensemble`.  :func:`map_blocks`
-splits its paths into blocks of consecutive indices, one or more per
-worker, and hands each block to a block function that integrates every
-scheme for the whole block at once with :mod:`fbmsde.engine`.  Neither a
-path's result nor the path a failure names depends on the blocks.  Single
-paths go through :func:`run_scheme` to the scalar integrators.
+The noise of a Monte Carlo run is an :class:`Ensemble` of lanes: the
+paths of every Hurst value, Hurst-major.  :func:`map_blocks` splits the
+lanes into blocks of consecutive lanes whose sizes differ by at most one,
+one or more per worker, and hands each block to a block function that
+integrates the reference and every scheme run for the whole block in one
+pass with :func:`fbmsde.engine.backward_euler_runs`; a rate sweep is one
+such call of :func:`map_blocks`.  Neither a lane's result nor the path a
+failure names depends on the blocks.  Single paths go through
+:func:`run_scheme` to the scalar integrators.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from .drifts import DriftSpec, get_drift, make_linear_drift
 from .engine import (
     NoiseBlock,
     SolveStats,
-    backward_euler_block,
+    backward_euler_runs,
     block_count,
     block_range,
-    block_size,
     lowest_failure,
     sq_norms,
 )
@@ -71,7 +73,8 @@ class ExperimentConfig:
 
     ``meshes`` are coarse step sizes; each must be an integer multiple of
     ``master_mesh`` and divide ``t_final`` into whole steps.  ``hurst_values``
-    lists the Hurst indices to sweep; rate runs take them one at a time.
+    lists the Hurst indices to sweep; a rate run takes them all in one
+    pass, and a stability run takes one.
     ``linear_matrix`` feeds the ``linear`` drift, which has no registry entry
     of its own because it is parameterized.
     """
@@ -302,14 +305,17 @@ def run_scheme(scheme: str, spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
 
 @dataclass(frozen=True)
 class Ensemble:
-    """The noise paths of one Monte Carlo run on its master grid.
+    """The noise paths of one Monte Carlo run on its master grid, for one
+    or more Hurst vectors.
 
-    Path ``i`` is drawn from ``child_seed(seed, i)``, or is zero when
-    ``zero_noise`` is set, so it does not depend on how paths are split.
+    The lanes run Hurst-major: lane ``i`` is path ``i % paths`` of the
+    Hurst vector ``hursts[i // paths]``, drawn from
+    ``child_seed(seed, i % paths)``, or zero when ``zero_noise`` is set, so
+    it does not depend on how lanes are split.
     """
 
     grid: Partition
-    hurst: HurstVector
+    hursts: tuple[HurstVector, ...]
     paths: int
     seed: int
     sampler: str
@@ -318,56 +324,65 @@ class Ensemble:
     @classmethod
     def of(cls, cfg: ExperimentConfig, spec: DriftSpec, grid: Partition
            ) -> "Ensemble":
-        """The ensemble of a one-Hurst-value experiment on ``grid``."""
+        """The ensemble of every Hurst value of an experiment on ``grid``."""
         return cls(grid=grid,
-                   hurst=HurstVector.constant(cfg.hurst_values[0], spec.dim),
+                   hursts=tuple(HurstVector.constant(h, spec.dim)
+                                for h in cfg.hurst_values),
                    paths=cfg.mc_paths, seed=cfg.seed, sampler=cfg.sampler,
                    zero_noise=cfg.zero_noise)
 
-    def path(self, index: int) -> FbmPath:
+    @property
+    def lanes(self) -> int:
+        return len(self.hursts) * self.paths
+
+    def path(self, lane: int) -> FbmPath:
+        hurst = self.hursts[lane // self.paths]
         if self.zero_noise:
-            return zero_path(self.grid, self.hurst)
-        return sample_multi(self.grid, self.hurst, child_seed(self.seed, index),
+            return zero_path(self.grid, hurst)
+        return sample_multi(self.grid, hurst, child_seed(self.seed, lane % self.paths),
                             method=self.sampler)
 
+    def block(self, lanes: range) -> NoiseBlock:
+        """The noise block of ``lanes``."""
+        return NoiseBlock.stack([self.path(i) for i in lanes],
+                                [i % self.paths for i in lanes])
 
-def _run_block(run: Callable[[NoiseBlock], object], size: int,
+
+def _run_block(run: Callable[[NoiseBlock], object], count: int,
                ensemble: Ensemble, block: int) -> object:
-    indices = block_range(block, ensemble.paths, size)
-    return lowest_failure(run, NoiseBlock.stack(
-        [ensemble.path(i) for i in indices], indices.start))
+    return lowest_failure(run, ensemble.block(block_range(block, ensemble.lanes,
+                                                          count)))
 
 
 def map_blocks(run: Callable[[NoiseBlock], object], ensemble: Ensemble,
                threads: int = 1) -> list:
-    """``run`` on every block of the ensemble's paths, in path order.
+    """``run`` on every block of the ensemble's lanes, in lane order.
 
     ``run`` must pickle when ``threads > 1``: a :func:`functools.partial`
     of a module-level block function does.  A failure is that of the
-    lowest failing path (see :func:`~fbmsde.engine.lowest_failure`).
+    lowest failing lane (see :func:`~fbmsde.engine.lowest_failure`).
     """
-    size = block_size(ensemble.paths, threads)
-    return map_indexed(partial(_run_block, run, size), ensemble,
-                       block_count(ensemble.paths, size), threads)
+    count = block_count(ensemble.lanes, threads)
+    return map_indexed(partial(_run_block, run, count), ensemble, count, threads)
 
 
 def _rate_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
-                ) -> tuple[np.ndarray, np.ndarray, SolveStats]:
-    x0 = np.asarray(cfg.x0, dtype=np.float64)
-    solve_cfg = cfg.solve_config()
-    ref, stats = backward_euler_block(spec, noise, x0, solve_cfg)
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per lane: the squared terminal and sup errors of every mesh, and
+    the solve counts of the reference and every mesh."""
+    ratios = [_int_ratio(mesh, cfg.master_mesh) for mesh in cfg.meshes]
+    theta = THETA[cfg.schemes[0]]
+    (ref, *coarse), counts = backward_euler_runs(
+        spec, noise, np.asarray(cfg.x0, dtype=np.float64),
+        [(1, 1.0)] + [(ratio, theta) for ratio in ratios], cfg.solve_config())
     sq_terminal = np.empty((ref.shape[0], len(cfg.meshes)))
     sq_sup = np.empty((ref.shape[0], len(cfg.meshes)))
     with np.errstate(all="ignore"):
-        for i, mesh in enumerate(cfg.meshes):
-            ratio = _int_ratio(mesh, cfg.master_mesh)
-            states, run_stats = backward_euler_block(
-                spec, noise, x0, solve_cfg, ratio, THETA[cfg.schemes[0]])
-            stats = stats + run_stats
+        for i, (ratio, states) in enumerate(zip(ratios, coarse)):
             sq_terminal[:, i] = sq_norms(ref[:, -1] - states[:, -1])
             diff_all = ref[:, ::ratio] - states
             sq_sup[:, i] = np.max(np.sum(diff_all * diff_all, axis=2), axis=1)
-    return sq_terminal, sq_sup, stats
+    return sq_terminal, sq_sup, counts
 
 
 def _mean_sqrt_with_se(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,25 +398,9 @@ def _mean_sqrt_with_se(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eps, np.where(eps > 0.0, se_mean / (2.0 * safe), 0.0)
 
 
-def mc_strong_error(cfg: ExperimentConfig) -> RateReport:
-    """Strong terminal error of one scheme against the implicit reference.
-
-    Requires exactly one Hurst value; sweeps live in the caller.  The
-    pairwise order between consecutive meshes and a least-squares slope are
-    attached when two or more meshes are present.
-    """
-    spec = validate_rate_config(cfg)
-    if len(cfg.hurst_values) != 1:
-        raise ConfigError("mc_strong_error runs one Hurst value at a time; "
-                          "sweep by calling it per value")
-    h = cfg.hurst_values[0]
-    grid = Partition.uniform(cfg.t_final, _int_ratio(cfg.t_final, cfg.master_mesh))
-    blocks = map_blocks(partial(_rate_block, cfg, spec),
-                        Ensemble.of(cfg, spec, grid), cfg.threads)
-    sq_terminal = np.concatenate([b[0] for b in blocks])
-    sq_sup = np.concatenate([b[1] for b in blocks])
-    stats = sum((b[2] for b in blocks), SolveStats())
-
+def _rate_report(cfg: ExperimentConfig, h: float, sq_terminal: np.ndarray,
+                 sq_sup: np.ndarray, stats: SolveStats) -> RateReport:
+    """The table of one Hurst value from its lanes' squared errors."""
     errors, stderrs = _mean_sqrt_with_se(sq_terminal)
     sup_errors = _mean_sqrt_with_se(sq_sup)[0] if cfg.sup_error else None
 
@@ -419,6 +418,44 @@ def mc_strong_error(cfg: ExperimentConfig) -> RateReport:
                       errors=errors, stderrs=stderrs, pairwise_orders=orders,
                       slope=slope, slope_stderr=slope_stderr,
                       sup_errors=sup_errors, solve_stats=stats)
+
+
+def sweep_strong_error(cfg: ExperimentConfig) -> list[RateReport]:
+    """Strong terminal error of one scheme against the implicit reference,
+    one table per configured Hurst value.
+
+    Every Hurst value, the reference on the master grid and every coarse
+    mesh run as lanes and runs of one :func:`map_blocks` pass.  The tables,
+    their counts and a failure's message are those of one run per Hurst
+    value in turn.  The pairwise order between consecutive meshes and a
+    least-squares slope are attached when two or more meshes are present.
+    """
+    # One Hurst value at a time, so a bad value reports as it would alone.
+    spec = None
+    for h in cfg.hurst_values:
+        spec = validate_rate_config(replace(cfg, hurst_values=(h,)))
+    if spec is None:
+        return []
+    grid = Partition.uniform(cfg.t_final, _int_ratio(cfg.t_final, cfg.master_mesh))
+    blocks = map_blocks(partial(_rate_block, cfg, spec),
+                        Ensemble.of(cfg, spec, grid), cfg.threads)
+    sq_terminal, sq_sup, counts = (np.concatenate([b[i] for b in blocks])
+                                   for i in range(3))
+    reports = []
+    for i, h in enumerate(cfg.hurst_values):
+        lanes = slice(i * cfg.mc_paths, (i + 1) * cfg.mc_paths)
+        reports.append(_rate_report(cfg, h, sq_terminal[lanes], sq_sup[lanes],
+                                    SolveStats.of(counts[lanes])))
+    return reports
+
+
+def mc_strong_error(cfg: ExperimentConfig) -> RateReport:
+    """The one-Hurst-value call of :func:`sweep_strong_error`."""
+    validate_rate_config(cfg)
+    if len(cfg.hurst_values) != 1:
+        raise ConfigError("mc_strong_error runs one Hurst value at a time; "
+                          "sweep with sweep_strong_error")
+    return sweep_strong_error(cfg)[0]
 
 
 def stability_compare(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
@@ -456,13 +493,10 @@ def stability_compare(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
 
 def _bias_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
                 ) -> tuple[np.ndarray, np.ndarray]:
-    x0 = np.asarray(cfg.x0, dtype=np.float64)
-    solve_cfg = cfg.solve_config()
-    ref_fine, _ = backward_euler_block(spec, noise, x0, solve_cfg)
-    ref_half, _ = backward_euler_block(spec, noise, x0, solve_cfg, ratio=2)
-    y, _ = backward_euler_block(spec, noise, x0, solve_cfg,
-                                2 * _int_ratio(min(cfg.meshes), cfg.master_mesh),
-                                THETA[cfg.schemes[0]])
+    ratio = 2 * _int_ratio(min(cfg.meshes), cfg.master_mesh)
+    (ref_fine, ref_half, y), _ = backward_euler_runs(
+        spec, noise, np.asarray(cfg.x0, dtype=np.float64),
+        [(1, 1.0), (2, 1.0), (ratio, THETA[cfg.schemes[0]])], cfg.solve_config())
     return (sq_norms(ref_fine[:, -1] - y[:, -1]),
             sq_norms(ref_half[:, -1] - y[:, -1]))
 
@@ -489,11 +523,3 @@ def reference_bias_check(cfg: ExperimentConfig) -> float:
     if eps_fine == 0.0 and eps_half == 0.0:
         return 0.0
     return abs(eps_fine - eps_half) / max(eps_fine, eps_half)
-
-
-def sweep_strong_error(cfg: ExperimentConfig) -> list[RateReport]:
-    """Run :func:`mc_strong_error` once per configured Hurst value."""
-    reports = []
-    for h in cfg.hurst_values:
-        reports.append(mc_strong_error(replace(cfg, hurst_values=(h,))))
-    return reports

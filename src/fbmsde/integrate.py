@@ -22,12 +22,13 @@ targets is defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
 from .drifts import DriftSpec
 from .errors import DomainError, NoConvergenceError, SolverError, StepTooLargeError
-from .fbm import FbmPath
+from .fbm import FbmPath, HurstVector
 from .grids import Partition, nested_indices
 from .solver import (
     DEFAULT_SOLVE_CONFIG,
@@ -108,15 +109,19 @@ class FundamentalMatrixPath:
         return self.matrices.shape[1]
 
 
-def _check_inputs(spec: DriftSpec, noise: FbmPath, x0: np.ndarray) -> np.ndarray:
-    if noise.dim != spec.dim:
+def _check_inputs(spec: DriftSpec, dim: int, hursts: Iterable[HurstVector],
+                  x0: np.ndarray) -> np.ndarray:
+    """Check noise of ``dim`` coordinates with the Hurst vectors ``hursts``
+    and the start ``x0``; returns ``x0`` as a state."""
+    if dim != spec.dim:
         raise DomainError(
-            f"noise has {noise.dim} coordinates but drift {spec.name!r} "
+            f"noise has {dim} coordinates but drift {spec.name!r} "
             f"expects {spec.dim}")
-    if noise.hurst.min() <= 0.5:
+    lowest = min(h.min() for h in hursts)
+    if lowest <= 0.5:
         raise DomainError(
             f"integration requires every Hurst component above 1/2, "
-            f"got minimum {noise.hurst.min()}")
+            f"got minimum {lowest}")
     x0 = spec.check_state(np.atleast_1d(np.asarray(x0, dtype=np.float64)))
     if not np.all(np.isfinite(x0)):
         raise DomainError(f"start x0 must be finite, got {x0.tolist()}")
@@ -139,7 +144,7 @@ def _theta_method(scheme: str, spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
     node and θ = 0 solves nothing.  ``stability_mode`` records a non-finite
     target or a solver failure as non-finite states instead of raising."""
     theta = THETA[scheme]
-    x0 = _check_inputs(spec, noise, x0)
+    x0 = _check_inputs(spec, noise.dim, (noise.hurst,), x0)
     _check_step_guard(spec, theta * noise.grid.mesh, cfg)
     times = noise.grid.times
     states = np.empty((times.size, spec.dim))

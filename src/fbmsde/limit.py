@@ -33,7 +33,7 @@ import numpy as np
 # and fundamental_matrix_reference under these names.
 from ._parallel import map_indexed  # noqa: F401
 from .drifts import DriftSpec
-from .engine import NoiseBlock, backward_euler_block, name_path, sq_norms
+from .engine import NoiseBlock, backward_euler_runs, name_path, sq_norms
 from .errors import ConfigError, DomainError, GridError, StepTooLargeError
 from .fbm import FbmPath, HurstVector, sample_multi  # noqa: F401
 from .grids import Partition, nested_indices
@@ -251,11 +251,11 @@ def _limit_block(spec: DriftSpec, x0: np.ndarray, n_values: tuple[int, ...],
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per lane: ``|n Z - U|`` and ``|n Z|`` for every ``n``, and ``|U|``."""
     grid = noise.grid
-    ref, _ = backward_euler_block(spec, noise, x0, cfg)
-    rescaled = np.stack(
-        [float(n) * (ref[:, -1] - backward_euler_block(
-            spec, noise, x0, cfg, grid.n_steps // n)[0][:, -1])
-         for n in n_values], axis=1)
+    (ref, *coarse), _ = backward_euler_runs(
+        spec, noise, x0, [(1, 1.0)] + [(grid.n_steps // n, 1.0) for n in n_values],
+        cfg)
+    rescaled = np.stack([float(n) * (ref[:, -1] - states[:, -1])
+                         for n, states in zip(n_values, coarse)], axis=1)
     try:
         flows = fundamental_matrix_block(spec, grid, ref)
     except StepTooLargeError as exc:
@@ -307,7 +307,7 @@ def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
 
     run = partial(_limit_block, spec, np.atleast_1d(np.asarray(x0, dtype=np.float64)),
                   n_values, SolveConfig(tol=float(tol)))
-    ensemble = Ensemble(grid=Partition.uniform(float(t), master_n), hurst=hurst,
+    ensemble = Ensemble(grid=Partition.uniform(float(t), master_n), hursts=(hurst,),
                         paths=mc_paths, seed=int(seed), sampler=sampler)
     blocks = map_blocks(run, ensemble, threads)
     dists, nz, u_norms = (np.concatenate([b[i] for b in blocks]) for i in range(3))

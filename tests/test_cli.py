@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -403,8 +404,7 @@ def test_rate_manifest_is_identical_across_threads(tmp_path):
                          "--threads", threads, "--out", str(outdir)]) == 0
             outputs.append({p.name: p.read_bytes()
                             for p in sorted(outdir.glob("rate_report*.csv"))})
-            outputs[-1]["meta.json"] = (outdir / "meta.json").read_bytes().replace(
-                str(outdir).encode(), b"OUT")
+            outputs[-1]["meta.json"] = (outdir / "meta.json").read_bytes()
         assert len(outputs[0]) == 5
         assert outputs[0] == outputs[1] == outputs[2]
         manifest = json.loads(outputs[0]["meta.json"])
@@ -507,6 +507,23 @@ def test_stability_pipeline_writes_table(tmp_path):
     schemes = {l.split(",")[0] for l in lines[1:]}
     assert schemes == {"em", "cn", "bem", "reference"}
     assert len(lines) == 1 + 4 * 9
+
+
+@pytest.mark.parametrize("subcommand, text", [("rate", RATE_CFG),
+                                               ("stability", STAB_CFG),
+                                               ("limit", LIMIT_CFG)],
+                         ids=["rate", "stability", "limit"])
+def test_manifests_do_not_depend_on_where_a_run_writes(tmp_path, subcommand, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    manifests = []
+    for outdir in (tmp_path / "a", tmp_path / "a much longer" / "output directory"):
+        assert main([subcommand, "--config", str(cfg), "--out", str(outdir)]) == 0
+        manifests.append((outdir / "meta.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    meta = json.loads(manifests[0])
+    assert "out" not in meta["config"]
+    assert all(os.sep not in name for name in meta["outputs"])
 
 
 @pytest.mark.parametrize("subcommand, text", [("stability", STAB_CFG),

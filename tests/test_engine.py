@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbmsde import (
     DriftSpec,
@@ -11,6 +13,7 @@ from fbmsde import (
     NoConvergenceError,
     Partition,
     SolveConfig,
+    SolverError,
     StepTooLargeError,
     backward_euler,
     child_seed,
@@ -29,11 +32,12 @@ from fbmsde.integrate import THETA
 from fbmsde.engine import (
     BLOCK_PATHS,
     NoiseBlock,
+    SolveStats,
     _newton_updates,
     backward_euler_block,
+    backward_euler_runs,
     block_count,
     block_range,
-    block_size,
     lowest_failure,
 )
 
@@ -71,7 +75,7 @@ def test_lanes_match_scalar_backward_euler(name, scheme):
     spec, x0 = CASES[name]
     x0 = np.array(x0)
     paths = _paths(spec.dim)
-    block = NoiseBlock.stack(paths, 0)
+    block = NoiseBlock.stack(paths)
     worst = 0.0
     for ratio in (1, 4):
         states, stats = backward_euler_block(spec, block, x0, ratio=ratio,
@@ -92,10 +96,11 @@ def test_lanes_match_scalar_backward_euler(name, scheme):
 def test_lanes_do_not_depend_on_block_size():
     x0 = np.array([1.0, 1.0])
     paths = _paths(2, count=15)
-    whole, _ = backward_euler_block(PLANAR_CUBIC, NoiseBlock.stack(paths, 0), x0)
+    whole, _ = backward_euler_block(PLANAR_CUBIC, NoiseBlock.stack(paths), x0)
     for size in (1, 7):
         parts = [backward_euler_block(PLANAR_CUBIC,
-                                      NoiseBlock.stack(paths[s:s + size], s), x0)[0]
+                                      NoiseBlock.stack(paths[s:s + size],
+                                                       range(s, len(paths))[:size]), x0)[0]
                  for s in range(0, len(paths), size)]
         assert np.array_equal(np.concatenate(parts), whole)
 
@@ -106,8 +111,10 @@ def _stalling_block(jumps):
     values = np.zeros((len(jumps), GRID.times.size, 1))
     for lane, (step, size) in enumerate(jumps):
         values[lane, step + 1:, 0] = size
-    return NoiseBlock(grid=GRID, values=values, hurst=HurstVector.constant(0.7, 1),
-                      first=40, seeds=tuple(range(100, 100 + len(jumps))))
+    return NoiseBlock(grid=GRID, values=values,
+                      hursts=(HurstVector.constant(0.7, 1),) * len(jumps),
+                      indices=tuple(range(40, 40 + len(jumps))),
+                      seeds=tuple(range(100, 100 + len(jumps))))
 
 
 def test_forced_stall_raises_the_scalar_error():
@@ -131,14 +138,14 @@ def test_fallback_reproduces_the_scalar_bisection_rescue():
     cfg = SolveConfig(max_iter=1)
     x0 = np.array([2.0])
     paths = _paths(1, count=3)
-    states, stats = backward_euler_block(CUBIC1D, NoiseBlock.stack(paths, 0), x0, cfg)
+    states, stats = backward_euler_block(CUBIC1D, NoiseBlock.stack(paths), x0, cfg)
     assert stats.fallbacks > 0
     for lane, path in enumerate(paths):
         assert np.array_equal(states[lane], backward_euler(CUBIC1D, path, x0, cfg).states)
 
 
 def test_guard_is_checked_once_before_stepping():
-    block = NoiseBlock.stack(_paths(1, count=2), 0)
+    block = NoiseBlock.stack(_paths(1, count=2))
     coarse_ratio = 256          # one step of length 1.0: kappa * mesh = 1 > 0.9
     with pytest.raises(StepTooLargeError, match="solvability guard"):
         backward_euler_block(DOUBLEWELL1D, block, np.array([0.0]), ratio=coarse_ratio)
@@ -152,7 +159,7 @@ def test_spec_without_batched_callables_runs_through_the_adapter(monkeypatch):
     assert spec.eval_batch is None and spec.jacobian_batch is None
     x0 = np.array([1.5])
     paths = _paths(1, count=4)
-    states, _ = backward_euler_block(spec, NoiseBlock.stack(paths, 0), x0)
+    states, _ = backward_euler_block(spec, NoiseBlock.stack(paths), x0)
     for lane, path in enumerate(paths):
         want = backward_euler(spec, path, x0).states
         worst = np.max(np.abs(states[lane] - want) / np.maximum(1.0, np.abs(want)))
@@ -177,9 +184,7 @@ def test_lowest_failing_path_is_named_whatever_the_partition():
     for size in (1, 2, 4):
         with pytest.raises(NoConvergenceError) as err:
             for start in range(0, 4, size):
-                part = NoiseBlock(grid=GRID, values=block.values[start:start + size],
-                                  hurst=block.hurst, first=block.first + start,
-                                  seeds=block.seeds[start:start + size])
+                part = block.select(slice(start, start + size))
                 lowest_failure(lambda b: backward_euler_block(CUBIC1D, b, x0), part)
         assert err.value.path == 41 and err.value.step == 5
         assert str(err.value).endswith("(path 41, path seed 101)")
@@ -202,9 +207,7 @@ def test_lowest_non_finite_cn_target_is_named_whatever_the_partition():
     for size in (1, 4):
         with pytest.raises(NoConvergenceError) as err:
             for start in range(0, 4, size):
-                part = NoiseBlock(grid=GRID, values=block.values[start:start + size],
-                                  hurst=block.hurst, first=block.first + start,
-                                  seeds=block.seeds[start:start + size])
+                part = block.select(slice(start, start + size))
                 lowest_failure(lambda b: backward_euler_block(
                     CUBIC1D, b, x0, theta=THETA["cn"]), part)
         assert err.value.path == 41 and err.value.step == 5
@@ -220,7 +223,7 @@ def test_singular_newton_rows_are_non_finite():
                      jacobian=lambda x: np.eye(2), kappa=2.0, mu=1.0,
                      jacobian_batch=lambda xs: jac)
     res = np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.5]])
-    updates = _newton_updates(spec, delta, np.zeros((3, 2)), res)
+    updates = _newton_updates(spec, np.full((3, 1), delta), np.zeros((3, 2)), res)
     assert not np.any(np.isfinite(updates[1]))
     for j in (0, 2):
         want = np.linalg.solve(np.eye(2) - delta * jac[j], -res[j])
@@ -228,11 +231,106 @@ def test_singular_newton_rows_are_non_finite():
 
 
 def test_blocks_cover_every_path_once():
-    for paths in (1, 7, 63, 64, 65, 200):
+    for paths in (1, 7, 63, 64, 65, 80, 200):
         for threads in (1, 2, 3, 8):
-            size = block_size(paths, threads)
-            assert 1 <= size <= BLOCK_PATHS
-            count = block_count(paths, size)
+            count = block_count(paths, threads)
             assert count >= min(paths, threads)
-            covered = [i for b in range(count) for i in block_range(b, paths, size)]
-            assert covered == list(range(paths))
+            ranges = [block_range(b, paths, count) for b in range(count)]
+            sizes = {len(r) for r in ranges}
+            assert max(sizes) - min(sizes) <= 1
+            assert 1 <= min(sizes) and max(sizes) <= BLOCK_PATHS
+            assert [i for r in ranges for i in r] == list(range(paths))
+    # The 80 lanes of a four-Hurst-value sweep of 20 paths: 40 + 40.
+    assert [len(block_range(b, 80, block_count(80))) for b in range(2)] == [40, 40]
+
+
+RUN_DRIFTS = {"cubic1d": (CUBIC1D, [1.5]), "doublewell1d": (DOUBLEWELL1D, [0.3]),
+              "planar_cubic": (PLANAR_CUBIC, [1.0, 1.0])}
+RUN_GRID = Partition.uniform(1.0, 64)
+
+
+@given(drift=st.sampled_from(sorted(RUN_DRIFTS)),
+       runs=st.lists(st.tuples(st.sampled_from([1, 2, 4, 8, 16]),
+                               st.sampled_from(sorted(THETA))),
+                     min_size=1, max_size=5),
+       lanes=st.integers(1, 5), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_runs_pass_equals_one_run_calls(drift, runs, lanes, seed):
+    spec, x0 = RUN_DRIFTS[drift]
+    x0 = np.array(x0)
+    hv = HurstVector.constant(0.7, spec.dim)
+    block = NoiseBlock.stack([sample_multi(RUN_GRID, hv, child_seed(seed, i))
+                              for i in range(lanes)])
+    pairs = [(ratio, THETA[scheme]) for ratio, scheme in runs]
+    states, counts = backward_euler_runs(spec, block, x0, pairs)
+    assert counts.shape == (lanes, 4)
+    total = SolveStats()
+    for (ratio, theta), got in zip(pairs, states):
+        want, stats = backward_euler_block(spec, block, x0, ratio=ratio, theta=theta)
+        assert np.array_equal(got, want)
+        total = total + stats
+    assert SolveStats.of(counts) == total
+
+
+def test_runs_pass_stats_split_by_lane():
+    # Per-lane counts of a pass add up to the counts of each lane run alone.
+    x0 = np.array([1.0, 1.0])
+    paths = _paths(2, count=4)
+    block = NoiseBlock.stack(paths)
+    runs = [(1, 1.0), (4, THETA["cn"]), (8, 1.0)]
+    _, counts = backward_euler_runs(PLANAR_CUBIC, block, x0, runs)
+    for lane in range(4):
+        alone = backward_euler_runs(PLANAR_CUBIC, NoiseBlock.stack([paths[lane]]), x0,
+                                    runs)[1]
+        assert np.array_equal(counts[lane], alone[0])
+
+
+def test_runs_pass_raises_a_guard_after_the_runs_before_it():
+    # Path 41 stalls in the first run, and the second run's one step of
+    # length 1 is too large for the double well's guard.  One-run calls in
+    # order raise the stall of a lane that reaches it and the guard error
+    # for a block whose first lane does not.
+    block = _stalling_block([(0, 0.1), (0, 1e5)])
+    x0 = np.array([0.5])
+    runs = [(1, 1.0), (256, 1.0)]
+
+    def one_run_calls(b):
+        return [backward_euler_block(DOUBLEWELL1D, b, x0, ratio=r, theta=t)
+                for r, t in runs]
+
+    for part in (block, block.select(slice(1, 2))):
+        for run in (one_run_calls,
+                    lambda b: backward_euler_runs(DOUBLEWELL1D, b, x0, runs)):
+            with pytest.raises(SolverError) as err:
+                lowest_failure(run, part)
+            if part is block:
+                assert isinstance(err.value, StepTooLargeError)
+                assert "solvability guard" in str(err.value)
+            else:
+                assert isinstance(err.value, NoConvergenceError)
+                assert str(err.value).endswith("(path 41, path seed 101)")
+
+
+def test_failing_lane_reports_its_first_failing_run():
+    # Lane 1 jumps by 1e5 at node 6.  The run of ratio 2 stalls on it at
+    # its step 2 (master step 5), the run of ratio 8 at its step 0 (master
+    # step 7); with the ratio-8 run first, one-run calls in order report
+    # its stall, and so must the pass.
+    values = np.zeros((2, GRID.times.size, 1))
+    values[1, 6:, 0] = 1e5
+    block = NoiseBlock(grid=GRID, values=values,
+                       hursts=(HurstVector.constant(0.7, 1),) * 2,
+                       indices=(7, 8), seeds=(70, 80))
+    x0 = np.array([1.0])
+    runs = [(8, 1.0), (2, 1.0)]
+    with pytest.raises(NoConvergenceError) as seq:
+        lowest_failure(lambda b: [backward_euler_block(CUBIC1D, b, x0, ratio=r)
+                                  for r, _ in runs], block)
+    with pytest.raises(NoConvergenceError) as fine:
+        backward_euler_block(CUBIC1D, block, x0, ratio=2)
+    assert fine.value.step == 2 and seq.value.step == 0
+    with pytest.raises(NoConvergenceError) as err:
+        lowest_failure(lambda b: backward_euler_runs(CUBIC1D, b, x0, runs), block)
+    assert str(err.value) == str(seq.value)
+    assert str(err.value).endswith("(path 8, path seed 80)")
+    assert err.value.step == 0

@@ -177,6 +177,45 @@ def test_circulant_rejects_manufactured_negative_eigenvalues(monkeypatch):
     fbm_mod._FGN_COEFF_CACHE.clear()
 
 
+def test_sampler_caches_stay_bounded():
+    import fbmsde.fbm as fbm_mod
+
+    for n in range(2, 2 + 3 * fbm_mod._FGN_COEFF_CACHE.maxsize):
+        sample_path_circulant(n, 1.0, 0.7, seed=1)
+        assert len(fbm_mod._FGN_COEFF_CACHE) <= fbm_mod._FGN_COEFF_CACHE.maxsize
+    for n in range(2, 2 + 3 * fbm_mod._LEVEL_FACTOR_CACHE.maxsize):
+        sample_path_cholesky(Partition.uniform(1.0, n), 0.7, seed=1)
+        assert len(fbm_mod._LEVEL_FACTOR_CACHE) <= fbm_mod._LEVEL_FACTOR_CACHE.maxsize
+
+
+def test_path_drawn_again_after_eviction_is_bit_identical():
+    import fbmsde.fbm as fbm_mod
+
+    grid = Partition.uniform(1.0, 48)
+    first = (sample_path_circulant(48, 1.0, 0.65, seed=4),
+             sample_path_cholesky(grid, 0.65, seed=4))
+    for n in range(100, 100 + fbm_mod._FGN_COEFF_CACHE.maxsize):
+        sample_path_circulant(n, 1.0, 0.65, seed=4)
+    for n in range(10, 10 + fbm_mod._LEVEL_FACTOR_CACHE.maxsize):
+        sample_path_cholesky(Partition.uniform(1.0, n), 0.65, seed=4)
+    assert (48, 0.65) not in fbm_mod._FGN_COEFF_CACHE
+    assert (grid.times.tobytes(), 0.65) not in fbm_mod._LEVEL_FACTOR_CACHE
+    again = (sample_path_circulant(48, 1.0, 0.65, seed=4),
+             sample_path_cholesky(grid, 0.65, seed=4))
+    for a, b in zip(first, again):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_sampler_cache_keeps_the_most_recently_used_entries():
+    import fbmsde.fbm as fbm_mod
+
+    cache = fbm_mod._LruCache(maxsize=2)
+    cache["a"], cache["b"] = 1, 2
+    assert cache.get("a") == 1          # "a" is now the most recent
+    cache["c"] = 3
+    assert list(cache) == ["a", "c"] and cache.get("b") is None
+
+
 # --- multi-coordinate sampling and seeding -------------------------------
 
 def test_child_seed_is_stable_and_spread():

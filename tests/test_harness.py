@@ -1,3 +1,7 @@
+import io
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -14,8 +18,17 @@ from fbmsde import (
     sweep_strong_error,
 )
 from fbmsde import HurstVector, Partition, sample_multi
+from fbmsde.csvio import write_rate_csv
+from fbmsde.engine import (
+    NoiseBlock,
+    backward_euler_block,
+    lowest_failure,
+    sq_norms,
+)
+from fbmsde.integrate import THETA
 from fbmsde.harness import (
     Ensemble,
+    _rate_report,
     map_blocks,
     validate_rate_config,
     validate_stability_config,
@@ -208,22 +221,23 @@ def test_mc_strong_error_failure_names_path_and_seed():
 
 
 def _block_contents(noise):
-    return noise.first, noise.seeds, noise.values
+    return noise.indices, noise.seeds, noise.values
 
 
 def test_map_blocks_covers_the_ensemble_in_path_order():
     grid = Partition.uniform(1.0, 8)
     hurst = HurstVector.constant(0.7, 2)
-    ensemble = Ensemble(grid=grid, hurst=hurst, paths=5, seed=9, sampler="circulant")
+    ensemble = Ensemble(grid=grid, hursts=(hurst,), paths=5, seed=9, sampler="circulant")
     seeds = tuple(child_seed(9, i) for i in range(5))
     values = np.stack([sample_multi(grid, hurst, s, method="circulant").values
                        for s in seeds])
     for threads, starts in ((1, [0]), (2, [0, 3]), (3, [0, 2, 4])):
         blocks = map_blocks(_block_contents, ensemble, threads)
-        assert [b[0] for b in blocks] == starts
+        assert [b[0][0] for b in blocks] == starts
+        assert sum((b[0] for b in blocks), ()) == tuple(range(5))
         assert sum((b[1] for b in blocks), ()) == seeds
         assert np.array_equal(np.concatenate([b[2] for b in blocks]), values)
-    zero = Ensemble(grid=grid, hurst=hurst, paths=5, seed=9, sampler="circulant",
+    zero = Ensemble(grid=grid, hursts=(hurst,), paths=5, seed=9, sampler="circulant",
                     zero_noise=True)
     assert not np.any(zero.path(4).values)
 
@@ -233,6 +247,91 @@ def test_sweep_strong_error_runs_each_hurst():
     reports = sweep_strong_error(cfg)
     assert [r.hurst for r in reports] == [0.6, 0.75]
     assert all(len(r.errors) == 3 for r in reports)
+
+
+SWEEP_HURST = (0.6, 0.7, 0.8, 0.9)
+
+
+def _one_run_calls(cfg, spec, block):
+    """The reference and every mesh of a rate block as one-run calls, in
+    order: per lane the squared errors, and the counts of the block."""
+    x0 = np.asarray(cfg.x0, dtype=np.float64)
+    solve_cfg = cfg.solve_config()
+    ref, stats = backward_euler_block(spec, block, x0, solve_cfg)
+    sq_terminal = np.empty((ref.shape[0], len(cfg.meshes)))
+    sq_sup = np.empty_like(sq_terminal)
+    for i, mesh in enumerate(cfg.meshes):
+        ratio = round(mesh / cfg.master_mesh)
+        states, run_stats = backward_euler_block(spec, block, x0, solve_cfg, ratio,
+                                                 THETA[cfg.schemes[0]])
+        stats = stats + run_stats
+        sq_terminal[:, i] = sq_norms(ref[:, -1] - states[:, -1])
+        diff = ref[:, ::ratio] - states
+        sq_sup[:, i] = np.max(np.sum(diff * diff, axis=2), axis=1)
+    return sq_terminal, sq_sup, stats
+
+
+def _per_hurst_loop(cfg):
+    """Rate tables of one Hurst value after another, each run alone."""
+    spec = resolve_drift(cfg)
+    grid = Partition.uniform(cfg.t_final, round(cfg.t_final / cfg.master_mesh))
+    reports = []
+    for h in cfg.hurst_values:
+        hv = HurstVector.constant(h, spec.dim)
+        block = NoiseBlock.stack([sample_multi(grid, hv, child_seed(cfg.seed, i),
+                                               method="circulant")
+                                  for i in range(cfg.mc_paths)])
+        sq_terminal, sq_sup, stats = _one_run_calls(cfg, spec, block)
+        reports.append(_rate_report(cfg, h, sq_terminal, sq_sup, stats))
+    return reports
+
+
+def _csv_bytes(report):
+    out = io.StringIO()
+    write_rate_csv(report, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("scheme", ["bem", "cn", "em"])
+def test_sweep_equals_a_loop_of_single_hurst_runs(scheme):
+    # Seven paths per Hurst value make 28 lanes, so blocks mix Hurst values
+    # and split unevenly: 28, 14 + 14 and 10 + 9 + 9.
+    cfg = rate_cfg(hurst_values=SWEEP_HURST, schemes=(scheme,), mc_paths=7,
+                   sup_error=True)
+    want = _per_hurst_loop(cfg)
+    for threads in (1, 2, 3):
+        got = sweep_strong_error(replace(cfg, threads=threads))
+        assert [r.hurst for r in got] == list(SWEEP_HURST)
+        assert [_csv_bytes(r) for r in got] == [_csv_bytes(r) for r in want]
+        assert [r.solve_stats for r in got] == [r.solve_stats for r in want]
+        assert [(r.slope, r.slope_stderr) for r in got] \
+            == [(r.slope, r.slope_stderr) for r in want]
+
+
+def test_sweep_failure_is_that_of_the_per_hurst_loop():
+    # From x0 = (3, 3) with four Newton iterations, the finest mesh (ratio
+    # 4) stalls first in master time, but the coarser mesh (ratio 8) comes
+    # first in the configured order, and a loop of runs reports it.
+    cfg = rate_cfg(x0=(3.0, 3.0), hurst_values=SWEEP_HURST,
+                   meshes=(2.0 ** -3, 2.0 ** -4), master_mesh=2.0 ** -6, mc_paths=5,
+                   seed=3, newton_max_iter=4)
+    spec = resolve_drift(cfg)
+    grid = Partition.uniform(1.0, 64)
+    with pytest.raises(NoConvergenceError) as want:
+        for h in cfg.hurst_values:
+            hv = HurstVector.constant(h, 2)
+            block = NoiseBlock.stack([sample_multi(grid, hv, child_seed(cfg.seed, i),
+                                                   method="circulant")
+                                      for i in range(cfg.mc_paths)])
+            lowest_failure(partial(_one_run_calls, cfg, spec), block)
+    finest = replace(cfg, meshes=(2.0 ** -4,))
+    with pytest.raises(NoConvergenceError) as fine:
+        sweep_strong_error(finest)
+    assert str(fine.value) != str(want.value)
+    for threads in (1, 3):
+        with pytest.raises(NoConvergenceError) as err:
+            sweep_strong_error(replace(cfg, threads=threads))
+        assert str(err.value) == str(want.value)
 
 
 def test_rate_report_rows_layout():

@@ -199,7 +199,7 @@ def test_every_scheme_rejects_a_non_finite_start(start):
             lambda: forward_euler(CUBIC1D, noise, x0),
             lambda: crank_nicolson(CUBIC1D, noise, x0, stability_mode=True)]
     runs += [lambda theta=theta: backward_euler_block(
-        CUBIC1D, NoiseBlock.stack([noise], 0), x0, theta=theta)
+        CUBIC1D, NoiseBlock.stack([noise]), x0, theta=theta)
         for theta in (0.0, 0.5, 1.0)]
     for run in runs:
         with pytest.raises(DomainError, match="start x0 must be finite"):
@@ -355,7 +355,7 @@ def test_fourth_moment_of_running_sup_is_sample_stable():
         return np.max(np.linalg.norm(states, axis=2), axis=1) ** 4
 
     sups4 = np.concatenate(map_blocks(sup4, Ensemble(
-        grid=g, hurst=hv, paths=1000, seed=77, sampler="circulant")))
+        grid=g, hursts=(hv,), paths=1000, seed=77, sampler="circulant")))
     half = sups4[:500].mean()
     full = sups4.mean()
     assert np.isfinite(full)

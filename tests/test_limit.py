@@ -53,7 +53,7 @@ def reference_block(spec, x0, paths=15, steps=256):
     hv = HurstVector.constant(0.7, spec.dim)
     block = NoiseBlock.stack([sample_multi(grid, hv, child_seed(23, i),
                                            method="circulant")
-                              for i in range(paths)], 0)
+                              for i in range(paths)])
     return block, backward_euler_block(spec, block, np.array(x0))[0]
 
 
@@ -209,7 +209,7 @@ def test_residual_rates_match_smoothness_of_the_path():
                 maxs[lane, i] = np.max(norms)
         return means, maxs
 
-    blocks = map_blocks(rhat_norms, Ensemble(grid=gm, hurst=hv, paths=8, seed=31,
+    blocks = map_blocks(rhat_norms, Ensemble(grid=gm, hursts=(hv,), paths=8, seed=31,
                                              sampler="circulant"))
     means = np.concatenate([b[0] for b in blocks])
     maxs = np.concatenate([b[1] for b in blocks])
@@ -316,8 +316,9 @@ def test_flow_failure_names_the_lowest_failing_path():
     values = np.zeros((4, grid.times.size, 1))
     for lane, (step, size) in enumerate([(0, 0.1), (5, 50.0), (0, -0.1), (0, 50.0)]):
         values[lane, step + 1:, 0] = size
-    block = NoiseBlock(grid=grid, values=values, hurst=HurstVector.constant(0.7, 1),
-                       first=40, seeds=tuple(range(100, 104)))
+    block = NoiseBlock(grid=grid, values=values,
+                       hursts=(HurstVector.constant(0.7, 1),) * 4,
+                       indices=tuple(range(40, 44)), seeds=tuple(range(100, 104)))
     x0 = np.array([1.0])
     cfg = SolveConfig()
     states, _ = backward_euler_block(CUBIC1D, block, x0, cfg)
@@ -330,9 +331,7 @@ def test_flow_failure_names_the_lowest_failing_path():
     for size in (1, 4):
         with pytest.raises(StepTooLargeError) as err:
             for start in range(0, 4, size):
-                part = NoiseBlock(grid=grid, values=values[start:start + size],
-                                  hurst=block.hurst, first=40 + start,
-                                  seeds=block.seeds[start:start + size])
+                part = block.select(slice(start, start + size))
                 lowest_failure(lambda b: _limit_block(CUBIC1D, x0, (8, 16), cfg, b),
                                part)
         assert err.value.path == 41
