@@ -391,7 +391,9 @@ def _mean_sqrt_with_se(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eps = np.sqrt(mean_sq)
     n = sq.shape[0]
     if n > 1:
-        se_mean = sq.std(axis=0, ddof=1) / np.sqrt(n)
+        # A diverged em lane squares to inf, whose deviation is NaN.
+        with np.errstate(invalid="ignore"):
+            se_mean = sq.std(axis=0, ddof=1) / np.sqrt(n)
     else:
         se_mean = np.zeros_like(mean_sq)
     safe = np.where(eps > 0.0, eps, 1.0)

@@ -146,17 +146,17 @@ def _theta_method(scheme: str, spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
     theta = THETA[scheme]
     x0 = _check_inputs(spec, noise.dim, (noise.hurst,), x0)
     _check_step_guard(spec, theta * noise.grid.mesh, cfg)
-    times = noise.grid.times
-    states = np.empty((times.size, spec.dim))
+    states = np.empty((noise.grid.times.size, spec.dim))
     states[0] = x0
     with np.errstate(all="ignore"):
-        for k in range(times.size - 1):
-            delta = times[k + 1] - times[k]
+        deltas = np.diff(noise.grid.times).tolist()
+        increments = np.diff(noise.values, axis=0)
+        for k, delta in enumerate(deltas):
             c = states[k]
             if theta < 1.0:
                 c = c + (1.0 - theta) * delta \
                     * np.asarray(spec.eval(states[k]), dtype=np.float64)
-            c = c + (noise.values[k + 1] - noise.values[k])
+            c = c + increments[k]
             if theta == 0.0:
                 states[k + 1] = c
                 continue

@@ -7,13 +7,26 @@ guard rejects steps with ``kappa * delta > 0.9`` before any iteration runs.
 
 Newton iterations start at ``c`` (or a caller-supplied guess), halve the
 update up to 30 times until the residual norm decreases, and fall back to
-sign-change bisection in one dimension when damping stalls.
+sign-change bisection in one dimension when damping stalls.  These
+decisions are written once; only the evaluation of the residual, its norm
+and the Newton update depend on the dimension.  In one dimension the
+iterate, the residual and the update are Python floats, which saves the
+numpy overhead of one-element arrays on every iteration; for ``m >= 2``
+they are arrays and LAPACK solves the Newton system.
+
+The drift and its Jacobian are still evaluated on a (reused) one-element
+array, never on a float: Python's ``y**3`` differs from numpy's array power
+in the last bit for about 3% of arguments, and an ``np.float64`` scalar
+power for about as many.  Evaluating on arrays keeps every step
+bit-identical to the path-batched engine, whose lanes must reproduce this
+solver exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -71,12 +84,8 @@ class StepResult:
     iterations: int
 
 
-def _residual(spec: DriftSpec, delta: float, c: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return y - delta * np.asarray(spec.eval(y), dtype=np.float64) - c
-
-
-def _bisect_scalar(spec: DriftSpec, delta: float, c: float, tol: float
-                   ) -> tuple[float, float] | None:
+def _bisect_scalar(residual: Callable[[float], tuple[float, float]], c: float,
+                   tol: float) -> tuple[float, float] | None:
     """Sign-change bisection for the scalar step equation.
 
     Expands the bracket around ``c`` geometrically, then bisects.  Returns
@@ -84,7 +93,7 @@ def _bisect_scalar(spec: DriftSpec, delta: float, c: float, tol: float
     """
 
     def g(y: float) -> float:
-        return float(y - delta * float(spec.eval(np.array([y]))[0]) - c)
+        return residual(y)[0]
 
     base = max(1.0, abs(c))
     lo = hi = c
@@ -118,6 +127,75 @@ def _bisect_scalar(spec: DriftSpec, delta: float, c: float, tol: float
     return None
 
 
+class _ScalarStep:
+    """The step equation in one dimension, on Python floats.
+
+    The norm is ``sqrt(r * r)``, as ``np.linalg.norm`` computes it, and
+    the Newton update is the division that the 1x1 LU solve computes, so
+    every value has the bits of the array computation.  The drift is
+    evaluated on the one-element array ``x`` (see the module docstring).
+    """
+
+    def __init__(self, spec: DriftSpec, delta: float, c: np.ndarray) -> None:
+        self.spec = spec
+        self.delta = delta
+        self.c = float(c[0])
+        self.x = np.empty(1)
+
+    @staticmethod
+    def start(y0: np.ndarray) -> float:
+        return float(y0[0])
+
+    def residual(self, y: float) -> tuple[float, float]:
+        self.x[0] = y
+        r = y - self.delta * float(self.spec.eval(self.x)[0]) - self.c
+        return r, math.sqrt(r * r)
+
+    def newton(self, y: float, res: float) -> float:
+        self.x[0] = y
+        system = 1.0 - self.delta * float(self.spec.jacobian(self.x)[0, 0])
+        if system == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return -res / system
+
+    finite = staticmethod(math.isfinite)
+
+    @staticmethod
+    def state(y: float) -> np.ndarray:
+        return np.array([y])
+
+
+class _VectorStep:
+    """The step equation in ``m >= 2`` dimensions, on arrays, with the
+    Newton system solved by LAPACK."""
+
+    def __init__(self, spec: DriftSpec, delta: float, c: np.ndarray) -> None:
+        self.spec = spec
+        self.delta = delta
+        self.c = c
+        self.eye = np.eye(spec.dim)
+
+    @staticmethod
+    def start(y0: np.ndarray) -> np.ndarray:
+        return y0.copy()
+
+    def residual(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        res = y - self.delta * np.asarray(self.spec.eval(y), dtype=np.float64) - self.c
+        return res, float(np.linalg.norm(res))
+
+    def newton(self, y: np.ndarray, res: np.ndarray) -> np.ndarray:
+        jac = np.asarray(self.spec.jacobian(y), dtype=np.float64)
+        return np.linalg.solve(self.eye - self.delta * jac, -res)
+
+    @staticmethod
+    def finite(update: np.ndarray) -> bool:
+        return bool(np.isfinite(update).all())
+
+    @staticmethod
+    def state(y: np.ndarray) -> np.ndarray:
+        return y
+
+
 def solve_backward_step(spec: DriftSpec, delta: float, c: np.ndarray,
                         cfg: SolveConfig | None = None,
                         initial_guess: np.ndarray | None = None) -> StepResult:
@@ -140,40 +218,36 @@ def solve_backward_step(spec: DriftSpec, delta: float, c: np.ndarray,
     if delta < 0.0 or not math.isfinite(delta):
         raise DomainError(f"step size must be finite and >= 0, got {delta!r}")
     c = spec.check_state(c)
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise DomainError("implicit step target must be finite")
     _check_step_guard(spec, delta, cfg)
 
     if delta == 0.0:
         return StepResult(y=c.copy(), residual=0.0, iterations=0)
 
-    y = c.copy() if initial_guess is None else spec.check_state(initial_guess).copy()
-    eye = np.eye(spec.dim)
-    res = _residual(spec, delta, c, y)
-    res_norm = float(np.linalg.norm(res))
+    step = (_ScalarStep if spec.dim == 1 else _VectorStep)(spec, float(delta), c)
+    y = step.start(c if initial_guess is None else spec.check_state(initial_guess))
+    res, res_norm = step.residual(y)
     iterations = 0
     stalled = False
 
     while iterations < cfg.max_iter:
         if res_norm <= cfg.tol:
-            return StepResult(y=y, residual=res_norm, iterations=iterations)
-        jac = np.asarray(spec.jacobian(y), dtype=np.float64)
-        system = eye - delta * jac
+            return StepResult(y=step.state(y), residual=res_norm, iterations=iterations)
         try:
-            update = np.linalg.solve(system, -res)
+            update = step.newton(y, res)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveFailure(
                 f"singular Newton system at iterate with residual {res_norm:.3e}"
             ) from exc
-        if not np.all(np.isfinite(update)):
+        if not step.finite(update):
             raise LinearSolveFailure("non-finite Newton update")
 
         scale = 1.0
         improved = False
         for _ in range(_MAX_HALVINGS + 1):
             cand = y + scale * update
-            cand_res = _residual(spec, delta, c, cand)
-            cand_norm = float(np.linalg.norm(cand_res))
+            cand_res, cand_norm = step.residual(cand)
             if math.isfinite(cand_norm) and cand_norm < res_norm:
                 y, res, res_norm = cand, cand_res, cand_norm
                 improved = True
@@ -185,13 +259,13 @@ def solve_backward_step(spec: DriftSpec, delta: float, c: np.ndarray,
             break
 
     if res_norm <= cfg.tol:
-        return StepResult(y=y, residual=res_norm, iterations=iterations)
+        return StepResult(y=step.state(y), residual=res_norm, iterations=iterations)
 
     if spec.dim == 1:
-        got = _bisect_scalar(spec, delta, float(c[0]), cfg.tol)
+        got = _bisect_scalar(step.residual, step.c, cfg.tol)
         if got is not None:
             root, rnorm = got
-            return StepResult(y=np.array([root]), residual=rnorm,
+            return StepResult(y=step.state(root), residual=rnorm,
                               iterations=iterations)
 
     reason = "damping stalled" if stalled else f"max_iter = {cfg.max_iter} reached"

@@ -292,6 +292,19 @@ def _csv_bytes(report):
     return out.getvalue()
 
 
+@pytest.mark.filterwarnings("error")
+def test_diverged_em_rate_run_warns_nothing():
+    # From (3, 3) at mesh 2^-3 some explicit paths blow up: their squared
+    # errors are inf, the table reads Inf with a NaN stderr, and numpy's
+    # deviation of inf must not leak a RuntimeWarning.
+    cfg = rate_cfg(schemes=("em",), x0=(3.0, 3.0),
+                   meshes=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5),
+                   master_mesh=2.0 ** -7, mc_paths=9)
+    (report,) = sweep_strong_error(cfg)
+    assert _csv_bytes(report).splitlines()[1] == "0.125,Inf,NaN,"
+    assert np.all(np.isfinite(report.errors[1:]))
+
+
 @pytest.mark.parametrize("scheme", ["bem", "cn", "em"])
 def test_sweep_equals_a_loop_of_single_hurst_runs(scheme):
     # Seven paths per Hurst value make 28 lanes, so blocks mix Hurst values

@@ -17,6 +17,7 @@ from fbmsde import (
     solve_backward_step,
 )
 from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC
+from fbmsde.engine import _newton_rows
 
 
 def real_cubic_root(c: float) -> float:
@@ -86,6 +87,9 @@ def test_bisection_rescues_starved_newton():
                             SolveConfig(tol=1e-12, max_iter=1))
     assert r.y[0] == pytest.approx(real_cubic_root(50.0), abs=1e-10)
     assert r.residual <= 1e-12
+    # The rescue's root, pinned to the bit.
+    assert r.y[0] == float.fromhex("0x1.cbfa1647e60f8p+1")
+    assert r.iterations == 1
 
 
 # --- guard rails and failure modes ------------------------------------------
@@ -155,6 +159,51 @@ def test_cubic_step_property(c, delta):
     assert r.residual <= 1e-12
     # dissipativity of the implicit map: |y| <= |c|
     assert abs(r.y[0]) <= abs(c) + 1e-12
+
+
+# --- the one-dimensional step on floats -------------------------------------
+
+# Targets of both signs from 1e-3 to 4e3; far beyond, the absolute
+# tolerance stalls.
+TARGETS_1D = np.concatenate([np.geomspace(1e-3, 4e3, 60),
+                             -np.geomspace(1e-3, 4e3, 60)])
+
+
+@pytest.mark.parametrize("spec, delta, halves", [
+    (CUBIC1D, 0.08, False),
+    (CUBIC1D, 1e-4, False),
+    (DOUBLEWELL1D, 0.08, False),
+    (DOUBLEWELL1D, 0.9, True),
+    (make_linear_drift(np.array([[-2.0]])), 0.08, False),
+])
+def test_scalar_step_equals_engine_rows_bit_for_bit(spec, delta, halves):
+    c = TARGETS_1D[:, None]
+    y, tally, fallback = _newton_rows(spec, np.full(c.shape, delta), c,
+                                      SolveConfig())
+    assert not fallback.any()
+    assert (tally[:, 1] > 0).any() == halves
+    for row in range(c.shape[0]):
+        r = solve_backward_step(spec, delta, c[row])
+        assert r.y.shape == (1,)
+        assert r.y.tobytes() == y[row].tobytes()
+        assert r.iterations == tally[row, 0]
+
+
+def test_scalar_singular_system_is_a_linear_solve_failure():
+    # 1 - delta * 1 = 0: the division is never reached.
+    with pytest.raises(LinearSolveFailure) as err:
+        solve_backward_step(make_linear_drift(np.array([[1.0]])), 1.0,
+                            np.array([2.0]), SolveConfig(kappa_guard=False))
+    assert str(err.value) == \
+        "singular Newton system at iterate with residual 2.000e+00"
+
+
+def test_scalar_stall_keeps_its_message():
+    with pytest.raises(NoConvergenceError) as err:
+        solve_backward_step(CUBIC1D, 1e-3, np.array([1e4]))
+    assert str(err.value) == \
+        "damping stalled with residual 1.819e-12 above tol 1e-12"
+    assert err.value.iterations == 15
 
 
 # --- resolvent norm and its monotonicity bound -------------------------------
