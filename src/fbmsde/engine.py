@@ -275,7 +275,7 @@ def backward_euler_runs(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
     for i, (ratio, theta) in enumerate(runs):
         mesh = block.grid.subsample(ratio).mesh
         try:
-            _check_step_guard(spec, theta * mesh, cfg)
+            _check_step_guard(spec, theta * mesh)
         except StepTooLargeError as exc:
             # The runs before it still run first, as a sequence of
             # one-run calls would run them.

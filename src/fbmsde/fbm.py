@@ -15,8 +15,8 @@ count.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,9 +104,6 @@ class FbmPath:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=0)
-
 
 def covariance(s: float, t: float, hurst: float) -> float:
     """Covariance of fBm levels, ``E[B_s B_t]``.
@@ -155,41 +152,15 @@ def _cholesky_with_jitter(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
             f"within tolerance {tol:g}") from exc
 
 
-class _LruCache(OrderedDict):
-    """A dict that keeps its ``maxsize`` most recently used entries."""
-
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def get(self, key, default=None):
-        if key not in self:
-            return default
-        self.move_to_end(key)
-        return self[key]
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        while len(self) > self.maxsize:
-            self.popitem(last=False)
-
-
-# Factor caches keyed by (grid bytes, h) and (n, h).  Entries are read-only
-# arrays; a rare concurrent recompute is harmless because results are equal.
-# A sweep draws its lanes Hurst value by Hurst value, so a few entries
-# suffice; a Cholesky factor of a 2048-node grid alone is 32 MB.
-_LEVEL_FACTOR_CACHE = _LruCache(maxsize=4)
-_FGN_COEFF_CACHE = _LruCache(maxsize=16)
-
-
+# The samplers cache their factors by (grid, h) here and by (n, h) in
+# _fgn_sqrt_coeffs; a Partition hashes and compares by its nodes.  Cached
+# arrays are read-only because every caller shares them.  A sweep draws
+# its lanes Hurst value by Hurst value, so a few entries suffice; a
+# Cholesky factor of a 2048-node grid alone is 32 MB.
+@lru_cache(maxsize=4)
 def _level_factor(grid: Partition, h: float) -> np.ndarray:
-    key = (grid.times.tobytes(), h)
-    factor = _LEVEL_FACTOR_CACHE.get(key)
-    if factor is None:
-        factor = _cholesky_with_jitter(build_covariance_matrix(grid, h))
-        factor.flags.writeable = False
-        _LEVEL_FACTOR_CACHE[key] = factor
+    factor = _cholesky_with_jitter(build_covariance_matrix(grid, h))
+    factor.flags.writeable = False
     return factor
 
 
@@ -203,6 +174,7 @@ def sample_path_cholesky(grid: Partition, hurst: float, seed: int) -> FbmPath:
     return FbmPath(grid=grid, values=values, hurst=HurstVector((h,)), seed=int(seed))
 
 
+@lru_cache(maxsize=16)
 def _fgn_sqrt_coeffs(n: int, h: float) -> np.ndarray:
     """Square-root weights of the circulant embedding of ``n`` unit-spaced
     fGn increments.
@@ -211,11 +183,6 @@ def _fgn_sqrt_coeffs(n: int, h: float) -> np.ndarray:
     Gaussian vector assembled in :func:`_sample_fgn_unit`, ``real(fft(w * V))``
     restricted to the first ``n`` entries has exactly the fGn covariance.
     """
-    key = (n, h)
-    coeffs = _FGN_COEFF_CACHE.get(key)
-    if coeffs is not None:
-        return coeffs
-
     k = np.arange(n + 1, dtype=np.float64)
     e = 2.0 * h
     gamma = 0.5 * ((k + 1.0) ** e - 2.0 * k**e + np.abs(k - 1.0) ** e)
@@ -229,7 +196,6 @@ def _fgn_sqrt_coeffs(n: int, h: float) -> np.ndarray:
     lam = np.where(lam < 0.0, 0.0, lam)
     coeffs = np.sqrt(lam)
     coeffs.flags.writeable = False
-    _FGN_COEFF_CACHE[key] = coeffs
     return coeffs
 
 

@@ -19,7 +19,8 @@ failure names depends on the blocks.  Single paths go through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -97,16 +98,6 @@ class ExperimentConfig:
     zero_noise: bool = False
     linear_matrix: tuple[tuple[float, ...], ...] | None = None
 
-    def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value) if not value or not isinstance(value[0], tuple) \
-                    else [list(row) for row in value]
-            out[f.name] = value
-        return out
-
     def solve_config(self) -> SolveConfig:
         return SolveConfig(tol=self.newton_tol, max_iter=self.newton_max_iter)
 
@@ -150,6 +141,11 @@ def _int_ratio(value: float, base: float) -> int | None:
     return None
 
 
+def _repeated(values) -> list:
+    """The values that occur more than once, in order of first occurrence."""
+    return [v for v, count in Counter(values).items() if count > 1]
+
+
 def _common_issues(cfg: ExperimentConfig) -> tuple[list[str], DriftSpec | None]:
     issues: list[str] = []
     spec = None
@@ -173,6 +169,8 @@ def _common_issues(cfg: ExperimentConfig) -> tuple[list[str], DriftSpec | None]:
             issues.append(f"unknown scheme {scheme!r}; choose from {tuple(THETA)}")
     if not cfg.meshes:
         issues.append("at least one mesh is required")
+    for mesh in _repeated(cfg.meshes):
+        issues.append(f"mesh {mesh} is listed more than once")
     for mesh in cfg.meshes:
         if not mesh > 0.0:
             issues.append(f"mesh {mesh} must be positive")
@@ -385,26 +383,28 @@ def _rate_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
     return sq_terminal, sq_sup, counts
 
 
-def _mean_sqrt_with_se(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Root-mean of squared errors per mesh with a delta-method stderr."""
-    mean_sq = sq.mean(axis=0)
-    eps = np.sqrt(mean_sq)
-    n = sq.shape[0]
+def _lp_norm_with_se(powered: np.ndarray, p: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``mean(|X|^p)^(1/p)`` per column from the values ``|X|^p``, with a
+    delta-method stderr; a zero norm has a zero stderr."""
+    mean_pow = powered.mean(axis=0)
+    norm = mean_pow ** (1.0 / p)
+    n = powered.shape[0]
     if n > 1:
         # A diverged em lane squares to inf, whose deviation is NaN.
         with np.errstate(invalid="ignore"):
-            se_mean = sq.std(axis=0, ddof=1) / np.sqrt(n)
+            se_pow = powered.std(axis=0, ddof=1) / np.sqrt(n)
     else:
-        se_mean = np.zeros_like(mean_sq)
-    safe = np.where(eps > 0.0, eps, 1.0)
-    return eps, np.where(eps > 0.0, se_mean / (2.0 * safe), 0.0)
+        se_pow = np.zeros_like(mean_pow)
+    safe = np.where(norm > 0.0, norm, 1.0)
+    return norm, np.where(norm > 0.0, se_pow / (p * safe ** (p - 1.0)), 0.0)
 
 
 def _rate_report(cfg: ExperimentConfig, h: float, sq_terminal: np.ndarray,
                  sq_sup: np.ndarray, stats: SolveStats) -> RateReport:
     """The table of one Hurst value from its lanes' squared errors."""
-    errors, stderrs = _mean_sqrt_with_se(sq_terminal)
-    sup_errors = _mean_sqrt_with_se(sq_sup)[0] if cfg.sup_error else None
+    errors, stderrs = _lp_norm_with_se(sq_terminal, 2.0)
+    sup_errors = _lp_norm_with_se(sq_sup, 2.0)[0] if cfg.sup_error else None
 
     orders = np.full(len(cfg.meshes), np.nan)
     for i in range(1, len(cfg.meshes)):
@@ -422,6 +422,34 @@ def _rate_report(cfg: ExperimentConfig, h: float, sq_terminal: np.ndarray,
                       sup_errors=sup_errors, solve_stats=stats)
 
 
+def _sweep(block: Callable[..., tuple[np.ndarray, ...]], cfg: ExperimentConfig,
+           refine: int = 1) -> list[tuple[np.ndarray, ...]]:
+    """``block(cfg, spec, noise)`` on every lane of every Hurst value, as
+    one :func:`map_blocks` pass over the master grid refined ``refine``
+    times; the block outputs, one tuple per Hurst value.
+
+    Each Hurst value is validated alone first, so a bad value reports as it
+    would alone.  A value may appear once: ``f"{h:g}"`` names its report
+    file and its solve counts.
+    """
+    spec = None
+    for h in cfg.hurst_values:
+        spec = validate_rate_config(replace(cfg, hurst_values=(h,)))
+    repeated = _repeated(f"{h:g}" for h in cfg.hurst_values)
+    if repeated:
+        raise ConfigError([f"Hurst value {h} is listed more than once"
+                           for h in repeated])
+    if spec is None:
+        return []
+    grid = Partition.uniform(cfg.t_final,
+                             refine * _int_ratio(cfg.t_final, cfg.master_mesh))
+    blocks = map_blocks(partial(block, cfg, spec), Ensemble.of(cfg, spec, grid),
+                        cfg.threads)
+    outputs = [np.concatenate(parts) for parts in zip(*blocks)]
+    return [tuple(out[i * cfg.mc_paths:(i + 1) * cfg.mc_paths] for out in outputs)
+            for i in range(len(cfg.hurst_values))]
+
+
 def sweep_strong_error(cfg: ExperimentConfig) -> list[RateReport]:
     """Strong terminal error of one scheme against the implicit reference,
     one table per configured Hurst value.
@@ -432,23 +460,9 @@ def sweep_strong_error(cfg: ExperimentConfig) -> list[RateReport]:
     value in turn.  The pairwise order between consecutive meshes and a
     least-squares slope are attached when two or more meshes are present.
     """
-    # One Hurst value at a time, so a bad value reports as it would alone.
-    spec = None
-    for h in cfg.hurst_values:
-        spec = validate_rate_config(replace(cfg, hurst_values=(h,)))
-    if spec is None:
-        return []
-    grid = Partition.uniform(cfg.t_final, _int_ratio(cfg.t_final, cfg.master_mesh))
-    blocks = map_blocks(partial(_rate_block, cfg, spec),
-                        Ensemble.of(cfg, spec, grid), cfg.threads)
-    sq_terminal, sq_sup, counts = (np.concatenate([b[i] for b in blocks])
-                                   for i in range(3))
-    reports = []
-    for i, h in enumerate(cfg.hurst_values):
-        lanes = slice(i * cfg.mc_paths, (i + 1) * cfg.mc_paths)
-        reports.append(_rate_report(cfg, h, sq_terminal[lanes], sq_sup[lanes],
-                                    SolveStats.of(counts[lanes])))
-    return reports
+    return [_rate_report(cfg, h, sq_terminal, sq_sup, SolveStats.of(counts))
+            for h, (sq_terminal, sq_sup, counts)
+            in zip(cfg.hurst_values, _sweep(_rate_block, cfg))]
 
 
 def mc_strong_error(cfg: ExperimentConfig) -> RateReport:
@@ -503,25 +517,21 @@ def _bias_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
             sq_norms(ref_half[:, -1] - y[:, -1]))
 
 
-def reference_bias_check(cfg: ExperimentConfig) -> float:
-    """Relative shift of the finest-mesh error when the master mesh halves.
+def reference_bias_check(cfg: ExperimentConfig) -> list[float]:
+    """Relative shift of the finest-mesh error when the master mesh halves,
+    one per configured Hurst value.
 
     Both error estimates couple to the same noise realizations: the halved
     master path is a restriction of the doubled one, and the coarse scheme
-    run is identical in both arms.  A small return value certifies that the
-    reference resolution does not bias the rate table.
+    run is identical in both arms.  A small value certifies that the
+    reference resolution does not bias the rate table.  Every Hurst value
+    runs as lanes of one :func:`map_blocks` pass; the shifts and a
+    failure's message are those of one call per Hurst value in turn.
     """
-    spec = validate_rate_config(cfg)
-    if len(cfg.hurst_values) != 1:
-        raise ConfigError("reference_bias_check runs one Hurst value at a time")
-    doubled_steps = 2 * _int_ratio(cfg.t_final, cfg.master_mesh)
-    grid = Partition.uniform(cfg.t_final, doubled_steps)
-    blocks = map_blocks(partial(_bias_block, cfg, spec),
-                        Ensemble.of(cfg, spec, grid), cfg.threads)
-    sq_fine = np.concatenate([b[0] for b in blocks])
-    sq_half = np.concatenate([b[1] for b in blocks])
-    eps_fine = float(np.sqrt(sq_fine.mean()))
-    eps_half = float(np.sqrt(sq_half.mean()))
-    if eps_fine == 0.0 and eps_half == 0.0:
-        return 0.0
-    return abs(eps_fine - eps_half) / max(eps_fine, eps_half)
+    shifts = []
+    for sq_fine, sq_half in _sweep(_bias_block, cfg, refine=2):
+        eps_fine = float(np.sqrt(sq_fine.mean()))
+        eps_half = float(np.sqrt(sq_half.mean()))
+        shifts.append(0.0 if eps_fine == eps_half == 0.0
+                      else abs(eps_fine - eps_half) / max(eps_fine, eps_half))
+    return shifts

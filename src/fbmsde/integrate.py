@@ -145,7 +145,7 @@ def _theta_method(scheme: str, spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
     target or a solver failure as non-finite states instead of raising."""
     theta = THETA[scheme]
     x0 = _check_inputs(spec, noise.dim, (noise.hurst,), x0)
-    _check_step_guard(spec, theta * noise.grid.mesh, cfg)
+    _check_step_guard(spec, theta * noise.grid.mesh)
     states = np.empty((noise.grid.times.size, spec.dim))
     states[0] = x0
     with np.errstate(all="ignore"):
@@ -315,7 +315,7 @@ def fundamental_matrix_fb_euler(spec: DriftSpec, traj: Trajectory,
     if traj.dim != spec.dim:
         raise DomainError("trajectory dimension does not match the drift")
     idx = nested_indices(coarse, traj.grid)
-    _check_step_guard(spec, coarse.mesh, DEFAULT_SOLVE_CONFIG)
+    _check_step_guard(spec, coarse.mesh)
     m = spec.dim
     eye = np.eye(m)
     mats = np.empty((coarse.times.size, m, m))

@@ -37,7 +37,7 @@ from .engine import NoiseBlock, backward_euler_runs, name_path, sq_norms
 from .errors import ConfigError, DomainError, GridError, StepTooLargeError
 from .fbm import FbmPath, HurstVector, sample_multi  # noqa: F401
 from .grids import Partition, nested_indices
-from .harness import Ensemble, map_blocks
+from .harness import Ensemble, _lp_norm_with_se, map_blocks
 from .integrate import (  # noqa: F401
     FundamentalMatrixPath,
     Trajectory,
@@ -312,16 +312,7 @@ def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
     blocks = map_blocks(run, ensemble, threads)
     dists, nz, u_norms = (np.concatenate([b[i] for b in blocks]) for i in range(3))
 
-    powered = dists**p
-    mean_pow = powered.mean(axis=0)
-    lp = mean_pow ** (1.0 / p)
-    if mc_paths > 1:
-        se_pow = powered.std(axis=0, ddof=1) / np.sqrt(mc_paths)
-    else:
-        se_pow = np.zeros_like(mean_pow)
-    # Delta method for x -> x^{1/p}; zero distances give zero stderr.
-    safe = np.where(lp > 0.0, lp, 1.0)
-    stderrs = np.where(lp > 0.0, se_pow / (p * safe ** (p - 1.0)), 0.0)
+    lp, stderrs = _lp_norm_with_se(dists**p, p)
     return LimitComparison(
         n_values=n_values,
         lp_distances=lp,

@@ -2,10 +2,10 @@
 
 One backward step solves ``y - delta * b(y) = c``.  Under a one-sided
 Lipschitz bound ``kappa`` the map ``y -> y - delta * b(y)`` is strongly
-monotone whenever ``kappa * delta < 1``, so the root is unique; the default
-guard rejects steps with ``kappa * delta > 0.9`` before any iteration runs.
+monotone whenever ``kappa * delta < 1``, so the root is unique; the guard
+rejects steps with ``kappa * delta > 0.9`` before any iteration runs.
 
-Newton iterations start at ``c`` (or a caller-supplied guess), halve the
+Newton iterations start at ``c``, as the path-batched engine's do, halve the
 update up to 30 times until the residual norm decreases, and fall back to
 sign-change bisection in one dimension when damping stalls.  These
 decisions are written once; only the evaluation of the residual, its norm
@@ -49,13 +49,10 @@ class SolveConfig:
     """Tolerances for the implicit step.
 
     ``tol`` bounds the Euclidean norm of the step residual and is absolute.
-    ``kappa_guard`` can be disabled to probe steps beyond the guaranteed
-    regime; solvability is then on the caller.
     """
 
     tol: float = 1e-12
     max_iter: int = 50
-    kappa_guard: bool = True
 
     def __post_init__(self) -> None:
         if not self.tol > 0.0:
@@ -67,9 +64,9 @@ class SolveConfig:
 DEFAULT_SOLVE_CONFIG = SolveConfig()
 
 
-def _check_step_guard(spec: DriftSpec, delta: float, cfg: SolveConfig) -> None:
+def _check_step_guard(spec: DriftSpec, delta: float) -> None:
     """Reject ``kappa * delta`` above the guard; integrators pass θ * mesh."""
-    if cfg.kappa_guard and spec.kappa > 0.0 and spec.kappa * delta > _KAPPA_DELTA_LIMIT:
+    if spec.kappa > 0.0 and spec.kappa * delta > _KAPPA_DELTA_LIMIT:
         raise StepTooLargeError(
             f"kappa * mesh = {spec.kappa * delta:.6g} exceeds the "
             f"{_KAPPA_DELTA_LIMIT} solvability guard")
@@ -197,8 +194,7 @@ class _VectorStep:
 
 
 def solve_backward_step(spec: DriftSpec, delta: float, c: np.ndarray,
-                        cfg: SolveConfig | None = None,
-                        initial_guess: np.ndarray | None = None) -> StepResult:
+                        cfg: SolveConfig | None = None) -> StepResult:
     """Solve ``y - delta * b(y) = c`` for one implicit Euler step.
 
     Args:
@@ -206,7 +202,6 @@ def solve_backward_step(spec: DriftSpec, delta: float, c: np.ndarray,
         delta: step size, ``>= 0``.
         c: right-hand side, shape ``(m,)``.
         cfg: tolerances; defaults to ``SolveConfig()``.
-        initial_guess: starting point for Newton; defaults to ``c``.
 
     Raises:
         StepTooLargeError: ``kappa * delta`` exceeds the solvability guard.
@@ -220,13 +215,13 @@ def solve_backward_step(spec: DriftSpec, delta: float, c: np.ndarray,
     c = spec.check_state(c)
     if not np.isfinite(c).all():
         raise DomainError("implicit step target must be finite")
-    _check_step_guard(spec, delta, cfg)
+    _check_step_guard(spec, delta)
 
     if delta == 0.0:
         return StepResult(y=c.copy(), residual=0.0, iterations=0)
 
     step = (_ScalarStep if spec.dim == 1 else _VectorStep)(spec, float(delta), c)
-    y = step.start(c if initial_guess is None else spec.check_state(initial_guess))
+    y = step.start(c)
     res, res_norm = step.residual(y)
     iterations = 0
     stalled = False

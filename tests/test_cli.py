@@ -358,6 +358,24 @@ def test_parse_stage_error_lines_are_pinned(tmp_path, capsys, subcommand, text,
     assert capsys.readouterr().err.splitlines() == expected
 
 
+@pytest.mark.parametrize("old, new, expected", [
+    ("hurst = 0.7", "hurst = 0.7 0.6 0.70",
+     "config error: Hurst value 0.7 is listed more than once"),
+    ("meshes = 2^-4 2^-5", "meshes = 2^-4 2^-5 0.0625",
+     "config error: mesh 0.0625 is listed more than once"),
+])
+def test_rate_rejects_repeated_values(tmp_path, capsys, old, new, expected):
+    # A repeated Hurst value would write its report twice; a repeated mesh
+    # would divide by log(1) in the pairwise order and the slope fit.
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(RATE_CFG.replace(old, new))
+    outdir = tmp_path / "o"
+    rc = main(["rate", "--config", str(cfg), "--out", str(outdir)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert list(outdir.iterdir()) == []
+
+
 def test_rate_missing_config_file_exits_one(tmp_path, capsys):
     rc = main(["rate", "--config", str(tmp_path / "nope.cfg"),
                "--out", str(tmp_path / "o")])

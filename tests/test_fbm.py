@@ -22,6 +22,7 @@ from fbmsde import (
 from fbmsde.csvio import write_path_csv
 from fbmsde.fbm import (
     _fgn_sqrt_coeffs,
+    _level_factor,
     build_covariance_matrix,
     covariance,
 )
@@ -153,6 +154,7 @@ def test_circulant_increment_variance_scales_with_hurst():
 def test_fgn_coefficients_are_clipped_nonnegative():
     coeffs = _fgn_sqrt_coeffs(128, 0.75)
     assert coeffs.shape == (256,)
+    assert not coeffs.flags.writeable     # shared by every caller
     assert (coeffs >= 0.0).all()
     # lead eigenvalue of the embedding equals sum of the row
     assert np.isfinite(coeffs).all()
@@ -171,49 +173,53 @@ def test_circulant_rejects_manufactured_negative_eigenvalues(monkeypatch):
         return out
 
     monkeypatch.setattr(fbm_mod.np.fft, "fft", poisoned_fft)
-    fbm_mod._FGN_COEFF_CACHE.clear()
+    _fgn_sqrt_coeffs.cache_clear()
     with pytest.raises(CirculantEmbeddingError):
         _fgn_sqrt_coeffs(16, 0.7)
-    fbm_mod._FGN_COEFF_CACHE.clear()
+    _fgn_sqrt_coeffs.cache_clear()
 
 
 def test_sampler_caches_stay_bounded():
-    import fbmsde.fbm as fbm_mod
-
-    for n in range(2, 2 + 3 * fbm_mod._FGN_COEFF_CACHE.maxsize):
+    for n in range(2, 2 + 3 * _fgn_sqrt_coeffs.cache_info().maxsize):
         sample_path_circulant(n, 1.0, 0.7, seed=1)
-        assert len(fbm_mod._FGN_COEFF_CACHE) <= fbm_mod._FGN_COEFF_CACHE.maxsize
-    for n in range(2, 2 + 3 * fbm_mod._LEVEL_FACTOR_CACHE.maxsize):
+        info = _fgn_sqrt_coeffs.cache_info()
+        assert info.currsize <= info.maxsize
+    for n in range(2, 2 + 3 * _level_factor.cache_info().maxsize):
         sample_path_cholesky(Partition.uniform(1.0, n), 0.7, seed=1)
-        assert len(fbm_mod._LEVEL_FACTOR_CACHE) <= fbm_mod._LEVEL_FACTOR_CACHE.maxsize
+        info = _level_factor.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 def test_path_drawn_again_after_eviction_is_bit_identical():
-    import fbmsde.fbm as fbm_mod
-
     grid = Partition.uniform(1.0, 48)
     first = (sample_path_circulant(48, 1.0, 0.65, seed=4),
              sample_path_cholesky(grid, 0.65, seed=4))
-    for n in range(100, 100 + fbm_mod._FGN_COEFF_CACHE.maxsize):
+    for n in range(100, 100 + _fgn_sqrt_coeffs.cache_info().maxsize):
         sample_path_circulant(n, 1.0, 0.65, seed=4)
-    for n in range(10, 10 + fbm_mod._LEVEL_FACTOR_CACHE.maxsize):
+    for n in range(10, 10 + _level_factor.cache_info().maxsize):
         sample_path_cholesky(Partition.uniform(1.0, n), 0.65, seed=4)
-    assert (48, 0.65) not in fbm_mod._FGN_COEFF_CACHE
-    assert (grid.times.tobytes(), 0.65) not in fbm_mod._LEVEL_FACTOR_CACHE
+    misses = (_fgn_sqrt_coeffs.cache_info().misses, _level_factor.cache_info().misses)
     again = (sample_path_circulant(48, 1.0, 0.65, seed=4),
              sample_path_cholesky(grid, 0.65, seed=4))
+    # Both factors were evicted and are computed again.
+    assert (_fgn_sqrt_coeffs.cache_info().misses,
+            _level_factor.cache_info().misses) == (misses[0] + 1, misses[1] + 1)
     for a, b in zip(first, again):
         assert np.array_equal(a.values, b.values)
 
 
 def test_sampler_cache_keeps_the_most_recently_used_entries():
-    import fbmsde.fbm as fbm_mod
-
-    cache = fbm_mod._LruCache(maxsize=2)
-    cache["a"], cache["b"] = 1, 2
-    assert cache.get("a") == 1          # "a" is now the most recent
-    cache["c"] = 3
-    assert list(cache) == ["a", "c"] and cache.get("b") is None
+    _fgn_sqrt_coeffs.cache_clear()
+    size = _fgn_sqrt_coeffs.cache_info().maxsize
+    for n in range(2, 2 + size):
+        _fgn_sqrt_coeffs(n, 0.7)
+    _fgn_sqrt_coeffs(2, 0.7)            # n = 2 is now the most recent
+    _fgn_sqrt_coeffs(2 + size, 0.7)     # evicts n = 3, the least recent
+    hits = _fgn_sqrt_coeffs.cache_info().hits
+    _fgn_sqrt_coeffs(2, 0.7)
+    assert _fgn_sqrt_coeffs.cache_info().hits == hits + 1
+    _fgn_sqrt_coeffs(3, 0.7)
+    assert _fgn_sqrt_coeffs.cache_info().hits == hits + 1
 
 
 # --- multi-coordinate sampling and seeding -------------------------------

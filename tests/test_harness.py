@@ -129,12 +129,8 @@ def test_resolve_drift_linear_requires_matrix():
     assert resolve_drift(cfg).kappa == pytest.approx(-1.0)
 
 
-def test_experiment_config_as_dict_round_trip():
+def test_experiment_config_solve_config():
     cfg = rate_cfg()
-    d = cfg.as_dict()
-    assert d["drift"] == "example2"
-    assert d["meshes"] == list(cfg.meshes)
-    assert "seed" in d and "sampler" in d
     sc = cfg.solve_config()
     assert sc.tol == cfg.newton_tol
 
@@ -407,10 +403,33 @@ def test_stability_compare_zero_noise_tracks_the_flow():
     assert max(devs["cn"]) < max(devs["em"])
 
 
+def test_bias_check_is_that_of_the_per_hurst_loop():
+    # Hurst value 0.9 runs clean; with three Newton iterations 0.75 stalls
+    # on path 2, which is lane 8 of the three-value pass.
+    cfg = rate_cfg(x0=(0.5, 0.5), hurst_values=(0.9, 0.75, 0.6),
+                   meshes=(2.0 ** -3, 2.0 ** -4), master_mesh=2.0 ** -6,
+                   mc_paths=6, seed=4)
+    want = [reference_bias_check(replace(cfg, hurst_values=(h,)))
+            for h in cfg.hurst_values]
+    assert all(len(shifts) == 1 for shifts in want)
+    starved = replace(cfg, newton_max_iter=3)
+    with pytest.raises(NoConvergenceError) as want_err:
+        for h in cfg.hurst_values:
+            reference_bias_check(replace(starved, hurst_values=(h,)))
+    assert want_err.value.path == 2
+    for threads in (1, 3):
+        got = reference_bias_check(replace(cfg, threads=threads))
+        assert [s.hex() for s in got] == [s.hex() for (s,) in want]
+        with pytest.raises(NoConvergenceError) as err:
+            reference_bias_check(replace(starved, threads=threads))
+        assert (err.value.path, str(err.value)) \
+            == (want_err.value.path, str(want_err.value))
+
+
 def test_reference_bias_check_small_on_fine_master():
     cfg = ExperimentConfig(drift="example2", x0=(1.0, 1.0), t_final=1.0,
                            hurst_values=(0.6,), schemes=("bem",),
                            meshes=(2.0 ** -5,), master_mesh=2.0 ** -10,
                            mc_paths=40, seed=11)
-    shift = reference_bias_check(cfg)
+    (shift,) = reference_bias_check(cfg)
     assert 0.0 <= shift < 0.10
