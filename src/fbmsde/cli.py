@@ -215,7 +215,6 @@ def _require_out(cfg_out: str | None) -> str:
     if not cfg_out:
         raise ConfigError("an output directory is required: set 'out' in the "
                           "config or pass --out")
-    os.makedirs(cfg_out, exist_ok=True)
     return cfg_out
 
 

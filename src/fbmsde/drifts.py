@@ -7,8 +7,11 @@ the integrators trust ``kappa``; :func:`verify_one_sided` probes it by
 sampling, and :func:`noise_free_bound_check` exercises the matching a-priori
 bound on noise-free trajectories.
 
-All built-in drift functions live at module level so specs stay picklable
-and Monte Carlo work can be farmed out to worker processes.
+Each spec has one ``eval`` and one ``jacobian``, and both take one state or
+a stack of states, so a lane of the path-batched engine has the bits of the
+single path it replaces.  All built-in drift functions live at module level
+so specs stay picklable and Monte Carlo work can be farmed out to worker
+processes.
 """
 
 from __future__ import annotations
@@ -45,12 +48,11 @@ class DriftSpec:
         jacobian: callable mapping a state to the ``(m, m)`` Jacobian of ``b``.
         kappa: one-sided Lipschitz constant; may be negative.
         mu: polynomial growth exponent of ``|b|``.
-        eval_batch: optional ``eval`` over the rows of an ``(M, m)`` array.
-        jacobian_batch: optional ``jacobian`` over the rows of an ``(M, m)``
-            array, returning ``(M, m, m)``.
 
-    Batched callables must compute each row from that row alone, with no
-    reduction across rows, so a row's value does not depend on the others.
+    Both callables also take a stack of states, shape ``(M, m)``, and must
+    give each row the bits of its one-state value, so that an engine lane
+    equals its single path.  Construction checks this on ``dim + 1``
+    states; :meth:`pointwise` wraps callables written for one state.
     """
 
     name: str
@@ -59,29 +61,34 @@ class DriftSpec:
     jacobian: Callable[[np.ndarray], np.ndarray]
     kappa: float
     mu: float
-    eval_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    jacobian_batch: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        states = np.linspace(0.25, 2.0, (self.dim + 1) * self.dim).reshape(-1, self.dim)
+        for fn in (self.eval, self.jacobian):
+            rows = np.stack([np.asarray(fn(x)) for x in states])
+            try:
+                same = np.array_equal(fn(states), rows, equal_nan=True)
+            except (IndexError, TypeError, ValueError):
+                same = False
+            if not same:
+                raise DomainError(f"drift {self.name!r} does not evaluate a stack of "
+                                  f"states row by row; wrap one-state callables "
+                                  f"with DriftSpec.pointwise")
+
+    @classmethod
+    def pointwise(cls, name: str, dim: int, eval: Callable, jacobian: Callable,
+                  kappa: float, mu: float) -> DriftSpec:
+        """A spec from callables written for one state: a stack is
+        evaluated row by row, and every value is converted to float64."""
+        return cls(name, dim, partial(_pointwise, eval), partial(_pointwise, jacobian),
+                   kappa, mu)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.eval(x)
 
-    def eval_rows(self, xs: np.ndarray) -> np.ndarray:
-        """``b`` at every row of ``xs``, shape ``(M, m)``; loops over the
-        rows when the spec has no batched evaluation."""
-        if self.eval_batch is not None:
-            return self.eval_batch(xs)
-        return np.stack([np.asarray(self.eval(x), dtype=np.float64) for x in xs])
-
-    def jacobian_rows(self, xs: np.ndarray) -> np.ndarray:
-        """Jacobian at every row of ``xs``, shape ``(M, m, m)``."""
-        if self.jacobian_batch is not None:
-            return self.jacobian_batch(xs)
-        return np.stack([np.asarray(self.jacobian(x), dtype=np.float64)
-                         for x in xs])
-
     def drift_drift_product(self, x: np.ndarray) -> np.ndarray:
         """The vector ``(Jacobian b)(x) @ b(x)``, shape ``(m,)``."""
-        return np.asarray(self.jacobian(x)) @ np.asarray(self.eval(x))
+        return self.jacobian(x) @ self.eval(x)
 
     def check_state(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -90,6 +97,12 @@ class DriftSpec:
                 f"drift {self.name!r} expects states of shape ({self.dim},), "
                 f"got {x.shape}")
         return x
+
+
+def _pointwise(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    if x.ndim == 1:
+        return np.asarray(fn(x), dtype=np.float64)
+    return np.stack([np.asarray(fn(row), dtype=np.float64) for row in x])
 
 
 # The built-in drifts take one state of shape ``(m,)`` or a stack of states
@@ -137,24 +150,16 @@ def _planar_cubic_jac(x: np.ndarray) -> np.ndarray:
 
 
 def _linear_eval(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return matrix @ x
-
-
-def _linear_jac(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return matrix
-
-
-def _linear_eval_rows(matrix: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # Column by column rather than ``xs @ matrix.T``: a matrix product may
-    # block its sums differently for different numbers of rows.
-    out = xs[:, :1] * matrix[:, 0]
+    # Column by column rather than ``matrix @ x``: a matrix product may
+    # block its sums differently for one state and for a stack.
+    out = x[..., :1] * matrix[:, 0]
     for j in range(1, matrix.shape[1]):
-        out = out + xs[:, j:j + 1] * matrix[:, j]
+        out = out + x[..., j:j + 1] * matrix[:, j]
     return out
 
 
-def _linear_jac_rows(matrix: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(matrix, (xs.shape[0],) + matrix.shape)
+def _linear_jac(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(matrix, x.shape[:-1] + matrix.shape)
 
 
 def make_linear_drift(matrix: np.ndarray, name: str = "linear") -> DriftSpec:
@@ -173,34 +178,29 @@ def make_linear_drift(matrix: np.ndarray, name: str = "linear") -> DriftSpec:
         jacobian=partial(_linear_jac, matrix),
         kappa=kappa,
         mu=1.0,
-        eval_batch=partial(_linear_eval_rows, matrix),
-        jacobian_batch=partial(_linear_jac_rows, matrix),
     )
 
 
 # The dissipative cubic contracts pairs of states everywhere, so kappa = 0.
 CUBIC1D = DriftSpec(name="cubic1d", dim=1, eval=_cubic1d_eval,
-                    jacobian=_cubic1d_jac, kappa=0.0, mu=3.0,
-                    eval_batch=_cubic1d_eval, jacobian_batch=_cubic1d_jac)
+                    jacobian=_cubic1d_jac, kappa=0.0, mu=3.0)
 
 # x - x^3 has derivative 1 - 3x^2 <= 1 with equality at the origin.
 DOUBLEWELL1D = DriftSpec(name="doublewell1d", dim=1, eval=_doublewell1d_eval,
-                         jacobian=_doublewell1d_jac, kappa=1.0, mu=3.0,
-                         eval_batch=_doublewell1d_eval,
-                         jacobian_batch=_doublewell1d_jac)
+                         jacobian=_doublewell1d_jac, kappa=1.0, mu=3.0)
 
 # Rotation plus radial double-well; the symmetric Jacobian part is
 # (1 - r^2) I - 2 xx^T, bounded above by the identity.
 PLANAR_CUBIC = DriftSpec(name="planar_cubic", dim=2, eval=_planar_cubic_eval,
-                         jacobian=_planar_cubic_jac, kappa=1.0, mu=3.0,
-                         eval_batch=_planar_cubic_eval,
-                         jacobian_batch=_planar_cubic_jac)
+                         jacobian=_planar_cubic_jac, kappa=1.0, mu=3.0)
 
 _REGISTRY: dict[str, DriftSpec] = {}
 _ALIASES = {"example1": "cubic1d", "example2": "planar_cubic"}
 
 
 def register_drift(spec: DriftSpec, overwrite: bool = False) -> None:
+    if spec.name in _ALIASES or spec.name == "linear":
+        raise DomainError(f"drift name {spec.name!r} is reserved for a built-in drift")
     if not overwrite and spec.name in _REGISTRY:
         raise DomainError(f"drift {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
@@ -251,7 +251,7 @@ def verify_one_sided(spec: DriftSpec, box_radius: float = 3.0,
         norm2 = float(x @ x)
         if norm2 == 0.0:
             continue
-        jac = np.asarray(spec.jacobian(y), dtype=np.float64)
+        jac = spec.jacobian(y)
         quotient = float(x @ (jac @ x)) / norm2
         if quotient > worst:
             worst = quotient
@@ -289,7 +289,7 @@ def noise_free_bound_check(spec: DriftSpec, x0: np.ndarray, t_final: float,
     grid = Partition.uniform(t_final, steps)
     noise = zero_path(grid, HurstVector.constant(0.75, spec.dim))
     traj = backward_euler(spec, noise, x0)
-    b0 = np.asarray(spec.eval(np.zeros(spec.dim)), dtype=np.float64)
+    b0 = spec.eval(np.zeros(spec.dim))
     norms2 = np.sum(traj.states**2, axis=1)
     t = grid.times
     bound = (float(x0 @ x0) + t * float(b0 @ b0)) * np.exp((2.0 * spec.kappa + 1.0) * t)

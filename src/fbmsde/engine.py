@@ -174,7 +174,7 @@ def _newton_updates(spec: DriftSpec, delta: np.ndarray, y: np.ndarray,
     update is bit-identical to the scalar one.  A singular system gives
     a non-finite row rather than an error.
     """
-    jac = spec.jacobian_rows(y)
+    jac = spec.jacobian(y)
     if y.shape[1] == 1:
         return -res / (1.0 - delta * jac[:, 0])
     system = np.eye(y.shape[1]) - delta[:, :, None] * jac
@@ -204,7 +204,7 @@ def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
     needs the scalar solver) and the mask of the rows that need it.
     """
     y = c.copy()
-    res = y - delta * spec.eval_rows(y) - c
+    res = y - delta * spec.eval(y) - c
     norm = np.sqrt(sq_norms(res))
     tally = np.zeros((c.shape[0], 3), dtype=np.int64)
     iterations, halvings = tally[:, 0], tally[:, 1]
@@ -221,7 +221,7 @@ def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             cand = y + scale * update
-            cand_res = cand - delta * spec.eval_rows(cand) - c
+            cand_res = cand - delta * spec.eval(cand) - c
             cand_norm = np.sqrt(sq_norms(cand_res))
             # A non-finite candidate norm never compares below the norm.
             took = pending & (cand_norm < norm)
@@ -328,7 +328,7 @@ def _advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
                 delta = times[k + 1] - times[k + 1 - ratio]
                 c = states[r][:, j]
                 if theta < 1.0:
-                    c = c + (1.0 - theta) * delta * spec.eval_rows(states[r][:, j])
+                    c = c + (1.0 - theta) * delta * spec.eval(states[r][:, j])
                 c = c + (values[:, k + 1] - values[:, k + 1 - ratio])
                 if theta == 0.0:
                     states[r][:, j + 1] = c

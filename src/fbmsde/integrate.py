@@ -154,8 +154,7 @@ def _theta_method(scheme: str, spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
         for k, delta in enumerate(deltas):
             c = states[k]
             if theta < 1.0:
-                c = c + (1.0 - theta) * delta \
-                    * np.asarray(spec.eval(states[k]), dtype=np.float64)
+                c = c + (1.0 - theta) * delta * spec.eval(states[k])
             c = c + increments[k]
             if theta == 0.0:
                 states[k + 1] = c
@@ -250,7 +249,7 @@ def fundamental_matrix_block(spec: DriftSpec, grid: Partition,
     the result holds their flow matrices, shape ``(M, n + 1, m, m)``.  Uses
     the trapezoidal (implicit midpoint in the Jacobian) update, whose
     determinant stays positive on meshes fine enough for the guard.  All
-    Jacobians come from one ``jacobian_rows`` call and each node takes one
+    Jacobians come from one ``jacobian`` call and each node takes one
     stacked solve, so a lane's matrices do not depend on the other lanes.
 
     Raises:
@@ -261,7 +260,7 @@ def fundamental_matrix_block(spec: DriftSpec, grid: Partition,
     lanes, nodes, m = states.shape
     if m != spec.dim:
         raise DomainError("trajectory dimension does not match the drift")
-    jacs = spec.jacobian_rows(states.reshape(-1, m)).reshape(lanes, nodes, m, m)
+    jacs = spec.jacobian(states.reshape(-1, m)).reshape(lanes, nodes, m, m)
     half = (0.5 * np.diff(grid.times))[:, None, None]
     eye = np.eye(m)
     lhs = eye - half * jacs[:, 1:]
@@ -322,7 +321,7 @@ def fundamental_matrix_fb_euler(spec: DriftSpec, traj: Trajectory,
     mats[0] = eye
     for k in range(coarse.times.size - 1):
         delta = coarse.times[k + 1] - coarse.times[k]
-        jac = np.asarray(spec.jacobian(traj.states[idx[k]]), dtype=np.float64)
+        jac = spec.jacobian(traj.states[idx[k]])
         try:
             mats[k + 1] = np.linalg.solve(eye - delta * jac, mats[k])
         except np.linalg.LinAlgError as exc:

@@ -145,7 +145,7 @@ def residual_grid(spec: DriftSpec, traj: Trajectory, noise: FbmPath,
     idx = nested_indices(coarse, traj.grid)
     starts, ends = idx[:-1], idx[1:]
     times = traj.grid.times
-    drift = spec.eval_rows(traj.states)
+    drift = spec.eval(traj.states)
     r = np.empty((coarse.n_steps, spec.dim))
     tail = np.empty_like(r)
     lengths = ends - starts
@@ -157,7 +157,7 @@ def residual_grid(spec: DriftSpec, traj: Trajectory, noise: FbmPath,
         r[rows] = _trapezoid_rows(d, drift[nodes] - drift[nodes[:, -1:]])
         tail[rows] = _trapezoid_rows(
             d, noise.values[nodes[:, -1:]] - noise.values[nodes])
-    jac = spec.jacobian_rows(traj.states[starts])
+    jac = spec.jacobian(traj.states[starts])
     delta = times[ends] - times[starts]
     r1 = _apply_rows(jac, drift[starts]) * (delta * delta)[:, None] / 2.0
     r2 = _apply_rows(jac, tail)
@@ -189,9 +189,9 @@ def compute_U_block(spec: DriftSpec, grid: Partition, states: np.ndarray,
     if kt == 0:
         return np.zeros((lanes, m))
     left = states[:, :kt].reshape(-1, m)
-    jac = spec.jacobian_rows(left).reshape(lanes, kt, m, m)
+    jac = spec.jacobian(left).reshape(lanes, kt, m, m)
     dt = np.diff(grid.times[:kt + 1])[:, None]
-    forcing = _apply_rows(jac, spec.eval_rows(left).reshape(lanes, kt, m) * dt
+    forcing = _apply_rows(jac, spec.eval(left).reshape(lanes, kt, m) * dt
                           + np.diff(values[:, :kt + 1], axis=1))
     # Phi(t, s) = phi_t phi_s^{-1}; solve phi_s^T X^T = phi_t^T in one batch.
     lhs = np.swapaxes(flows[:, :kt], -1, -2)
@@ -236,8 +236,8 @@ def solve_U_ode(spec: DriftSpec, traj: Trajectory, noise: FbmPath) -> Trajectory
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
         db = noise.values[k + 1] - noise.values[k]
-        jac_left = np.asarray(spec.jacobian(traj.states[k]), dtype=np.float64)
-        jac_right = np.asarray(spec.jacobian(traj.states[k + 1]), dtype=np.float64)
+        jac_left = spec.jacobian(traj.states[k])
+        jac_right = spec.jacobian(traj.states[k + 1])
         forcing = states[k] \
             + 0.5 * spec.drift_drift_product(traj.states[k + 1]) * dt \
             + 0.5 * (jac_left @ db)

@@ -177,12 +177,11 @@ class _VectorStep:
         return y0.copy()
 
     def residual(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        res = y - self.delta * np.asarray(self.spec.eval(y), dtype=np.float64) - self.c
+        res = y - self.delta * self.spec.eval(y) - self.c
         return res, float(np.linalg.norm(res))
 
     def newton(self, y: np.ndarray, res: np.ndarray) -> np.ndarray:
-        jac = np.asarray(self.spec.jacobian(y), dtype=np.float64)
-        return np.linalg.solve(self.eye - self.delta * jac, -res)
+        return np.linalg.solve(self.eye - self.delta * self.spec.jacobian(y), -res)
 
     @staticmethod
     def finite(update: np.ndarray) -> bool:

@@ -373,7 +373,24 @@ def test_rate_rejects_repeated_values(tmp_path, capsys, old, new, expected):
     rc = main(["rate", "--config", str(cfg), "--out", str(outdir)])
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [expected]
-    assert list(outdir.iterdir()) == []
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("subcommand, text, expected", [
+    ("limit", LIMIT_CFG + "p = 2.5\n", "error: p must lie in [1, 2), got 2.5"),
+    ("stability", STAB_CFG.replace("master_mesh = 0.0001", "master_mesh = 0"),
+     "config error: master_mesh must be positive, got 0.0"),
+])
+def test_config_errors_leave_no_output_directory(tmp_path, capsys, subcommand,
+                                                 text, expected):
+    # The files' writer makes the directory; a run that writes none makes none.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    outdir = tmp_path / "o"
+    rc = main([subcommand, "--config", str(cfg), "--out", str(outdir)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not outdir.exists()
 
 
 def test_rate_missing_config_file_exits_one(tmp_path, capsys):

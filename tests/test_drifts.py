@@ -78,16 +78,34 @@ def test_jacobian_matches_finite_differences(spec, rng):
         assert np.allclose(jac, fd, rtol=1e-5, atol=1e-5)
 
 
-@pytest.mark.parametrize("spec", [CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC],
+LINEAR = [make_linear_drift(np.random.default_rng(m).standard_normal((m, m)),
+                            name=f"linear{m}") for m in range(1, 5)]
+
+
+@pytest.mark.parametrize("spec", [CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC] + LINEAR,
                          ids=lambda spec: spec.name)
 def test_one_state_evaluation_equals_row_evaluation(spec, rng):
     # Scalar integrators evaluate one state and the path-batched engine a
     # stack of them; lanes match the scalar runs only if both give the
     # same bits.
     xs = 3.0 * rng.standard_normal((20000, spec.dim))
-    assert np.array_equal(np.stack([spec.eval(x) for x in xs]), spec.eval_rows(xs))
-    assert np.array_equal(np.stack([spec.jacobian(x) for x in xs]),
-                          spec.jacobian_rows(xs))
+    assert np.array_equal(np.stack([spec.eval(x) for x in xs]), spec.eval(xs))
+    assert np.array_equal(np.stack([spec.jacobian(x) for x in xs]), spec.jacobian(xs))
+
+
+def test_one_state_callables_need_the_pointwise_wrapper():
+    # Given a stack of two states, this swaps the two states, not the
+    # coordinates of each, and its constant Jacobian broadcasts silently.
+    swap = (lambda y: np.array([y[1], y[0]]),
+            lambda y: np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(DomainError, match="DriftSpec.pointwise"):
+        DriftSpec("swap", 2, *swap, 1.0, 1.0)
+    with pytest.raises(DomainError, match="DriftSpec.pointwise"):
+        DriftSpec("swap", 2, lambda y: -y, swap[1], 1.0, 1.0)
+    spec = DriftSpec.pointwise("swap", 2, *swap, 1.0, 1.0)
+    xs = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(spec.eval(xs), [[2.0, 1.0], [4.0, 3.0]])
+    assert spec.jacobian(xs).shape == (2, 2, 2)
 
 
 # --- structural validation -------------------------------------------------
@@ -133,6 +151,16 @@ def test_register_drift_conflict_handling():
     finally:
         from fbmsde.drifts import _REGISTRY
         _REGISTRY.pop("throwaway_linear", None)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "linear"])
+def test_register_drift_rejects_reserved_names(name):
+    # An alias always resolves to its built-in, and a config reads
+    # ``linear`` as the matrix drift, so such a spec could never be reached.
+    with pytest.raises(DomainError, match="reserved"):
+        register_drift(make_linear_drift(np.array([[-1.0]]), name=name))
+    from fbmsde.drifts import _REGISTRY
+    assert name not in _REGISTRY
 
 
 # --- one-sided Lipschitz and growth checks ---------------------------------

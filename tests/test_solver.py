@@ -121,10 +121,10 @@ def test_no_convergence_scalar_when_bisection_cannot_help():
 
 
 def test_singular_newton_system_raises():
-    swap = DriftSpec("swap", 2,
-                     lambda y: np.array([y[1], y[0]]),
-                     lambda y: np.array([[0.0, 1.0], [1.0, 0.0]]),
-                     1.0, 3.0)
+    swap = DriftSpec.pointwise("swap", 2,
+                               lambda y: np.array([y[1], y[0]]),
+                               lambda y: np.array([[0.0, 1.0], [1.0, 0.0]]),
+                               1.0, 3.0)
     with pytest.raises(LinearSolveFailure):
         solve_backward_step(replace(swap, kappa=0.0), 1.0, np.array([1.0, 2.0]))
 
