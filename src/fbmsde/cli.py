@@ -47,14 +47,14 @@ from .csvio import (
 )
 from .drifts import get_drift
 from .errors import ConfigError, DomainError, FbmSdeError, GridError, SolverError
-from .fbm import HurstVector, sample_multi, zero_path
+from .fbm import HurstVector, coarsen, sample_multi, zero_path
 from .grids import Partition
 from .harness import (
     reference_bias_check,
-    resolve_drift,
     run_scheme,
     stability_compare,
     sweep_strong_error,
+    validate_limit_config,
 )
 from .integrate import THETA
 from .limit import limit_check
@@ -112,6 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--x0", type=float, nargs="+", required=True)
     p_sim.add_argument("--hurst", type=float, default=0.7)
     p_sim.add_argument("--steps", type=int, required=True)
+    p_sim.add_argument("--master-steps", type=int, default=None,
+                       help="sample on a grid of this many steps and restrict "
+                            "the path to --steps, as rate and limit restrict "
+                            "their master paths (default: --steps)")
     p_sim.add_argument("--t-final", type=float, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--newton-tol", type=float, default=1e-12)
@@ -172,22 +176,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = get_drift(args.drift)
     if args.steps < 1:
         raise DomainError(f"--steps must be >= 1, got {args.steps}")
+    master_steps = args.steps if args.master_steps is None else args.master_steps
+    if master_steps < 1 or master_steps % args.steps:
+        raise DomainError(f"--master-steps must be a positive multiple of "
+                          f"--steps {args.steps}, got {master_steps}")
     x0 = np.asarray(args.x0, dtype=np.float64)
     hurst = HurstVector.constant(args.hurst, spec.dim)
-    grid = Partition.uniform(args.t_final, args.steps)
+    grid = Partition.uniform(args.t_final, master_steps)
     if args.zero_noise:
         noise = zero_path(grid, hurst)
     else:
         noise = sample_multi(grid, hurst, args.seed, method=args.method)
+    noise = coarsen(noise, grid.subsample(master_steps // args.steps))
     solve_cfg = SolveConfig(tol=args.newton_tol, max_iter=args.newton_max_iter)
     traj = run_scheme(args.scheme, spec, noise, x0, solve_cfg)
     write_trajectory_csv(traj, args.out)
     write_manifest(
         args.out + ".meta.json", "simulate",
         {"drift": spec.name, "scheme": args.scheme, "x0": list(map(float, x0)),
-         "hurst": args.hurst, "steps": args.steps, "t_final": args.t_final,
-         "newton_tol": args.newton_tol, "newton_max_iter": args.newton_max_iter,
-         "method": args.method, "zero_noise": bool(args.zero_noise)},
+         "hurst": args.hurst, "steps": args.steps, "master_steps": master_steps,
+         "t_final": args.t_final, "newton_tol": args.newton_tol,
+         "newton_max_iter": args.newton_max_iter, "method": args.method,
+         "zero_noise": bool(args.zero_noise)},
         args.seed, __version__, [args.out])
     terminal = ", ".join(format_float(v) for v in traj.states[-1])
     print(f"wrote {args.out}; terminal state [{terminal}]")
@@ -257,7 +267,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
     cfg = replace(cfg, threads=_resolve_threads(args.threads, cfg.threads))
     out_dir = _require_out(cfg.out)
     comparison = limit_check(
-        resolve_drift(cfg), np.asarray(cfg.x0, dtype=np.float64), cfg.hurst,
+        validate_limit_config(cfg), np.asarray(cfg.x0, dtype=np.float64), cfg.hurst,
         cfg.t, cfg.n_values, cfg.mc_paths, cfg.seed, p=cfg.p,
         master_factor=cfg.master_factor, threads=cfg.threads,
         sampler=cfg.sampler, tol=cfg.newton_tol)

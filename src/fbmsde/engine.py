@@ -9,7 +9,21 @@ grid: a run on the coarse grid that keeps every ``ratio``-th node steps
 whenever the master step reaches one of its nodes, reusing
 ``values[:, ::ratio]``, and every run that steps at a master step joins one
 batched damped-Newton solve.  :func:`backward_euler_block` is its one-run
-call.
+call.  Each run steps from its current state and stores only the nodes
+its caller reduces (``keep``): a rate table keeps the terminal states, a
+limit comparison every node of the reference.
+
+A pass costs almost only Python overhead per master step, so the fewer
+blocks the better while their tensors stay small.  :func:`block_count`
+takes the fewest blocks, a multiple of the worker count, whose noise
+tensors stay within :data:`BLOCK_BYTES`, 4 MiB: 128 lanes of the planar
+cubic's 2048-step grid, 255 of a scalar drift's.  One-run passes over that
+grid (``tests/bench_engine.py``, 2-core machine, numpy 2.4, medians of
+three) took 0.60 s at 20 lanes, 0.65 s at 40, 0.74 s at 80, 0.99 s at 160
+and 1.36 s at 320, or 30, 16, 9.2, 6.2 and 4.2 ms per lane: past about 100
+lanes a lane costs 2-3 ms of its own, while the pass's fixed ~0.55 s is
+already shared, so a larger budget would save little more and cost
+memory in proportion.
 
 Every Newton decision is taken per row, one row per lane and run:
 stopping, each halving of the update, the iteration count and the stall.
@@ -33,13 +47,14 @@ machine, numpy 2.4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .drifts import DriftSpec
-from .errors import SolverError, StepTooLargeError
+from .errors import DomainError, SolverError, StepTooLargeError
 from .fbm import FbmPath, HurstVector
 from .grids import Partition
 from .integrate import _attach_step, _check_inputs, _explicit_overflow
@@ -51,21 +66,23 @@ from .solver import (
     solve_backward_step,
 )
 
-__all__ = ["BLOCK_PATHS", "NoiseBlock", "SolveStats", "backward_euler_block",
+__all__ = ["BLOCK_BYTES", "NoiseBlock", "SolveStats", "backward_euler_block",
            "backward_euler_runs", "block_count", "block_range",
            "lowest_failure", "name_path", "sq_norms"]
 
 T = TypeVar("T")
 
-# Most lanes per block.  Lane results do not depend on the block size; the
-# cap bounds the size of the block tensors.
-BLOCK_PATHS = 64
+# Most bytes of the noise tensor of one block, ``M·(n+1)·m·8``.  Lane
+# results do not depend on the blocks; the budget bounds the block tensors.
+BLOCK_BYTES = 4 * 2**20
 
 
-def block_count(lanes: int, threads: int = 1) -> int:
-    """Number of blocks: one or more per worker, at most
-    :data:`BLOCK_PATHS` lanes each, and no empty block."""
-    return max(1, min(lanes, max(threads, -(-lanes // BLOCK_PATHS))))
+def block_count(lanes: int, threads: int, lane_bytes: int) -> int:
+    """Number of blocks of ``lanes`` lanes of ``lane_bytes`` noise bytes
+    each: the fewest that is a multiple of ``threads`` and keeps every
+    block within :data:`BLOCK_BYTES`, but never more than ``lanes``."""
+    needed = -(-lanes // max(1, BLOCK_BYTES // lane_bytes))
+    return max(1, min(lanes, -(-needed // threads) * threads))
 
 
 def block_range(block: int, lanes: int, count: int) -> range:
@@ -246,7 +263,7 @@ def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
 
 def backward_euler_runs(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
                         runs: Sequence[tuple[int, float]],
-                        cfg: SolveConfig | None = None
+                        cfg: SolveConfig | None = None, keep: int = 1
                         ) -> tuple[list[np.ndarray], np.ndarray]:
     """θ-method runs on every lane of ``block`` from the common start
     ``x0``, each lane of each run as its scalar integrator runs it.
@@ -254,12 +271,18 @@ def backward_euler_runs(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
     ``runs`` lists ``(ratio, theta)`` pairs: the θ-method of ``theta`` on
     the coarse grid that keeps every ``ratio``-th node of the block's
     grid.  The runs advance together in one pass over the block's grid.
-    Returns the states of every run, shape ``(M, n + 1, m)`` with ``n``
-    the steps of its grid, and the counts of all runs per lane, shape
+    A run stores its state only at its nodes that are multiples of
+    ``keep``, a divisor of the grid's step count: every
+    ``lcm(ratio, keep) / ratio``-th node of its grid, the first and the
+    last included.  The default keeps every node; ``keep = n`` keeps the
+    start and the terminal state only.  Returns the stored states of every
+    run, shape ``(M, n / lcm(ratio, keep) + 1, m)`` with ``n`` the steps
+    of the block's grid, and the counts of all runs per lane, shape
     ``(M, 4)``, in the fields' order of :class:`SolveStats` (see
     :meth:`SolveStats.of`).
 
     Raises:
+        DomainError: ``keep`` does not divide the grid's step count.
         StepTooLargeError: ``kappa * theta * mesh`` of a run exceeds the
             solvability guard; the guards are checked before the first
             step, and a lane's failure in an earlier run comes first.
@@ -270,6 +293,9 @@ def backward_euler_runs(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
     """
     cfg = cfg or DEFAULT_SOLVE_CONFIG
     x0 = _check_inputs(spec, block.dim, block.hursts, x0)
+    if keep < 1 or block.grid.n_steps % keep:
+        raise DomainError(f"keep must divide the {block.grid.n_steps} steps "
+                          f"of the grid, got {keep}")
     runs = list(runs)
     stop = None
     for i, (ratio, theta) in enumerate(runs):
@@ -282,14 +308,15 @@ def backward_euler_runs(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
             stop, runs = exc, runs[:i]
             break
     try:
-        out = _advance(spec, block, x0, runs, cfg)
+        out = _advance(spec, block, x0, runs, cfg, keep)
     except SolverError as exc:
         lane = exc.lane
         if len(runs) > 1:
             one = block.select(slice(lane, lane + 1))
             for run in runs:
                 try:
-                    _advance(spec, one, x0, [run], cfg)
+                    # Only the error matters: keep the end states alone.
+                    _advance(spec, one, x0, [run], cfg, block.grid.n_steps)
                 except SolverError as first:
                     exc = first
                     break
@@ -301,17 +328,21 @@ def backward_euler_runs(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
 
 
 def _advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
-             runs: list[tuple[int, float]], cfg: SolveConfig
+             runs: list[tuple[int, float]], cfg: SolveConfig, keep: int
              ) -> tuple[list[np.ndarray], np.ndarray]:
     """The pass of :func:`backward_euler_runs` after its checks; a failure
     carries its lane in ``lane`` and is not yet named."""
     lanes = block.values.shape[0]
     times = block.grid.times
     values = block.values
-    states = [np.empty((lanes, block.grid.n_steps // ratio + 1, spec.dim))
-              for ratio, _ in runs]
+    # Run r stores its state at the master nodes that are multiples of
+    # strides[r], and steps from its current state, shape (M, m).
+    strides = [math.lcm(ratio, keep) for ratio, _ in runs]
+    states = [np.empty((lanes, block.grid.n_steps // stride + 1, spec.dim))
+              for stride in strides]
     for run in states:
         run[:, 0] = x0
+    current = [run[:, 0] for run in states]
     # Per run and lane: the counts of _newton_rows summed over the run's
     # steps, and the most iterations of one step.
     sums = np.zeros((len(runs), lanes, 3), dtype=np.int64)
@@ -326,38 +357,41 @@ def _advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
                     continue
                 j = (k + 1) // ratio - 1
                 delta = times[k + 1] - times[k + 1 - ratio]
-                c = states[r][:, j]
+                c = current[r]
                 if theta < 1.0:
-                    c = c + (1.0 - theta) * delta * spec.eval(states[r][:, j])
+                    c = c + (1.0 - theta) * delta * spec.eval(current[r])
                 c = c + (values[:, k + 1] - values[:, k + 1 - ratio])
                 if theta == 0.0:
-                    states[r][:, j + 1] = c
+                    current[r] = c
                     continue
                 members.append((r, j))
                 targets.append(c)
                 steps.append(np.full((lanes, 1), theta * delta))
-            if not members:
-                continue
-            c, step = (targets[0], steps[0]) if len(members) == 1 \
-                else (np.concatenate(targets), np.concatenate(steps))
-            # A row with a non-finite target always falls back.
-            y, tally, fallback = _newton_rows(spec, step, c, cfg)
-            for row in np.flatnonzero(fallback):
-                member, lane = divmod(int(row), lanes)
-                r, j = members[member]
-                try:
-                    if runs[r][1] < 1.0 and not np.all(np.isfinite(c[row])):
-                        raise _explicit_overflow(j)
-                    y[row] = solve_backward_step(spec, step[row, 0], c[row], cfg).y
-                except SolverError as exc:
-                    _attach_step(exc, j)
-                    exc.lane = lane
-                    raise
-            for m, (r, j) in enumerate(members):
-                rows = slice(m * lanes, (m + 1) * lanes)
-                states[r][:, j + 1] = y[rows]
-                sums[r] += tally[rows]
-                np.maximum(most[r], tally[rows, 0], out=most[r])
+            if members:
+                c, step = (targets[0], steps[0]) if len(members) == 1 \
+                    else (np.concatenate(targets), np.concatenate(steps))
+                # A row with a non-finite target always falls back.
+                y, tally, fallback = _newton_rows(spec, step, c, cfg)
+                for row in np.flatnonzero(fallback):
+                    member, lane = divmod(int(row), lanes)
+                    r, j = members[member]
+                    try:
+                        if runs[r][1] < 1.0 and not np.all(np.isfinite(c[row])):
+                            raise _explicit_overflow(j)
+                        y[row] = solve_backward_step(spec, step[row, 0], c[row],
+                                                     cfg).y
+                    except SolverError as exc:
+                        _attach_step(exc, j)
+                        exc.lane = lane
+                        raise
+                for m, (r, j) in enumerate(members):
+                    rows = slice(m * lanes, (m + 1) * lanes)
+                    current[r] = y[rows]
+                    sums[r] += tally[rows]
+                    np.maximum(most[r], tally[rows, 0], out=most[r])
+            for r, stride in enumerate(strides):
+                if (k + 1) % stride == 0:
+                    states[r][:, (k + 1) // stride] = current[r]
     total = sums.sum(axis=0)
     return states, np.column_stack([total[:, 0], most.max(axis=0, initial=0),
                                     total[:, 1], total[:, 2]])

@@ -8,10 +8,14 @@ by path index, which makes results independent of the worker count.
 
 The noise of a Monte Carlo run is an :class:`Ensemble` of lanes: the
 paths of every Hurst value, Hurst-major.  :func:`map_blocks` splits the
-lanes into blocks of consecutive lanes whose sizes differ by at most one,
-one or more per worker, and hands each block to a block function that
-integrates the reference and every scheme run for the whole block in one
-pass with :func:`fbmsde.engine.backward_euler_runs`; a rate sweep is one
+lanes into blocks of consecutive lanes whose sizes differ by at most one:
+the fewest blocks, a multiple of the worker count, whose noise tensors fit
+the engine's byte budget (:func:`fbmsde.engine.block_count`).  It hands
+each block to a block function that integrates the reference and every
+scheme run for the whole block in one pass with
+:func:`fbmsde.engine.backward_euler_runs`, keeping only the states the
+block function reduces: the terminal states for a rate table (and the
+coarse nodes for sup errors) and for the bias check.  A rate sweep is one
 such call of :func:`map_blocks`.  Neither a lane's result nor the path a
 failure names depends on the blocks.  Single paths go through
 :func:`run_scheme` to the scalar integrators.
@@ -19,6 +23,7 @@ failure names depends on the blocks.  Single paths go through
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -240,6 +245,47 @@ def validate_stability_config(cfg: ExperimentConfig) -> DriftSpec:
     return spec
 
 
+def validate_limit_config(cfg: LimitConfig) -> DriftSpec:
+    """The drift of a ``limit`` run; every problem of the run's settings
+    is reported at once, before any path is sampled."""
+    issues: list[str] = []
+    spec = None
+    try:
+        spec = resolve_drift(cfg)
+    except (ConfigError, DomainError) as exc:
+        issues.append(str(exc))
+    if spec is not None and len(cfg.x0) != spec.dim:
+        issues.append(
+            f"x0 has {len(cfg.x0)} coordinates but drift {spec.name!r} "
+            f"expects {spec.dim}")
+    if not 0.5 < cfg.hurst < 1.0:
+        issues.append(f"Hurst value {cfg.hurst} outside the supported range (0.5, 1)")
+    if not cfg.t >= 0.0:
+        issues.append(f"t must be non-negative, got {cfg.t}")
+    if not cfg.n_values or min(cfg.n_values) < 1:
+        issues.append("n_values must be a nonempty list of positive integers")
+    if not 1.0 <= cfg.p < 2.0:
+        issues.append(f"p must lie in [1, 2), got {cfg.p}")
+    if cfg.mc_paths < 1:
+        issues.append(f"mc_paths must be >= 1, got {cfg.mc_paths}")
+    if cfg.master_factor < 2:
+        issues.append("master_factor must be >= 2 so the reference is finer")
+    elif cfg.n_values and min(cfg.n_values) >= 1:
+        master_n = cfg.master_factor * max(cfg.n_values)
+        issues += [f"n = {n} does not divide the master step count {master_n}"
+                   for n in cfg.n_values if master_n % n != 0]
+    if cfg.threads < 1:
+        issues.append(f"threads must be >= 1, got {cfg.threads}")
+    if cfg.sampler not in ("circulant", "cholesky"):
+        issues.append(f"unknown sampler {cfg.sampler!r}")
+    if not cfg.newton_tol > 0.0:
+        issues.append(f"newton_tol must be positive, got {cfg.newton_tol}")
+    if issues:
+        raise ConfigError(issues)
+    assert spec is not None
+    return spec
+
+
 @dataclass(frozen=True, eq=False)
 class RateReport:
     """Strong-error table for one drift, Hurst index and scheme.
@@ -333,6 +379,11 @@ class Ensemble:
     def lanes(self) -> int:
         return len(self.hursts) * self.paths
 
+    @property
+    def lane_bytes(self) -> int:
+        """Bytes of one lane's noise, ``(n + 1)·m`` float64 values."""
+        return (self.grid.n_steps + 1) * self.hursts[0].dim * 8
+
     def path(self, lane: int) -> FbmPath:
         hurst = self.hursts[lane // self.paths]
         if self.zero_noise:
@@ -341,9 +392,18 @@ class Ensemble:
                             method=self.sampler)
 
     def block(self, lanes: range) -> NoiseBlock:
-        """The noise block of ``lanes``."""
-        return NoiseBlock.stack([self.path(i) for i in lanes],
-                                [i % self.paths for i in lanes])
+        """The noise block of ``lanes``, each path written straight into
+        the block tensor."""
+        values = np.empty((len(lanes), self.grid.n_steps + 1, self.hursts[0].dim))
+        seeds = []
+        for j, lane in enumerate(lanes):
+            path = self.path(lane)
+            values[j] = path.values
+            seeds.append(path.seed)
+        return NoiseBlock(grid=self.grid, values=values,
+                          hursts=tuple(self.hursts[i // self.paths] for i in lanes),
+                          indices=tuple(i % self.paths for i in lanes),
+                          seeds=tuple(seeds))
 
 
 def _run_block(run: Callable[[NoiseBlock], object], count: int,
@@ -360,26 +420,33 @@ def map_blocks(run: Callable[[NoiseBlock], object], ensemble: Ensemble,
     of a module-level block function does.  A failure is that of the
     lowest failing lane (see :func:`~fbmsde.engine.lowest_failure`).
     """
-    count = block_count(ensemble.lanes, threads)
+    count = block_count(ensemble.lanes, threads, ensemble.lane_bytes)
     return map_indexed(partial(_run_block, run, count), ensemble, count, threads)
 
 
 def _rate_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per lane: the squared terminal and sup errors of every mesh, and
-    the solve counts of the reference and every mesh."""
+    """Per lane: the squared terminal errors of every mesh, the squared
+    sup errors of every mesh (no columns without ``sup_error``), and the
+    solve counts of the reference and every mesh."""
     ratios = [_int_ratio(mesh, cfg.master_mesh) for mesh in cfg.meshes]
     theta = THETA[cfg.schemes[0]]
+    # The sup errors compare every coarse node; the terminal errors only
+    # the last one.
+    keep = math.gcd(*ratios) if cfg.sup_error else noise.grid.n_steps
     (ref, *coarse), counts = backward_euler_runs(
         spec, noise, np.asarray(cfg.x0, dtype=np.float64),
-        [(1, 1.0)] + [(ratio, theta) for ratio in ratios], cfg.solve_config())
-    sq_terminal = np.empty((ref.shape[0], len(cfg.meshes)))
-    sq_sup = np.empty((ref.shape[0], len(cfg.meshes)))
+        [(1, 1.0)] + [(ratio, theta) for ratio in ratios], cfg.solve_config(),
+        keep)
+    lanes = ref.shape[0]
+    sq_terminal = np.empty((lanes, len(cfg.meshes)))
+    sq_sup = np.empty((lanes, len(cfg.meshes) if cfg.sup_error else 0))
     with np.errstate(all="ignore"):
         for i, (ratio, states) in enumerate(zip(ratios, coarse)):
             sq_terminal[:, i] = sq_norms(ref[:, -1] - states[:, -1])
-            diff_all = ref[:, ::ratio] - states
-            sq_sup[:, i] = np.max(np.sum(diff_all * diff_all, axis=2), axis=1)
+            if cfg.sup_error:
+                diff_all = ref[:, ::ratio // keep] - states
+                sq_sup[:, i] = np.max(np.sum(diff_all * diff_all, axis=2), axis=1)
     return sq_terminal, sq_sup, counts
 
 
@@ -512,7 +579,8 @@ def _bias_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
     ratio = 2 * _int_ratio(min(cfg.meshes), cfg.master_mesh)
     (ref_fine, ref_half, y), _ = backward_euler_runs(
         spec, noise, np.asarray(cfg.x0, dtype=np.float64),
-        [(1, 1.0), (2, 1.0), (ratio, THETA[cfg.schemes[0]])], cfg.solve_config())
+        [(1, 1.0), (2, 1.0), (ratio, THETA[cfg.schemes[0]])], cfg.solve_config(),
+        noise.grid.n_steps)
     return (sq_norms(ref_fine[:, -1] - y[:, -1]),
             sq_norms(ref_half[:, -1] - y[:, -1]))
 

@@ -6,11 +6,13 @@ run it with pytest-benchmark:
     python3 -m pytest tests/bench_engine.py --benchmark-only
 
 The one-run cases time :func:`fbmsde.engine.backward_euler_block` on the
-master grid of ``configs/example2.cfg`` (2048 steps) at 20, 40 and 80
-lanes, which shows how little a block step costs per added lane.  The
-rate case times the six-run pass of one rate block: the reference and the
-five meshes of that config, as :func:`fbmsde.harness.sweep_strong_error`
-runs them on 40 lanes.
+master grid of ``configs/example2.cfg`` (2048 steps) at 20 to 320 lanes,
+which shows how little a block step costs per added lane: the curve that
+sizes :data:`fbmsde.engine.BLOCK_BYTES`.  The rate cases time the six-run
+pass of one rate block, the reference and the five meshes of that config:
+on 40 lanes keeping every node, and on the 80 lanes of a four-Hurst-value
+sweep of 20 paths keeping the terminal states only, as
+:func:`fbmsde.harness.sweep_strong_error` runs them.
 
 The implicit-step cases time one :func:`fbmsde.solver.solve_backward_step`
 on the scalar cubic (a coarse stability step from about 5, five Newton
@@ -39,7 +41,7 @@ def _block(lanes):
                              for i in range(lanes)])
 
 
-@pytest.mark.parametrize("lanes", [20, 40, 80])
+@pytest.mark.parametrize("lanes", [20, 40, 80, 160, 320])
 def test_one_run_pass(benchmark, lanes):
     block = _block(lanes)
     states, _ = benchmark.pedantic(backward_euler_block, (PLANAR_CUBIC, block, X0),
@@ -53,6 +55,14 @@ def test_rate_pass(benchmark):
                                    (PLANAR_CUBIC, block, X0, RATE_RUNS),
                                    rounds=3, warmup_rounds=1)
     assert [s.shape[1] for s in states] == [2049, 33, 65, 129, 257, 513]
+
+
+def test_rate_pass_terminal_only(benchmark):
+    block = _block(80)
+    states, _ = benchmark.pedantic(backward_euler_runs,
+                                   (PLANAR_CUBIC, block, X0, RATE_RUNS),
+                                   {"keep": GRID.n_steps}, rounds=3, warmup_rounds=1)
+    assert [s.shape[1] for s in states] == [2] * len(RATE_RUNS)
 
 
 @pytest.mark.parametrize("spec, delta, c, iterations", [

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbmsde import ConfigError
+from fbmsde import ConfigError, Partition, cli, engine
 from fbmsde.cli import main
 from fbmsde.configio import (
     EXPERIMENT_SCHEMA,
@@ -16,6 +16,8 @@ from fbmsde.configio import (
     limit_params_from_mapping,
     parse_config_text,
 )
+from fbmsde.engine import backward_euler_block
+from fbmsde.harness import Ensemble, resolve_drift, run_scheme
 
 RATE_CFG = """\
 # strong-error smoke configuration
@@ -242,6 +244,43 @@ def test_simulate_rejects_a_non_finite_start(tmp_path, capsys, scheme):
     assert not out.exists()
 
 
+def test_simulate_master_steps_replays_a_coarse_rate_lane(tmp_path, monkeypatch):
+    # Lane 4 of a rate run with paths 0-2 of H = 0.6 and 0.8 is path 1 of
+    # H = 0.8; its mesh 2^-4 run keeps every 8th node of the 128-step grid.
+    cfg = experiment_config_from_mapping(parse_config_text(
+        RATE_CFG.replace("hurst = 0.7", "hurst = 0.6 0.8")
+        .replace("mc_paths = 4", "mc_paths = 3")))
+    spec = resolve_drift(cfg)
+    block = Ensemble.of(cfg, spec, Partition.uniform(1.0, 128)).block(range(6))
+    noises = []
+
+    def recording(scheme, spec, noise, *rest, **kwargs):
+        noises.append(noise)
+        return run_scheme(scheme, spec, noise, *rest, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scheme", recording)
+    out = tmp_path / "replay.csv"
+    argv = ["simulate", "--drift", "example2", "--x0", "1.0", "1.0", "--hurst", "0.8",
+            "--steps", "16", "--t-final", "1.0", "--seed", str(block.seeds[4]),
+            "--out", str(out)]
+    assert main(argv + ["--master-steps", "128"]) == 0
+    assert np.array_equal(noises[0].values, block.values[4, ::8])
+    states, _ = backward_euler_block(spec, block, np.array([1.0, 1.0]), ratio=8)
+    rows = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
+    assert np.array_equal(np.array(rows, dtype=np.float64), states[4])
+    # A direct 16-step draw from the same seed is another path.
+    assert main(argv) == 0
+    assert not np.array_equal(noises[1].values, noises[0].values)
+
+
+def test_simulate_master_steps_must_nest_the_steps(tmp_path, capsys):
+    rc = main(["simulate", "--drift", "cubic1d", "--x0", "1.0", "--steps", "16",
+               "--master-steps", "100", "--t-final", "1", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: --master-steps must be a positive multiple of --steps 16, got 100\n"
+
+
 # --- rate subcommand ---------------------------------------------------------------
 
 def test_rate_pipeline_writes_report_and_manifest(tmp_path, capsys):
@@ -377,7 +416,9 @@ def test_rate_rejects_repeated_values(tmp_path, capsys, old, new, expected):
 
 
 @pytest.mark.parametrize("subcommand, text, expected", [
-    ("limit", LIMIT_CFG + "p = 2.5\n", "error: p must lie in [1, 2), got 2.5"),
+    ("limit", LIMIT_CFG + "p = 2.5\n", "config error: p must lie in [1, 2), got 2.5"),
+    ("limit", LIMIT_CFG.replace("x0 = 1.0", "x0 = 1.0 2.0"),
+     "config error: x0 has 2 coordinates but drift 'linear' expects 1"),
     ("stability", STAB_CFG.replace("master_mesh = 0.0001", "master_mesh = 0"),
      "config error: master_mesh must be positive, got 0.0"),
 ])
@@ -452,6 +493,31 @@ def test_rate_manifest_is_identical_across_threads(tmp_path):
             assert counts["newton_iterations"] > 0
 
 
+@pytest.mark.parametrize("sup", [False, True], ids=["terminal", "sup-error"])
+def test_rate_outputs_do_not_depend_on_the_block_budget(tmp_path, monkeypatch,
+                                                        capsys, sup):
+    # Ten lanes in ten blocks of one lane, then in one block; the meshes'
+    # ratios 16, 8 and 4 keep the reference at every 4th node for the sup
+    # errors.
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(RATE_CFG.replace("hurst = 0.7", "hurst = 0.6 0.8")
+                   .replace("mc_paths = 4", "mc_paths = 5")
+                   .replace("meshes = 2^-4 2^-5", "meshes = 2^-3 2^-4 2^-5"))
+    runs = []
+    for budget in (1, engine.BLOCK_BYTES):
+        monkeypatch.setattr(engine, "BLOCK_BYTES", budget)
+        outdir = tmp_path / f"b{budget}"
+        argv = ["rate", "--config", str(cfg), "--threads", "1", "--out", str(outdir),
+                "--bias-check"] + (["--sup-error"] if sup else [])
+        assert main(argv) == 0
+        runs.append(({p.name: p.read_bytes() for p in sorted(outdir.iterdir())},
+                     capsys.readouterr().out))
+    assert engine.block_count(10, 1, 129 * 2 * 8) == 1
+    assert len(runs[0][0]) == 3
+    assert runs[0][1].count("reference bias at finest mesh") == 2
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("subcommand, text", [
     ("rate", RATE_CFG.replace("master_mesh = 2^-7", "master_mesh = 0")),
     ("stability", STAB_CFG.replace("master_mesh = 0.0001", "master_mesh = 0")),
@@ -483,8 +549,8 @@ def test_limit_pipeline_reports_monotonicity(tmp_path, capsys):
 
 
 def test_planar_limit_table_is_identical_across_threads(tmp_path):
-    # 130 paths run in blocks of 64, 64 and 2 lanes on one or two workers
-    # and of 44, 44 and 42 lanes on three.
+    # 130 paths run in one block on one worker, in blocks of 65 lanes on
+    # two and of 44, 43 and 43 lanes on three.
     cfg = tmp_path / "planar.cfg"
     cfg.write_text("drift = planar_cubic\nx0 = 1.0 1.0\nhurst = 0.7\nt = 1.0\n"
                    "n_values = 8 16\nmc_paths = 130\nmaster_factor = 4\n"
@@ -504,6 +570,21 @@ def test_limit_rejects_p_out_of_range(tmp_path, capsys):
     rc = main(["limit", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "p" in capsys.readouterr().err
+
+
+def test_limit_reports_every_semantic_error_at_once(tmp_path, capsys):
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text(LIMIT_CFG.replace("x0 = 1.0", "x0 = 1.0 2.0")
+                   .replace("n_values = 8 16", "n_values = 12 16") + "p = 0.5\n")
+    rc = main(["limit", "--config", str(cfg), "--out", str(tmp_path / "o"),
+               "--threads", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: x0 has 2 coordinates but drift 'linear' expects 1",
+        "config error: p must lie in [1, 2), got 0.5",
+        "config error: n = 12 does not divide the master step count 128",
+        "config error: threads must be >= 1, got 0",
+    ]
 
 
 @pytest.mark.parametrize("flag, key", [(["--threads", "-3"], ""),

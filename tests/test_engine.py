@@ -1,4 +1,5 @@
 """The path-batched implicit Euler engine against the scalar integrator."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmsde import (
+    DomainError,
     DriftSpec,
     ExperimentConfig,
     HurstVector,
@@ -30,7 +32,7 @@ from fbmsde import drifts
 from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC, _cubic1d_eval, _cubic1d_jac
 from fbmsde.integrate import THETA
 from fbmsde.engine import (
-    BLOCK_PATHS,
+    BLOCK_BYTES,
     NoiseBlock,
     SolveStats,
     _newton_updates,
@@ -240,17 +242,42 @@ def test_singular_newton_rows_are_non_finite():
 
 
 def test_blocks_cover_every_path_once():
-    for paths in (1, 7, 63, 64, 65, 80, 200):
-        for threads in (1, 2, 3, 8):
-            count = block_count(paths, threads)
-            assert count >= min(paths, threads)
-            ranges = [block_range(b, paths, count) for b in range(count)]
-            sizes = {len(r) for r in ranges}
-            assert max(sizes) - min(sizes) <= 1
-            assert 1 <= min(sizes) and max(sizes) <= BLOCK_PATHS
-            assert [i for r in ranges for i in r] == list(range(paths))
-    # The 80 lanes of a four-Hurst-value sweep of 20 paths: 40 + 40.
-    assert [len(block_range(b, 80, block_count(80))) for b in range(2)] == [40, 40]
+    # Lanes of 8 bytes up to lanes above the budget, and the noise of one
+    # lane of the planar cubic's and of the linear drift's 2048-step grid.
+    for lane_bytes in (8, 2049 * 8, 2049 * 2 * 8, BLOCK_BYTES // 3, 2 * BLOCK_BYTES):
+        per_block = max(1, BLOCK_BYTES // lane_bytes)
+        for paths in (1, 7, 63, 64, 65, 80, 200, 500):
+            for threads in (1, 2, 3, 8):
+                count = block_count(paths, threads, lane_bytes)
+                assert count % threads == 0 or count == paths
+                ranges = [block_range(b, paths, count) for b in range(count)]
+                sizes = {len(r) for r in ranges}
+                assert max(sizes) - min(sizes) <= 1
+                assert 1 <= min(sizes) and max(sizes) <= per_block
+                assert [i for r in ranges for i in r] == list(range(paths))
+                # No fewer blocks that are a multiple of threads would fit.
+                if count > threads:
+                    assert -(-paths // (count - threads)) > per_block
+    # The 80 lanes of a four-Hurst-value sweep of 20 paths: one block.
+    assert block_count(80, 1, 2049 * 2 * 8) == 1
+    # 128 and 500 lanes of the linear drift over two workers: one block each.
+    assert block_count(128, 2, 2049 * 8) == block_count(500, 2, 2049 * 8) == 2
+
+
+@pytest.mark.parametrize("scheme", sorted(THETA))
+def test_kept_nodes_equal_the_full_run(scheme):
+    x0 = np.array([1.0, 1.0])
+    block = NoiseBlock.stack(_paths(2, count=5))
+    runs = [(1, 1.0), (8, THETA[scheme]), (2, THETA[scheme]), (32, THETA[scheme])]
+    full, counts = backward_euler_runs(PLANAR_CUBIC, block, x0, runs)
+    for keep in (2, 4, 32, GRID.n_steps):
+        kept, kept_counts = backward_euler_runs(PLANAR_CUBIC, block, x0, runs,
+                                                keep=keep)
+        assert np.array_equal(kept_counts, counts)
+        for (ratio, _), got, want in zip(runs, kept, full):
+            assert np.array_equal(got, want[:, ::math.lcm(ratio, keep) // ratio])
+    with pytest.raises(DomainError, match="keep must divide"):
+        backward_euler_runs(PLANAR_CUBIC, block, x0, runs, keep=3)
 
 
 RUN_DRIFTS = {"cubic1d": (CUBIC1D, [1.5]), "doublewell1d": (DOUBLEWELL1D, [0.3]),
