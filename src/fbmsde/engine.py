@@ -39,10 +39,11 @@ failing block into that of its lowest failing lane, so which path a
 failure names does not depend on the blocks either.
 
 Single paths stay on the scalar integrators of :mod:`fbmsde.integrate`:
-with one lane a batched step costs more than a scalar one, about 130 µs
-against 50 µs per step of the planar cubic and 72 µs against 14 µs per
-step of the scalar cubic, whose scalar step runs on floats (2-core
-machine, numpy 2.4).
+with one lane a batched step costs more than a scalar one, about 190-290
+µs against 65-95 µs per step of the planar cubic and 125-150 µs against
+14-21 µs per step of the scalar cubic, whose single-path run steps on
+floats and calls the public solver only to re-solve a step (2-core
+machine, numpy 2.4, noisy shared host).
 """
 
 from __future__ import annotations

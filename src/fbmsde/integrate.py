@@ -21,19 +21,28 @@ targets is defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
 
 from .drifts import DriftSpec
-from .errors import DomainError, NoConvergenceError, SolverError, StepTooLargeError
+from .errors import (
+    DomainError,
+    LinearSolveFailure,
+    NoConvergenceError,
+    SolverError,
+    StepTooLargeError,
+)
 from .fbm import FbmPath, HurstVector
 from .grids import Partition, nested_indices
 from .solver import (
     DEFAULT_SOLVE_CONFIG,
     SolveConfig,
     _check_step_guard,
+    _newton,
+    _step_for,
     solve_backward_step,
 )
 
@@ -142,35 +151,56 @@ def _theta_method(scheme: str, spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
                   cfg: SolveConfig, stability_mode: bool = False) -> Trajectory:
     """The θ-method of ``scheme``; θ = 1 evaluates no drift at the left
     node and θ = 0 solves nothing.  ``stability_mode`` records a non-finite
-    target or a solver failure as non-finite states instead of raising."""
+    target or a solver failure as non-finite states instead of raising.
+
+    One step object serves the whole run; in one dimension the state, the
+    target and the increments are Python floats.  A step that is not a
+    plain converged Newton solve (a non-finite target, a stall,
+    ``max_iter``, a singular or non-finite update) is solved again from
+    the same target by :func:`solve_backward_step`, which brings the
+    bisection rescue and the errors with it, as the engine's rows do.  The
+    guard on θ times the largest step covers every step."""
     theta = THETA[scheme]
     x0 = _check_inputs(spec, noise.dim, (noise.hurst,), x0)
     _check_step_guard(spec, theta * noise.grid.mesh)
+    step = _step_for(spec)
     states = np.empty((noise.grid.times.size, spec.dim))
     states[0] = x0
+    y = step.value(x0)
     with np.errstate(all="ignore"):
         deltas = np.diff(noise.grid.times).tolist()
-        increments = np.diff(noise.values, axis=0)
+        increments = step.rows(np.diff(noise.values, axis=0))
         for k, delta in enumerate(deltas):
-            c = states[k]
             if theta < 1.0:
-                c = c + (1.0 - theta) * delta * spec.eval(states[k])
-            c = c + increments[k]
+                c = step.explicit(y, (1.0 - theta) * delta, increments[k])
+            else:
+                c = y + increments[k]
             if theta == 0.0:
-                states[k + 1] = c
+                states[k + 1] = y = c
                 continue
-            if theta < 1.0 and not np.all(np.isfinite(c)):
+            if theta < 1.0 and not step.finite(c):
                 if not stability_mode:
                     raise _explicit_overflow(k)
-                states[k + 1] = c
+                states[k + 1] = y = c
                 continue
+            if step.finite(c):
+                step.aim(theta * delta, c)
+                try:
+                    y, res_norm, _, _ = _newton(step, cfg)
+                except LinearSolveFailure:
+                    res_norm = math.nan
+                if res_norm <= cfg.tol:
+                    states[k + 1] = y
+                    continue
             try:
-                states[k + 1] = solve_backward_step(spec, theta * delta, c, cfg).y
+                states[k + 1] = solve_backward_step(spec, theta * delta,
+                                                    step.state(c), cfg).y
             except SolverError as exc:
                 if not stability_mode:
                     _attach_step(exc, k)
                     raise
                 states[k + 1] = np.nan
+            y = step.value(states[k + 1])
     return Trajectory(grid=noise.grid, states=states, scheme=scheme,
                       drift=spec.name, path_seed=noise.seed)
 

@@ -7,12 +7,23 @@ rejects steps with ``kappa * delta > 0.9`` before any iteration runs.
 
 Newton iterations start at ``c``, as the path-batched engine's do, halve the
 update up to 30 times until the residual norm decreases, and fall back to
-sign-change bisection in one dimension when damping stalls.  These
-decisions are written once; only the evaluation of the residual, its norm
-and the Newton update depend on the dimension.  In one dimension the
-iterate, the residual and the update are Python floats, which saves the
-numpy overhead of one-element arrays on every iteration; for ``m >= 2``
-they are arrays and LAPACK solves the Newton system.
+sign-change bisection in one dimension when damping stalls.  The stop,
+update, halve and stall decisions are written once, in ``_newton``; only
+the evaluation of the residual, its norm and the Newton update depend on
+the dimension, and live on a step object (``_ScalarStep``, ``_VectorStep``)
+that is built once and aimed at each step's ``(delta, c)``.  In one
+dimension the iterate, the residual and the update are Python floats,
+which saves the numpy overhead of one-element arrays on every iteration;
+for ``m >= 2`` they are arrays and LAPACK solves the Newton system.
+
+:func:`solve_backward_step` checks its inputs, aims a fresh step and runs
+``_newton``, then the bisection rescue and the errors.  The single-path
+integrators of :mod:`fbmsde.integrate` build one step per run and call
+``_newton`` on every step; a step that is not a plain converged solve (a
+non-finite target, a stall, ``max_iter``, a singular or non-finite
+update) is solved again from the same target by
+:func:`solve_backward_step`, the rule the engine applies to its rows, so
+rescues and errors are the public call's.
 
 The drift and its Jacobian are still evaluated on a (reused) one-element
 array, never on a float: Python's ``y**3`` differs from numpy's array power
@@ -127,35 +138,61 @@ def _bisect_scalar(residual: Callable[[float], tuple[float, float]], c: float,
 class _ScalarStep:
     """The step equation in one dimension, on Python floats.
 
-    The norm is ``sqrt(r * r)``, as ``np.linalg.norm`` computes it, and
-    the Newton update is the division that the 1x1 LU solve computes, so
-    every value has the bits of the array computation.  The drift is
-    evaluated on the one-element array ``x`` (see the module docstring).
+    Built once per run and aimed at each step's ``(delta, c)``.  The norm
+    is ``sqrt(r * r)``, as ``np.linalg.norm`` computes it, and the Newton
+    update is the division that the 1x1 LU solve computes, so every value
+    has the bits of the array computation.  The drift is evaluated on the
+    reused one-element array ``x`` (see the module docstring).
     """
 
-    def __init__(self, spec: DriftSpec, delta: float, c: np.ndarray) -> None:
-        self.spec = spec
-        self.delta = delta
-        self.c = float(c[0])
+    def __init__(self, spec: DriftSpec) -> None:
+        self.eval = spec.eval
+        self.jacobian = spec.jacobian
         self.x = np.empty(1)
+        self.delta = 0.0
+        self.c = 0.0
 
-    @staticmethod
-    def start(y0: np.ndarray) -> float:
-        return float(y0[0])
+    def aim(self, delta: float, c: float) -> None:
+        self.delta = delta
+        self.c = c
+
+    def start(self) -> float:
+        return self.c
+
+    def explicit(self, y: float, a: float, inc: float) -> float:
+        """``y + a * b(y) + inc``, in this order.  A non-finite sum is
+        taken again on the array: of two NaN operands numpy keeps the
+        first, while Python floats keep either, depending on whether the
+        interpreter has specialized the operation yet, and diverging runs
+        must keep numpy's bits.  A finite sum met no NaN, so floats give
+        the array's bits."""
+        self.x[0] = y
+        c = y + a * float(self.eval(self.x)[0]) + inc
+        if math.isfinite(c):
+            return c
+        return float((self.x + a * self.eval(self.x) + inc)[0])
 
     def residual(self, y: float) -> tuple[float, float]:
         self.x[0] = y
-        r = y - self.delta * float(self.spec.eval(self.x)[0]) - self.c
+        r = y - self.delta * float(self.eval(self.x)[0]) - self.c
         return r, math.sqrt(r * r)
 
     def newton(self, y: float, res: float) -> float:
         self.x[0] = y
-        system = 1.0 - self.delta * float(self.spec.jacobian(self.x)[0, 0])
+        system = 1.0 - self.delta * float(self.jacobian(self.x)[0, 0])
         if system == 0.0:
             raise np.linalg.LinAlgError("Singular matrix")
         return -res / system
 
     finite = staticmethod(math.isfinite)
+
+    @staticmethod
+    def value(state: np.ndarray) -> float:
+        return float(state[0])
+
+    @staticmethod
+    def rows(states: np.ndarray) -> list[float]:
+        return states[:, 0].tolist()
 
     @staticmethod
     def state(y: float) -> np.ndarray:
@@ -164,32 +201,93 @@ class _ScalarStep:
 
 class _VectorStep:
     """The step equation in ``m >= 2`` dimensions, on arrays, with the
-    Newton system solved by LAPACK."""
+    Newton system solved by LAPACK.  Built once per run and aimed at each
+    step's ``(delta, c)``; no iterate is ever written in place."""
 
-    def __init__(self, spec: DriftSpec, delta: float, c: np.ndarray) -> None:
-        self.spec = spec
+    def __init__(self, spec: DriftSpec) -> None:
+        self.eval = spec.eval
+        self.jacobian = spec.jacobian
+        self.eye = np.eye(spec.dim)
+        self.delta = 0.0
+        self.c = np.zeros(spec.dim)
+
+    def aim(self, delta: float, c: np.ndarray) -> None:
         self.delta = delta
         self.c = c
-        self.eye = np.eye(spec.dim)
 
-    @staticmethod
-    def start(y0: np.ndarray) -> np.ndarray:
-        return y0.copy()
+    def start(self) -> np.ndarray:
+        return self.c.copy()
+
+    def explicit(self, y: np.ndarray, a: float, inc: np.ndarray) -> np.ndarray:
+        return y + a * self.eval(y) + inc
 
     def residual(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        res = y - self.delta * self.spec.eval(y) - self.c
+        res = y - self.delta * self.eval(y) - self.c
         return res, float(np.linalg.norm(res))
 
     def newton(self, y: np.ndarray, res: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.eye - self.delta * self.spec.jacobian(y), -res)
+        return np.linalg.solve(self.eye - self.delta * self.jacobian(y), -res)
 
     @staticmethod
     def finite(update: np.ndarray) -> bool:
         return bool(np.isfinite(update).all())
 
     @staticmethod
+    def value(state: np.ndarray) -> np.ndarray:
+        return state
+
+    @staticmethod
+    def rows(states: np.ndarray) -> np.ndarray:
+        return states
+
+    @staticmethod
     def state(y: np.ndarray) -> np.ndarray:
         return y
+
+
+def _step_for(spec: DriftSpec) -> _ScalarStep | _VectorStep:
+    """The step equation of ``spec``, to be aimed before each solve."""
+    return (_ScalarStep if spec.dim == 1 else _VectorStep)(spec)
+
+
+def _newton(step: _ScalarStep | _VectorStep, cfg: SolveConfig
+            ) -> tuple[float | np.ndarray, float, int, bool]:
+    """Damped Newton from the target of the aimed ``step``.
+
+    Stops once the residual norm is within ``cfg.tol``, halves each update
+    up to ``_MAX_HALVINGS`` times until the norm decreases, and stalls when
+    no halving does.  Returns the iterate, its residual norm, the Newton
+    iterations and whether damping stalled; the solve converged exactly
+    when the norm is within ``cfg.tol``.
+
+    Raises:
+        LinearSolveFailure: a Newton system was singular or gave a
+            non-finite update.
+    """
+    y = step.start()
+    res, res_norm = step.residual(y)
+    iterations = 0
+    while iterations < cfg.max_iter and not res_norm <= cfg.tol:
+        try:
+            update = step.newton(y, res)
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveFailure(
+                f"singular Newton system at iterate with residual {res_norm:.3e}"
+            ) from exc
+        if not step.finite(update):
+            raise LinearSolveFailure("non-finite Newton update")
+        iterations += 1
+        scale = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            cand = y + scale * update
+            cand_res, cand_norm = step.residual(cand)
+            if math.isfinite(cand_norm) and cand_norm < res_norm:
+                y, res, res_norm = cand, cand_res, cand_norm
+                break
+            scale *= 0.5
+        else:
+            return y, res_norm, iterations, True
+    return y, res_norm, iterations, False
 
 
 def solve_backward_step(spec: DriftSpec, delta: float, c: np.ndarray,
@@ -219,39 +317,9 @@ def solve_backward_step(spec: DriftSpec, delta: float, c: np.ndarray,
     if delta == 0.0:
         return StepResult(y=c.copy(), residual=0.0, iterations=0)
 
-    step = (_ScalarStep if spec.dim == 1 else _VectorStep)(spec, float(delta), c)
-    y = step.start(c)
-    res, res_norm = step.residual(y)
-    iterations = 0
-    stalled = False
-
-    while iterations < cfg.max_iter:
-        if res_norm <= cfg.tol:
-            return StepResult(y=step.state(y), residual=res_norm, iterations=iterations)
-        try:
-            update = step.newton(y, res)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveFailure(
-                f"singular Newton system at iterate with residual {res_norm:.3e}"
-            ) from exc
-        if not step.finite(update):
-            raise LinearSolveFailure("non-finite Newton update")
-
-        scale = 1.0
-        improved = False
-        for _ in range(_MAX_HALVINGS + 1):
-            cand = y + scale * update
-            cand_res, cand_norm = step.residual(cand)
-            if math.isfinite(cand_norm) and cand_norm < res_norm:
-                y, res, res_norm = cand, cand_res, cand_norm
-                improved = True
-                break
-            scale *= 0.5
-        iterations += 1
-        if not improved:
-            stalled = True
-            break
-
+    step = _step_for(spec)
+    step.aim(float(delta), step.value(c))
+    y, res_norm, iterations, stalled = _newton(step, cfg)
     if res_norm <= cfg.tol:
         return StepResult(y=step.state(y), residual=res_norm, iterations=iterations)
 

@@ -17,9 +17,21 @@ sweep of 20 paths keeping the terminal states only, as
 The implicit-step cases time one :func:`fbmsde.solver.solve_backward_step`
 on the scalar cubic (a coarse stability step from about 5, five Newton
 iterations on floats) and on the planar cubic (a master-grid step, two
-iterations with LAPACK), and :func:`fbmsde.integrate.reference_solution`
-over the 7200-step master grid of ``configs/stability_example1.cfg``, the
-single path that dominates a ``stability`` run.
+iterations with LAPACK).  The single-path cases time the integrators,
+which step on one reused step object and call the public solver only to
+re-solve a step: :func:`fbmsde.integrate.reference_solution` over the
+7200-step master grid of ``configs/stability_example1.cfg``, the single
+path that dominates a ``stability`` run; :func:`fbmsde.integrate.backward_euler`
+on one planar path of the 2048-step grid; and the coarse
+``crank_nicolson(..., stability_mode=True)`` run of a ``stability`` op from
+x0 = 500, whose first implicit step stalls, is re-solved by the public
+solver (Newton, then the failing bisection) and leaves NaN rows.  On a
+2-core machine (numpy 2.4) whose speed switched between two levels, five
+alternating runs against the loop that called the public solver on every
+step gave the reference 10-20 µs per step against 15-30 µs (1.5x in every
+pair), the planar path 50-100 µs per step either way, and the 9-step run
+0.9-1.9 ms against 0.75-1.6 ms: its stalled step runs Newton twice, once
+in the loop and once in the public re-solve, before the failing bisection.
 """
 import numpy as np
 import pytest
@@ -27,7 +39,7 @@ import pytest
 from fbmsde import HurstVector, Partition, child_seed, sample_multi
 from fbmsde.drifts import CUBIC1D, PLANAR_CUBIC
 from fbmsde.engine import NoiseBlock, backward_euler_block, backward_euler_runs
-from fbmsde.integrate import reference_solution
+from fbmsde.integrate import backward_euler, crank_nicolson, reference_solution
 from fbmsde.solver import solve_backward_step
 
 GRID = Partition.uniform(1.0, 2048)
@@ -81,3 +93,20 @@ def test_stability_reference(benchmark):
     traj = benchmark.pedantic(reference_solution, (CUBIC1D, noise, np.array([5.0])),
                               rounds=5, warmup_rounds=1)
     assert np.all(np.isfinite(traj.states))
+
+
+def test_planar_single_path(benchmark):
+    noise = sample_multi(GRID, HurstVector.constant(0.7, 2), child_seed(11, 0),
+                         method="circulant")
+    traj = benchmark.pedantic(backward_euler, (PLANAR_CUBIC, noise, X0),
+                              rounds=3, warmup_rounds=1)
+    assert np.all(np.isfinite(traj.states))
+
+
+def test_stalling_stability_run(benchmark):
+    grid = Partition.uniform(0.72, 9)
+    noise = sample_multi(grid, HurstVector.constant(0.6, 1), child_seed(0, 0),
+                         method="circulant")
+    traj = benchmark.pedantic(crank_nicolson, (CUBIC1D, noise, np.array([500.0])),
+                              {"stability_mode": True}, rounds=20, warmup_rounds=1)
+    assert np.isnan(traj.states).any()

@@ -12,6 +12,7 @@ from fbmsde import (
     LinearSolveFailure,
     NoConvergenceError,
     SolveConfig,
+    SolverError,
     StepTooLargeError,
     make_linear_drift,
     resolvent_norm_bound,
@@ -19,6 +20,7 @@ from fbmsde import (
 )
 from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC
 from fbmsde.engine import _newton_rows
+from fbmsde.solver import _newton, _step_for
 
 
 def real_cubic_root(c: float) -> float:
@@ -195,6 +197,60 @@ def test_scalar_stall_keeps_its_message():
         "damping stalled with residual 1.819e-12 above tol 1e-12"
     assert err.value.iterations == 15
 
+
+
+# --- one step object, re-aimed ------------------------------------------------
+
+_SWAP = replace(DriftSpec.pointwise("swap", 2, lambda y: np.array([y[1], y[0]]),
+                                    lambda y: np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                    1.0, 3.0), kappa=0.0)
+_UNSTABLE = replace(make_linear_drift(np.array([[1.0]])), kappa=0.0)
+
+# (spec, cfg, steps within the guard); each mixes converging targets with
+# stalls the bisection rescues or not, max_iter, and singular systems.
+REAIM_CASES = {
+    "cubic1d": (CUBIC1D, SolveConfig(), [1e-4, 1e-3, 0.08, 1.0]),
+    "cubic1d-max_iter-2": (CUBIC1D, SolveConfig(max_iter=2), [1e-3, 0.08, 1.0]),
+    "doublewell1d": (DOUBLEWELL1D, SolveConfig(), [1e-3, 0.08, 0.9]),
+    "singular1d": (_UNSTABLE, SolveConfig(), [0.5, 1.0]),
+    "planar_cubic": (PLANAR_CUBIC, SolveConfig(), [1e-3, 0.08, 0.9]),
+    "singular2d": (_SWAP, SolveConfig(), [0.5, 1.0]),
+}
+_REAIM_TARGETS = st.floats(-50.0, 50.0) | st.floats(-1e6, 1e6)
+
+
+@pytest.mark.parametrize("case", sorted(REAIM_CASES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_reaimed_step_solves_as_a_fresh_call(case, data):
+    spec, cfg, steps = REAIM_CASES[case]
+    step = _step_for(spec)
+    sequence = data.draw(st.lists(
+        st.tuples(st.sampled_from(steps), st.lists(_REAIM_TARGETS, min_size=spec.dim,
+                                                   max_size=spec.dim)),
+        min_size=1, max_size=8))
+    returned = []
+    for delta, target in sequence:
+        c = np.array(target)
+        step.aim(delta, step.value(c))
+        try:
+            y, norm, iterations, _ = _newton(step, cfg)
+        except LinearSolveFailure:
+            norm = math.nan
+        try:
+            fresh = solve_backward_step(spec, delta, c, cfg)
+        except SolverError:
+            # The public call fails only where Newton does not converge.
+            assert not norm <= cfg.tol
+            continue
+        if not norm <= cfg.tol:
+            continue        # rescued: an integrator re-solves it publicly
+        got = step.state(y)
+        assert got.tobytes() == fresh.y.tobytes()
+        assert (norm, iterations) == (fresh.residual, fresh.iterations)
+        buffers = [c, step.c, getattr(step, "x", np.empty(0))] + returned
+        assert not any(np.shares_memory(got, other) for other in buffers)
+        returned.append(got)
 
 # --- resolvent norm and its monotonicity bound -------------------------------
 
