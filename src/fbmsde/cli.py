@@ -221,18 +221,19 @@ def _config_echo(cfg) -> dict:
     return {k: v for k, v in asdict(cfg).items() if k not in ("threads", "out")}
 
 
-def _require_out(cfg_out: str | None) -> str:
-    if not cfg_out:
+def _load_run(args: argparse.Namespace, from_mapping):
+    """The run config of ``--config`` built by ``from_mapping``, with the
+    flags applied and the worker count resolved, and its output directory."""
+    cfg = from_mapping(load_config_file(args.config), _overrides(args))
+    cfg = replace(cfg, threads=_resolve_threads(args.threads, cfg.threads))
+    if not cfg.out:
         raise ConfigError("an output directory is required: set 'out' in the "
                           "config or pass --out")
-    return cfg_out
+    return cfg, cfg.out
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    mapping = load_config_file(args.config)
-    cfg = experiment_config_from_mapping(mapping, _overrides(args))
-    cfg = replace(cfg, threads=_resolve_threads(args.threads, cfg.threads))
-    out_dir = _require_out(cfg.out)
+    cfg, out_dir = _load_run(args, experiment_config_from_mapping)
     reports = sweep_strong_error(cfg)
     outputs = []
     for report in reports:
@@ -262,10 +263,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 
 def cmd_limit(args: argparse.Namespace) -> int:
-    mapping = load_config_file(args.config)
-    cfg = limit_params_from_mapping(mapping, _overrides(args))
-    cfg = replace(cfg, threads=_resolve_threads(args.threads, cfg.threads))
-    out_dir = _require_out(cfg.out)
+    cfg, out_dir = _load_run(args, limit_params_from_mapping)
     comparison = limit_check(
         validate_limit_config(cfg), np.asarray(cfg.x0, dtype=np.float64), cfg.hurst,
         cfg.t, cfg.n_values, cfg.mc_paths, cfg.seed, p=cfg.p,
@@ -285,10 +283,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
-    mapping = load_config_file(args.config)
-    cfg = experiment_config_from_mapping(mapping, _overrides(args))
-    cfg = replace(cfg, threads=_resolve_threads(args.threads, cfg.threads))
-    out_dir = _require_out(cfg.out)
+    cfg, out_dir = _load_run(args, experiment_config_from_mapping)
     rows = stability_compare(cfg)
     target = os.path.join(out_dir, "stability.csv")
     write_stability_csv(rows, target)

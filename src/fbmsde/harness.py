@@ -15,23 +15,25 @@ each block to a block function that integrates the reference and every
 scheme run for the whole block in one pass with
 :func:`fbmsde.engine.backward_euler_runs`, keeping only the states the
 block function reduces: the terminal states for a rate table (and the
-coarse nodes for sup errors) and for the bias check.  A rate sweep is one
-such call of :func:`map_blocks`.  Neither a lane's result nor the path a
-failure names depends on the blocks.  Single paths go through
-:func:`run_scheme` to the scalar integrators.
+coarse nodes for sup errors) and for the bias check.  :func:`map_indexed`
+fans the blocks out over worker processes and returns their results in
+block order, so neither a lane's result nor the path a failure names
+depends on the blocks or the worker count.  A rate sweep is one
+validation of the whole config (:func:`validate_rate_config`, every issue
+of every Hurst value at once) and one call of :func:`map_blocks`.  Single
+paths go through :func:`run_scheme` to the scalar integrators.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
-from ._parallel import map_indexed
 from .drifts import DriftSpec, get_drift, make_linear_drift
 from .engine import (
     NoiseBlock,
@@ -151,17 +153,34 @@ def _repeated(values) -> list:
     return [v for v, count in Counter(values).items() if count > 1]
 
 
-def _common_issues(cfg: ExperimentConfig) -> tuple[list[str], DriftSpec | None]:
-    issues: list[str] = []
-    spec = None
+def _drift_issues(cfg: ExperimentConfig | LimitConfig
+                  ) -> tuple[list[str], DriftSpec | None]:
+    """The drift of a run, or ``None`` if it does not resolve, and the
+    issues of the drift and of ``x0`` against it."""
     try:
         spec = resolve_drift(cfg)
     except (ConfigError, DomainError) as exc:
-        issues.append(str(exc))
-    if spec is not None and len(cfg.x0) != spec.dim:
-        issues.append(
-            f"x0 has {len(cfg.x0)} coordinates but drift {spec.name!r} "
-            f"expects {spec.dim}")
+        return [str(exc)], None
+    if len(cfg.x0) != spec.dim:
+        return [f"x0 has {len(cfg.x0)} coordinates but drift {spec.name!r} "
+                f"expects {spec.dim}"], spec
+    return [], spec
+
+
+def _worker_issues(cfg: ExperimentConfig | LimitConfig) -> list[str]:
+    """The issues of the settings every Monte Carlo run shares."""
+    issues = []
+    if cfg.threads < 1:
+        issues.append(f"threads must be >= 1, got {cfg.threads}")
+    if cfg.sampler not in ("circulant", "cholesky"):
+        issues.append(f"unknown sampler {cfg.sampler!r}")
+    if not cfg.newton_tol > 0.0:
+        issues.append(f"newton_tol must be positive, got {cfg.newton_tol}")
+    return issues
+
+
+def _common_issues(cfg: ExperimentConfig) -> tuple[list[str], DriftSpec | None]:
+    issues, spec = _drift_issues(cfg)
     if not cfg.t_final > 0.0:
         issues.append(f"t_final must be positive, got {cfg.t_final}")
     if not cfg.hurst_values:
@@ -191,19 +210,20 @@ def _common_issues(cfg: ExperimentConfig) -> tuple[list[str], DriftSpec | None]:
                               f"master mesh {cfg.master_mesh}")
     if cfg.mc_paths < 1:
         issues.append(f"mc_paths must be >= 1, got {cfg.mc_paths}")
-    if cfg.threads < 1:
-        issues.append(f"threads must be >= 1, got {cfg.threads}")
-    if cfg.sampler not in ("circulant", "cholesky"):
-        issues.append(f"unknown sampler {cfg.sampler!r}")
-    if not cfg.newton_tol > 0.0:
-        issues.append(f"newton_tol must be positive, got {cfg.newton_tol}")
+    issues += _worker_issues(cfg)
     if cfg.newton_max_iter < 1:
         issues.append(f"newton_max_iter must be >= 1, got {cfg.newton_max_iter}")
     return issues, spec
 
 
 def validate_rate_config(cfg: ExperimentConfig) -> DriftSpec:
+    """The drift of a ``rate`` or ``--bias-check`` run over every Hurst value;
+    every problem of the run's settings is reported at once.  A Hurst value
+    may appear once: ``f"{h:g}"`` names its report file and its solve
+    counts."""
     issues, spec = _common_issues(cfg)
+    issues += [f"Hurst value {h} is listed more than once"
+               for h in _repeated(f"{h:g}" for h in cfg.hurst_values)]
     if len(cfg.schemes) != 1:
         issues.append("rate runs use exactly one scheme")
     if cfg.master_mesh is None:
@@ -248,16 +268,7 @@ def validate_stability_config(cfg: ExperimentConfig) -> DriftSpec:
 def validate_limit_config(cfg: LimitConfig) -> DriftSpec:
     """The drift of a ``limit`` run; every problem of the run's settings
     is reported at once, before any path is sampled."""
-    issues: list[str] = []
-    spec = None
-    try:
-        spec = resolve_drift(cfg)
-    except (ConfigError, DomainError) as exc:
-        issues.append(str(exc))
-    if spec is not None and len(cfg.x0) != spec.dim:
-        issues.append(
-            f"x0 has {len(cfg.x0)} coordinates but drift {spec.name!r} "
-            f"expects {spec.dim}")
+    issues, spec = _drift_issues(cfg)
     if not 0.5 < cfg.hurst < 1.0:
         issues.append(f"Hurst value {cfg.hurst} outside the supported range (0.5, 1)")
     if not cfg.t >= 0.0:
@@ -274,12 +285,7 @@ def validate_limit_config(cfg: LimitConfig) -> DriftSpec:
         master_n = cfg.master_factor * max(cfg.n_values)
         issues += [f"n = {n} does not divide the master step count {master_n}"
                    for n in cfg.n_values if master_n % n != 0]
-    if cfg.threads < 1:
-        issues.append(f"threads must be >= 1, got {cfg.threads}")
-    if cfg.sampler not in ("circulant", "cholesky"):
-        issues.append(f"unknown sampler {cfg.sampler!r}")
-    if not cfg.newton_tol > 0.0:
-        issues.append(f"newton_tol must be positive, got {cfg.newton_tol}")
+    issues += _worker_issues(cfg)
     if issues:
         raise ConfigError(issues)
     assert spec is not None
@@ -406,6 +412,21 @@ class Ensemble:
                           seeds=tuple(seeds))
 
 
+def map_indexed(worker: Callable[[Any, int], Any], payload: Any, count: int,
+                threads: int = 1) -> list[Any]:
+    """Run ``worker(payload, i)`` for ``i in range(count)``, in index order;
+    with ``threads > 1`` in that many worker processes, to which the worker
+    and payload must pickle."""
+    if threads <= 1 or count <= 1:
+        return [worker(payload, i) for i in range(count)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = max(1, count // (threads * 4))
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(partial(worker, payload), range(count),
+                             chunksize=chunk))
+
+
 def _run_block(run: Callable[[NoiseBlock], object], count: int,
                ensemble: Ensemble, block: int) -> object:
     return lowest_failure(run, ensemble.block(block_range(block, ensemble.lanes,
@@ -495,19 +516,10 @@ def _sweep(block: Callable[..., tuple[np.ndarray, ...]], cfg: ExperimentConfig,
     one :func:`map_blocks` pass over the master grid refined ``refine``
     times; the block outputs, one tuple per Hurst value.
 
-    Each Hurst value is validated alone first, so a bad value reports as it
-    would alone.  A value may appear once: ``f"{h:g}"`` names its report
-    file and its solve counts.
+    The whole config is validated once first, so every issue of every
+    Hurst value is reported together.
     """
-    spec = None
-    for h in cfg.hurst_values:
-        spec = validate_rate_config(replace(cfg, hurst_values=(h,)))
-    repeated = _repeated(f"{h:g}" for h in cfg.hurst_values)
-    if repeated:
-        raise ConfigError([f"Hurst value {h} is listed more than once"
-                           for h in repeated])
-    if spec is None:
-        return []
+    spec = validate_rate_config(cfg)
     grid = Partition.uniform(cfg.t_final,
                              refine * _int_ratio(cfg.t_final, cfg.master_mesh))
     blocks = map_blocks(partial(block, cfg, spec), Ensemble.of(cfg, spec, grid),

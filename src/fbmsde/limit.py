@@ -29,15 +29,15 @@ from functools import partial
 
 import numpy as np
 
-# Unused here; tracing tools wrap map_indexed, sample_multi, backward_euler
-# and fundamental_matrix_reference under these names.
-from ._parallel import map_indexed  # noqa: F401
+# The F401 names are unused here; tracing tools wrap map_indexed,
+# sample_multi, backward_euler and fundamental_matrix_reference under them.
 from .drifts import DriftSpec
 from .engine import NoiseBlock, backward_euler_runs, name_path, sq_norms
 from .errors import ConfigError, DomainError, GridError, StepTooLargeError
 from .fbm import FbmPath, HurstVector, sample_multi  # noqa: F401
 from .grids import Partition, nested_indices
 from .harness import Ensemble, _lp_norm_with_se, map_blocks
+from .harness import map_indexed  # noqa: F401
 from .integrate import (  # noqa: F401
     FundamentalMatrixPath,
     Trajectory,

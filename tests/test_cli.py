@@ -421,6 +421,8 @@ def test_rate_rejects_repeated_values(tmp_path, capsys, old, new, expected):
      "config error: x0 has 2 coordinates but drift 'linear' expects 1"),
     ("stability", STAB_CFG.replace("master_mesh = 0.0001", "master_mesh = 0"),
      "config error: master_mesh must be positive, got 0.0"),
+    ("rate", RATE_CFG.replace("hurst = 0.7", "hurst ="),
+     "config error: at least one Hurst value is required"),
 ])
 def test_config_errors_leave_no_output_directory(tmp_path, capsys, subcommand,
                                                  text, expected):
@@ -431,6 +433,21 @@ def test_config_errors_leave_no_output_directory(tmp_path, capsys, subcommand,
     rc = main([subcommand, "--config", str(cfg), "--out", str(outdir)])
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [expected]
+    assert not outdir.exists()
+
+
+def test_rate_lists_every_bad_hurst_value(tmp_path, capsys):
+    # The whole Hurst list is validated in one pass, not value by value.
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(RATE_CFG.replace("hurst = 0.7", "hurst = 0.4 0.7 1.2"))
+    outdir = tmp_path / "o"
+    rc = main(["rate", "--config", str(cfg), "--out", str(outdir),
+               "--bias-check"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: Hurst value 0.4 outside the supported range (0.5, 1)",
+        "config error: Hurst value 1.2 outside the supported range (0.5, 1)",
+    ]
     assert not outdir.exists()
 
 

@@ -245,6 +245,18 @@ def test_sweep_strong_error_runs_each_hurst():
     assert all(len(r.errors) == 3 for r in reports)
 
 
+@pytest.mark.parametrize("run", [sweep_strong_error, reference_bias_check])
+def test_sweeps_validate_an_empty_hurst_list(run):
+    with pytest.raises(ConfigError) as err:
+        run(rate_cfg(hurst_values=()))
+    assert err.value.issues == ["at least one Hurst value is required"]
+    with pytest.raises(ConfigError) as err:
+        run(rate_cfg(drift="nonsense", t_final=-1.0, hurst_values=(), mc_paths=0))
+    issues = " | ".join(err.value.issues)
+    for part in ("nonsense", "t_final", "Hurst", "mc_paths"):
+        assert part in issues
+
+
 SWEEP_HURST = (0.6, 0.7, 0.8, 0.9)
 
 

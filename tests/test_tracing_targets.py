@@ -1,9 +1,10 @@
 """The names perfbench's tracer wraps still exist in the package.
 
 ``perfbench/tracing.py`` times each layer by replacing a module attribute
-under the name its caller looks up.  The benchmark's self-tests are not
-part of this suite, so a rename under ``src/fbmsde`` would break
-``perfbench/run.py --trace 1`` unseen without this check.
+under the name its caller looks up, so a rename under ``src/fbmsde`` would
+break ``perfbench/run.py --trace 1``.  This check names the missing
+attribute; the benchmark's self-tests, collected with this suite, check
+that the traced counts still add up.
 """
 import importlib
 import importlib.util
