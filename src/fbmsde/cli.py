@@ -15,7 +15,8 @@ command reproduces every byte.  Manifests name the outputs relative to
 their own directory and leave out the output location, and the ``rate``,
 ``limit`` and ``stability`` manifests also leave out the worker count,
 which changes no output, so their bytes depend neither on where a run
-writes nor on ``--threads``.
+writes nor on ``--threads``.  The ``rate`` and ``limit`` manifests hold
+the counts of the implicit solves (``solve_stats``), keyed by Hurst value.
 
 ``--threads`` falls back to the ``FBMSDE_THREADS`` environment variable,
 then to the config file, then to 1.
@@ -264,7 +265,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 def cmd_limit(args: argparse.Namespace) -> int:
     cfg, out_dir = _load_run(args, limit_params_from_mapping)
-    comparison = limit_check(
+    comparison, stats = limit_check(
         validate_limit_config(cfg), np.asarray(cfg.x0, dtype=np.float64), cfg.hurst,
         cfg.t, cfg.n_values, cfg.mc_paths, cfg.seed, p=cfg.p,
         master_factor=cfg.master_factor, threads=cfg.threads,
@@ -278,7 +279,8 @@ def cmd_limit(args: argparse.Namespace) -> int:
     monotone = bool(np.all(np.diff(dists) <= 1e-12)) if dists.size > 1 else True
     print(f"lp distance monotone decreasing: {'yes' if monotone else 'no'}")
     write_manifest(os.path.join(out_dir, "meta.json"), "limit",
-                   _config_echo(cfg), cfg.seed, __version__, [target])
+                   _config_echo(cfg), cfg.seed, __version__, [target],
+                   solve_stats={f"{cfg.hurst:g}": asdict(stats)})
     return 0
 
 

@@ -122,7 +122,7 @@ def write_manifest(target, subcommand: str, config: dict, seed: int,
     ``outputs`` are listed relative to the manifest's directory (to the
     working directory for an open file), so the manifest does not depend
     on where a run writes.  ``solve_stats`` holds deterministic solver
-    counts, keyed by run.
+    counts, keyed by Hurst value.
     """
     base = os.curdir if hasattr(target, "write") \
         else os.path.dirname(os.fspath(target)) or os.curdir

@@ -159,7 +159,10 @@ def _linear_eval(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _linear_jac(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(matrix, x.shape[:-1] + matrix.shape)
+    # A filled array: a broadcast view costs more to build and to use.
+    out = np.empty(x.shape[:-1] + matrix.shape)
+    out[...] = matrix
+    return out
 
 
 def make_linear_drift(matrix: np.ndarray, name: str = "linear") -> DriftSpec:

@@ -19,14 +19,17 @@ takes the fewest blocks, a multiple of the worker count, whose noise
 tensors stay within :data:`BLOCK_BYTES`, 4 MiB: 128 lanes of the planar
 cubic's 2048-step grid, 255 of a scalar drift's.  One-run passes over that
 grid (``tests/bench_engine.py``, 2-core machine, numpy 2.4, medians of
-three) took 0.60 s at 20 lanes, 0.65 s at 40, 0.74 s at 80, 0.99 s at 160
-and 1.36 s at 320, or 30, 16, 9.2, 6.2 and 4.2 ms per lane: past about 100
-lanes a lane costs 2-3 ms of its own, while the pass's fixed ~0.55 s is
-already shared, so a larger budget would save little more and cost
-memory in proportion.
+three) took 0.43 s at 20 lanes, 0.45 s at 40, 0.49 s at 80, 0.57 s at 160
+and 0.67 s at 320, or 21, 11, 6.1, 3.6 and 2.1 ms per lane: past about 100
+lanes a lane costs about 1 ms of its own, while the pass's fixed ~0.4 s
+is already shared, so a larger budget would save little more and cost
+memory in proportion.  Before the predictor start and the closed-form
+2x2 solve, the same passes took 0.49-0.60 s at 20 lanes and 0.89-1.36 s
+at 320 on the same machine.
 
-Every Newton decision is taken per row, one row per lane and run:
-stopping, each halving of the update, the iteration count and the stall.
+Every Newton decision is taken per row, one row per lane and run: the
+start (the target or the explicit predictor), stopping, each halving of
+the update, the iteration count and the stall.
 A lane's result therefore depends on its own path alone, never on its
 batchmates, the block size or the other runs of the pass.  A row that
 stalls, reaches ``max_iter``, or gets a singular or non-finite Newton
@@ -39,9 +42,9 @@ failing block into that of its lowest failing lane, so which path a
 failure names does not depend on the blocks either.
 
 Single paths stay on the scalar integrators of :mod:`fbmsde.integrate`:
-with one lane a batched step costs more than a scalar one, about 190-290
-µs against 65-95 µs per step of the planar cubic and 125-150 µs against
-14-21 µs per step of the scalar cubic, whose single-path run steps on
+with one lane a batched step costs more than a scalar one, about 140-230
+µs against 45-90 µs per step of the planar cubic and 75-135 µs against
+10-18 µs per step of the scalar cubic, whose single-path run steps on
 floats and calls the public solver only to re-solve a step (2-core
 machine, numpy 2.4, noisy shared host).
 """
@@ -64,6 +67,7 @@ from .solver import (
     DEFAULT_SOLVE_CONFIG,
     SolveConfig,
     _check_step_guard,
+    _solve_small,
     solve_backward_step,
 )
 
@@ -186,26 +190,27 @@ def _newton_updates(spec: DriftSpec, delta: np.ndarray, y: np.ndarray,
     """Solve ``(I - delta J(y)) u = -res`` row by row; ``delta`` holds the
     step of every row, shape ``(M, 1)``.
 
-    Rows are solved as the scalar solver's ``np.linalg.solve`` solves
-    them: a division in one dimension, which is what the 1x1 LU solve
-    computes, and the same per-matrix LAPACK solve above, so a row's
+    Rows are solved by the scalar solver's :func:`~fbmsde.solver._solve_small`
+    (in one dimension its division is the scalar step's), so a row's
     update is bit-identical to the scalar one.  A singular system gives
-    a non-finite row rather than an error.
+    a NaN row rather than an error.
     """
-    jac = spec.jacobian(y)
-    if y.shape[1] == 1:
-        return -res / (1.0 - delta * jac[:, 0])
-    system = np.eye(y.shape[1]) - delta[:, :, None] * jac
-    try:
-        return np.linalg.solve(system, -res[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = np.full_like(res, np.nan)
-        for j in range(res.shape[0]):
-            try:
-                out[j] = np.linalg.solve(system[j], -res[j])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    system = np.eye(y.shape[1]) - delta[:, :, None] * spec.jacobian(y)
+    return _solve_small(system, -res[:, :, None])[:, :, 0]
+
+
+def _take_rows(took: np.ndarray, new: tuple[np.ndarray, ...],
+               old: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Per row, the iterate, residual and norm of ``new`` where ``took``
+    and of ``old`` elsewhere; when every row (or none) takes ``new``, the
+    arrays are used as they are."""
+    if took.all():
+        return new
+    if not took.any():
+        return old
+    return (np.where(took[:, None], new[0], old[0]),
+            np.where(took[:, None], new[1], old[1]),
+            np.where(took, new[2], old[2]))
 
 
 def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
@@ -214,12 +219,13 @@ def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
     """Damped Newton for ``y - delta b(y) = c``, one equation per row of
     ``c``; ``delta`` holds the step of every row, shape ``(M, 1)``.
 
-    Mirrors :func:`~fbmsde.solver.solve_backward_step` row by row: all
-    rows are computed, and masks decide which rows take the result.
-    Multiplying by a row's step gives the bits of multiplying by the
-    scalar step.  Returns the iterates, the counts of every row (shape
-    ``(M, 3)``: Newton iterations, rejected updates, and 1 if the row
-    needs the scalar solver) and the mask of the rows that need it.
+    Mirrors :func:`~fbmsde.solver._newton` row by row, the explicit
+    predictor start included: all rows are computed, and masks decide
+    which rows take the result.  Multiplying by a row's step gives the
+    bits of multiplying by the scalar step.  Returns the iterates, the
+    counts of every row (shape ``(M, 3)``: Newton iterations, rejected
+    updates, and 1 if the row needs the scalar solver) and the mask of the
+    rows that need it.
     """
     y = c.copy()
     res = y - delta * spec.eval(y) - c
@@ -228,14 +234,21 @@ def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
     iterations, halvings = tally[:, 0], tally[:, 1]
     fallback = np.zeros(c.shape[0], dtype=bool)
     active = ~(norm <= cfg.tol)
+    if active.any():
+        guess = c - res
+        guess_res = guess - delta * spec.eval(guess) - c
+        guess_norm = np.sqrt(sq_norms(guess_res))
+        y, res, norm = _take_rows(active & (guess_norm < norm),
+                                  (guess, guess_res, guess_norm), (y, res, norm))
+        # Only active rows took the predictor; the others are still within.
+        active = ~(norm <= cfg.tol)
     for _ in range(cfg.max_iter):
         if not active.any():
             break
         iterations += active
         update = _newton_updates(spec, delta, y, res)
-        singular = ~np.all(np.isfinite(update), axis=1)
-        fallback |= active & singular
-        pending = active & ~singular
+        pending = active & np.isfinite(update).all(axis=1)
+        fallback |= active ^ pending
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             cand = y + scale * update
@@ -243,20 +256,15 @@ def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
             cand_norm = np.sqrt(sq_norms(cand_res))
             # A non-finite candidate norm never compares below the norm.
             took = pending & (cand_norm < norm)
-            if took.all():
-                y, res, norm = cand, cand_res, cand_norm
-                pending = ~took
-                break
-            y = np.where(took[:, None], cand, y)
-            res = np.where(took[:, None], cand_res, res)
-            norm = np.where(took, cand_norm, norm)
-            pending &= ~took
+            y, res, norm = _take_rows(took, (cand, cand_res, cand_norm),
+                                      (y, res, norm))
+            pending ^= took
             if not pending.any():
                 break
             halvings += pending
             scale *= 0.5
         fallback |= pending
-        active &= ~fallback & ~(norm <= cfg.tol)
+        active &= ~(fallback | (norm <= cfg.tol))
     fallback |= active
     tally[:, 2] = fallback
     return y, tally, fallback

@@ -11,7 +11,8 @@ the same step in :func:`fbmsde.engine.backward_euler_block`.
 
 The linearization flow along the reference scheme is written once, over a
 block of lanes (:func:`fundamental_matrix_block`): one Jacobian evaluation
-over all lanes and nodes, then one stacked linear solve per node.  The
+over all lanes and nodes, then one stacked solve per node, a division in
+one dimension and Cramer's rule in two.  The
 single-trajectory :func:`fundamental_matrix_reference` is its one-lane call.
 
 All schemes require every Hurst component of the driving path to exceed
@@ -42,6 +43,8 @@ from .solver import (
     SolveConfig,
     _check_step_guard,
     _newton,
+    _small_det,
+    _solve_small,
     _step_for,
     solve_backward_step,
 )
@@ -280,7 +283,8 @@ def fundamental_matrix_block(spec: DriftSpec, grid: Partition,
     the trapezoidal (implicit midpoint in the Jacobian) update, whose
     determinant stays positive on meshes fine enough for the guard.  All
     Jacobians come from one ``jacobian`` call and each node takes one
-    stacked solve, so a lane's matrices do not depend on the other lanes.
+    stacked :func:`~fbmsde.solver._solve_small`, so a lane's matrices do
+    not depend on the other lanes.
 
     Raises:
         StepTooLargeError: a step of some lane is not solvable, or its flow
@@ -297,21 +301,15 @@ def fundamental_matrix_block(spec: DriftSpec, grid: Partition,
     rhs = eye + half * jacs[:, :-1]
     mats = np.empty((lanes, nodes, m, m))
     mats[:, 0] = eye
-    # First step at which each lane's system is singular; ``nodes`` if none.
-    singular = np.full(lanes, nodes)
-    for k in range(nodes - 1):
-        target = rhs[:, k] @ mats[:, k]
-        try:
-            mats[:, k + 1] = np.linalg.solve(lhs[:, k], target)
-        except np.linalg.LinAlgError:
-            for lane in range(lanes):
-                try:
-                    mats[lane, k + 1] = np.linalg.solve(lhs[lane, k], target[lane])
-                except np.linalg.LinAlgError:
-                    mats[lane, k + 1] = np.nan
-                    singular[lane] = min(singular[lane], k)
-    # A lane with a singular step has NaN determinants, which compare false.
-    lost = np.linalg.det(mats) <= 0.0
+    with np.errstate(all="ignore"):
+        for k in range(nodes - 1):
+            mats[:, k + 1] = _solve_small(lhs[:, k], rhs[:, k] @ mats[:, k])
+        # A singular system gives NaN matrices from its next node on,
+        # whose determinants compare false.
+        finite = np.isfinite(mats).all(axis=(2, 3))
+        lost = _small_det(mats) <= 0.0
+    # First step of each lane whose solve is not finite; ``nodes`` if none.
+    singular = np.where(finite.all(axis=1), nodes, np.argmin(finite, axis=1) - 1)
     failed = (singular < nodes) | lost.any(axis=1)
     if not failed.any():
         return mats

@@ -32,7 +32,7 @@ import numpy as np
 # The F401 names are unused here; tracing tools wrap map_indexed,
 # sample_multi, backward_euler and fundamental_matrix_reference under them.
 from .drifts import DriftSpec
-from .engine import NoiseBlock, backward_euler_runs, name_path, sq_norms
+from .engine import NoiseBlock, SolveStats, backward_euler_runs, name_path, sq_norms
 from .errors import ConfigError, DomainError, GridError, StepTooLargeError
 from .fbm import FbmPath, HurstVector, sample_multi  # noqa: F401
 from .grids import Partition, nested_indices
@@ -248,10 +248,11 @@ def solve_U_ode(spec: DriftSpec, traj: Trajectory, noise: FbmPath) -> Trajectory
 
 def _limit_block(spec: DriftSpec, x0: np.ndarray, n_values: tuple[int, ...],
                  cfg: SolveConfig, noise: NoiseBlock
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per lane: ``|n Z - U|`` and ``|n Z|`` for every ``n``, and ``|U|``."""
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per lane: ``|n Z - U|`` and ``|n Z|`` for every ``n``, ``|U|``, and
+    the solve counts of the runs (see :meth:`SolveStats.of`)."""
     grid = noise.grid
-    (ref, *coarse), _ = backward_euler_runs(
+    (ref, *coarse), counts = backward_euler_runs(
         spec, noise, x0, [(1, 1.0)] + [(grid.n_steps // n, 1.0) for n in n_values],
         cfg)
     rescaled = np.stack([float(n) * (ref[:, -1] - states[:, -1])
@@ -263,19 +264,21 @@ def _limit_block(spec: DriftSpec, x0: np.ndarray, n_values: tuple[int, ...],
         raise
     u_t = compute_U_block(spec, grid, ref, flows, noise.values, grid.n_steps)
     return (np.sqrt(sq_norms(rescaled - u_t[:, None])),
-            np.sqrt(sq_norms(rescaled)), np.sqrt(sq_norms(u_t)))
+            np.sqrt(sq_norms(rescaled)), np.sqrt(sq_norms(u_t)), counts)
 
 
 def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
                 t: float, n_values: tuple[int, ...], mc_paths: int, seed: int,
                 p: float = 1.0, master_factor: int = 8, threads: int = 1,
-                sampler: str = "circulant", tol: float = 1e-12) -> LimitComparison:
+                sampler: str = "circulant", tol: float = 1e-12
+                ) -> tuple[LimitComparison, SolveStats]:
     """Monte Carlo comparison of ``n Z`` against the limit process.
 
     For each path one fine reference run provides both the surrogate for
     the exact solution and the evaluation of ``U``; coarse runs reuse the
     restricted noise.  The master grid has ``master_factor * max(n_values)``
-    steps.
+    steps.  Returns the comparison and the counts of the implicit solves
+    of all runs, which do not depend on ``threads``.
 
     Raises:
         DomainError: if ``p`` is outside ``[1, 2)``.
@@ -292,9 +295,10 @@ def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
         raise ConfigError(f"threads must be >= 1, got {threads}")
     zeros = np.zeros(len(n_values))
     if t == 0.0:
-        return LimitComparison(n_values=n_values, lp_distances=zeros.copy(), p=p,
-                               stderrs=zeros.copy(), mean_abs_nz=zeros.copy(),
-                               mean_abs_u=zeros.copy())
+        return (LimitComparison(n_values=n_values, lp_distances=zeros.copy(), p=p,
+                                stderrs=zeros.copy(), mean_abs_nz=zeros.copy(),
+                                mean_abs_u=zeros.copy()),
+                SolveStats())
     if master_factor < 2:
         raise ConfigError("master_factor must be >= 2 so the reference is finer")
     if isinstance(hurst, (int, float)):
@@ -310,10 +314,11 @@ def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
     ensemble = Ensemble(grid=Partition.uniform(float(t), master_n), hursts=(hurst,),
                         paths=mc_paths, seed=int(seed), sampler=sampler)
     blocks = map_blocks(run, ensemble, threads)
-    dists, nz, u_norms = (np.concatenate([b[i] for b in blocks]) for i in range(3))
+    dists, nz, u_norms, counts = (np.concatenate([b[i] for b in blocks])
+                                  for i in range(4))
 
     lp, stderrs = _lp_norm_with_se(dists**p, p)
-    return LimitComparison(
+    comparison = LimitComparison(
         n_values=n_values,
         lp_distances=lp,
         p=p,
@@ -321,3 +326,4 @@ def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
         mean_abs_nz=nz.mean(axis=0),
         mean_abs_u=np.full(len(n_values), float(u_norms.mean())),
     )
+    return comparison, SolveStats.of(counts)

@@ -5,16 +5,23 @@ Lipschitz bound ``kappa`` the map ``y -> y - delta * b(y)`` is strongly
 monotone whenever ``kappa * delta < 1``, so the root is unique; the guard
 rejects steps with ``kappa * delta > 0.9`` before any iteration runs.
 
-Newton iterations start at ``c``, as the path-batched engine's do, halve the
-update up to 30 times until the residual norm decreases, and fall back to
-sign-change bisection in one dimension when damping stalls.  The stop,
-update, halve and stall decisions are written once, in ``_newton``; only
-the evaluation of the residual, its norm and the Newton update depend on
-the dimension, and live on a step object (``_ScalarStep``, ``_VectorStep``)
-that is built once and aimed at each step's ``(delta, c)``.  In one
-dimension the iterate, the residual and the update are Python floats,
-which saves the numpy overhead of one-element arrays on every iteration;
-for ``m >= 2`` they are arrays and LAPACK solves the Newton system.
+Newton iterations start at ``c`` or at the explicit predictor
+``c - r(c) = c + delta b(c)``, whichever has the smaller residual norm (a
+tie keeps ``c``), as the path-batched engine's do.  The predictor lies
+within ``O(delta^2)`` of the root, so one iteration usually suffices where
+two were needed from ``c``; where it overshoots, as for large ``|c|``, the
+solve starts at ``c`` as before (Hairer & Wanner, *Solving ODEs II*,
+§IV.8).  Each iteration halves the update up to 30 times until the
+residual norm decreases, and the solve falls back to sign-change bisection
+in one dimension when damping stalls.  The start, stop, update, halve and
+stall decisions are written once, in ``_newton``; only the evaluation of
+the residual, its norm and the Newton update depend on the dimension, and
+live on a step object (``_ScalarStep``, ``_VectorStep``) that is built
+once and aimed at each step's ``(delta, c)``.  In one dimension the
+iterate, the residual and the update are Python floats, which saves the
+numpy overhead of one-element arrays on every iteration; for ``m >= 2``
+they are arrays and :func:`_solve_small` solves the Newton system, in
+closed form for ``m = 2`` (Cramer's rule) and by LAPACK above.
 
 :func:`solve_backward_step` checks its inputs, aims a fresh step and runs
 ``_newton``, then the bisection rescue and the errors.  The single-path
@@ -81,6 +88,55 @@ def _check_step_guard(spec: DriftSpec, delta: float) -> None:
         raise StepTooLargeError(
             f"kappa * mesh = {spec.kappa * delta:.6g} exceeds the "
             f"{_KAPPA_DELTA_LIMIT} solvability guard")
+
+
+def _small_det(a: np.ndarray) -> np.ndarray:
+    """Determinants of ``a``, shape ``(..., m, m)``: the entry for m = 1,
+    ``ad - bc`` for m = 2 and LAPACK's LU product above."""
+    m = a.shape[-1]
+    if m == 1:
+        return a[..., 0, 0]
+    if m == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return np.linalg.det(a)
+
+
+def _solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` for a stack of small systems: ``a`` of shape
+    ``(M, m, m)``, ``b`` of shape ``(M, m, k)``.
+
+    For m = 1 this is a division, which is what the 1x1 LU solve of one
+    column computes, for m = 2 Cramer's rule, and LAPACK above.  Each
+    entry comes from operations on its own system alone, so a system of a
+    stack has the bits of the same system solved as a stack of one.  A
+    singular system gives a NaN solution; it is never divided by, so no
+    division warns (a RuntimeWarning of this package is an error under the
+    test suite).
+    """
+    m = a.shape[-1]
+    if m > 2:
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            pass
+        out = np.full(b.shape, np.nan)
+        for j in range(len(a)):
+            try:
+                out[j] = np.linalg.solve(a[j], b[j])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+    out = np.full(b.shape, np.nan)
+    if m == 1:
+        return np.divide(b, a, out=out, where=a != 0.0)
+    det = _small_det(a)[..., None]
+    solvable = det != 0.0
+    b0, b1 = b[..., 0, :], b[..., 1, :]
+    np.divide(b0 * a[..., 1, 1:] - a[..., 0, 1:] * b1, det, out=out[..., 0, :],
+              where=solvable)
+    np.divide(a[..., 0, :1] * b1 - a[..., 1, :1] * b0, det, out=out[..., 1, :],
+              where=solvable)
+    return out
 
 
 @dataclass(frozen=True)
@@ -201,8 +257,9 @@ class _ScalarStep:
 
 class _VectorStep:
     """The step equation in ``m >= 2`` dimensions, on arrays, with the
-    Newton system solved by LAPACK.  Built once per run and aimed at each
-    step's ``(delta, c)``; no iterate is ever written in place."""
+    Newton system solved by :func:`_solve_small`.  Built once per run and
+    aimed at each step's ``(delta, c)``; no iterate is ever written in
+    place."""
 
     def __init__(self, spec: DriftSpec) -> None:
         self.eval = spec.eval
@@ -226,7 +283,10 @@ class _VectorStep:
         return res, float(np.linalg.norm(res))
 
     def newton(self, y: np.ndarray, res: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.eye - self.delta * self.jacobian(y), -res)
+        system = self.eye - self.delta * self.jacobian(y)
+        if _small_det(system) == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return _solve_small(system[None], -res[None, :, None])[0, :, 0]
 
     @staticmethod
     def finite(update: np.ndarray) -> bool:
@@ -252,13 +312,16 @@ def _step_for(spec: DriftSpec) -> _ScalarStep | _VectorStep:
 
 def _newton(step: _ScalarStep | _VectorStep, cfg: SolveConfig
             ) -> tuple[float | np.ndarray, float, int, bool]:
-    """Damped Newton from the target of the aimed ``step``.
+    """Damped Newton for the aimed ``step``, from its target ``c`` or from
+    the explicit predictor ``c - r(c)``.
 
-    Stops once the residual norm is within ``cfg.tol``, halves each update
-    up to ``_MAX_HALVINGS`` times until the norm decreases, and stalls when
-    no halving does.  Returns the iterate, its residual norm, the Newton
-    iterations and whether damping stalled; the solve converged exactly
-    when the norm is within ``cfg.tol``.
+    A target whose residual norm is above ``cfg.tol`` is replaced by the
+    predictor if the predictor's norm is smaller; a NaN norm never is, and
+    a tie keeps ``c``.  Stops once the residual norm is within ``cfg.tol``,
+    halves each update up to ``_MAX_HALVINGS`` times until the norm
+    decreases, and stalls when no halving does.  Returns the iterate, its
+    residual norm, the Newton iterations and whether damping stalled; the
+    solve converged exactly when the norm is within ``cfg.tol``.
 
     Raises:
         LinearSolveFailure: a Newton system was singular or gave a
@@ -266,6 +329,11 @@ def _newton(step: _ScalarStep | _VectorStep, cfg: SolveConfig
     """
     y = step.start()
     res, res_norm = step.residual(y)
+    if not res_norm <= cfg.tol:
+        guess = y - res
+        guess_res, guess_norm = step.residual(guess)
+        if guess_norm < res_norm:
+            y, res, res_norm = guess, guess_res, guess_norm
     iterations = 0
     while iterations < cfg.max_iter and not res_norm <= cfg.tol:
         try:

@@ -14,15 +14,24 @@ on 40 lanes keeping every node, and on the 80 lanes of a four-Hurst-value
 sweep of 20 paths keeping the terminal states only, as
 :func:`fbmsde.harness.sweep_strong_error` runs them.
 
+The linear cases time the layers that ``limit`` adds on ``b(x) = -x``: the
+five-run pass of ``configs/limit_linear.cfg`` (the reference and n = 32 to
+256) on 64 lanes keeping every node, one Newton iteration per lane step,
+and :func:`fbmsde.integrate.fundamental_matrix_block` along its 64
+reference runs, one division per lane and node; the planar flow case
+solves its 2x2 systems by Cramer's rule.
+
 The implicit-step cases time one :func:`fbmsde.solver.solve_backward_step`
 on the scalar cubic (a coarse stability step from about 5, five Newton
-iterations on floats) and on the planar cubic (a master-grid step, two
-iterations with LAPACK).  The single-path cases time the integrators,
-which step on one reused step object and call the public solver only to
-re-solve a step: :func:`fbmsde.integrate.reference_solution` over the
-7200-step master grid of ``configs/stability_example1.cfg``, the single
-path that dominates a ``stability`` run; :func:`fbmsde.integrate.backward_euler`
-on one planar path of the 2048-step grid; and the coarse
+iterations on floats; the explicit predictor overshoots, so Newton starts
+at the target) and on the planar cubic (a master-grid step, one iteration
+from the predictor, with the 2x2 system solved in closed form).  The
+single-path cases time the integrators, which step on one reused step
+object and call the public solver only to re-solve a step:
+:func:`fbmsde.integrate.reference_solution` over the 7200-step master
+grid of ``configs/stability_example1.cfg``, the single path that
+dominates a ``stability`` run; :func:`fbmsde.integrate.backward_euler` on
+one planar path of the 2048-step grid; and the coarse
 ``crank_nicolson(..., stability_mode=True)`` run of a ``stability`` op from
 x0 = 500, whose first implicit step stalls, is re-solved by the public
 solver (Newton, then the failing bisection) and leaves NaN rows.  On a
@@ -32,23 +41,38 @@ step gave the reference 10-20 µs per step against 15-30 µs (1.5x in every
 pair), the planar path 50-100 µs per step either way, and the 9-step run
 0.9-1.9 ms against 0.75-1.6 ms: its stalled step runs Newton twice, once
 in the loop and once in the public re-solve, before the failing bisection.
+Started from the explicit predictor, with the 2x2 systems in closed form,
+three alternating runs against the former solve from the target by LAPACK
+gave the reference 79-113 ms against 146-161 ms, the 80-lane rate pass
+0.34-0.71 s against 0.82-0.96 s and the 320-lane one-run pass 0.59-0.72 s
+against 0.89-1.15 s; the 9-step run stayed at about 2 ms.  The planar
+path, which solves its one 2x2 system per iteration as a stack of one,
+took 100-170 ms against 115-200 ms (medians of seven runs, five
+alternations, faster in four).
 """
 import numpy as np
 import pytest
 
 from fbmsde import HurstVector, Partition, child_seed, sample_multi
-from fbmsde.drifts import CUBIC1D, PLANAR_CUBIC
+from fbmsde.drifts import CUBIC1D, PLANAR_CUBIC, make_linear_drift
 from fbmsde.engine import NoiseBlock, backward_euler_block, backward_euler_runs
-from fbmsde.integrate import backward_euler, crank_nicolson, reference_solution
+from fbmsde.integrate import (
+    backward_euler,
+    crank_nicolson,
+    fundamental_matrix_block,
+    reference_solution,
+)
 from fbmsde.solver import solve_backward_step
 
 GRID = Partition.uniform(1.0, 2048)
 X0 = np.array([1.0, 1.0])
 RATE_RUNS = [(1, 1.0)] + [(ratio, 1.0) for ratio in (64, 32, 16, 8, 4)]
+LINEAR = make_linear_drift(np.array([[-1.0]]))
+LIMIT_RUNS = [(1, 1.0)] + [(GRID.n_steps // n, 1.0) for n in (32, 64, 128, 256)]
 
 
-def _block(lanes):
-    hv = HurstVector.constant(0.7, 2)
+def _block(lanes, dim=2):
+    hv = HurstVector.constant(0.7, dim)
     return NoiseBlock.stack([sample_multi(GRID, hv, child_seed(11, i), method="circulant")
                              for i in range(lanes)])
 
@@ -77,9 +101,27 @@ def test_rate_pass_terminal_only(benchmark):
     assert [s.shape[1] for s in states] == [2] * len(RATE_RUNS)
 
 
+def test_linear_limit_pass(benchmark):
+    block = _block(64, dim=1)
+    states, counts = benchmark.pedantic(backward_euler_runs,
+                                        (LINEAR, block, np.array([1.0]), LIMIT_RUNS),
+                                        rounds=3, warmup_rounds=1)
+    assert counts[:, 0].sum() == 64 * (2048 + 32 + 64 + 128 + 256)
+
+
+@pytest.mark.parametrize("spec, x0", [(LINEAR, [1.0]), (PLANAR_CUBIC, [1.0, 1.0])],
+                         ids=["linear", "planar_cubic"])
+def test_flow_block(benchmark, spec, x0):
+    (states,), _ = backward_euler_runs(spec, _block(64, spec.dim), np.array(x0),
+                                       [(1, 1.0)])
+    mats = benchmark.pedantic(fundamental_matrix_block, (spec, GRID, states),
+                              rounds=3, warmup_rounds=1)
+    assert mats.shape == (64, 2049, spec.dim, spec.dim)
+
+
 @pytest.mark.parametrize("spec, delta, c, iterations", [
     (CUBIC1D, 0.08, [5.3], 5),
-    (PLANAR_CUBIC, 2.0 ** -11, [1.3, -0.4], 2),
+    (PLANAR_CUBIC, 2.0 ** -11, [1.3, -0.4], 1),
 ], ids=["cubic1d", "planar_cubic"])
 def test_implicit_step(benchmark, spec, delta, c, iterations):
     result = benchmark(solve_backward_step, spec, delta, np.array(c))

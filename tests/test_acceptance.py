@@ -345,8 +345,8 @@ def test_criterion_8_limit_theorem(criterion):
     all_ok = True
     details = []
     for label, spec in drifts.items():
-        out = limit_check(spec, x0s[label], 0.7, 1.0, n_values,
-                          mc_paths=mc_paths, seed=20250800, threads=2)
+        out, _ = limit_check(spec, x0s[label], 0.7, 1.0, n_values,
+                             mc_paths=mc_paths, seed=20250800, threads=2)
         d = out.lp_distances
         nz = out.mean_abs_nz
         mono_ok = all(d[i + 1] <= 1.25 * d[i] for i in range(len(d) - 1))

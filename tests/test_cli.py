@@ -572,13 +572,20 @@ def test_planar_limit_table_is_identical_across_threads(tmp_path):
     cfg.write_text("drift = planar_cubic\nx0 = 1.0 1.0\nhurst = 0.7\nt = 1.0\n"
                    "n_values = 8 16\nmc_paths = 130\nmaster_factor = 4\n"
                    "seed = 20250800\n")
-    tables = set()
+    tables, manifests = set(), set()
     for threads in (1, 2, 3):
         outdir = tmp_path / f"t{threads}"
         assert main(["limit", "--config", str(cfg), "--out", str(outdir),
                      "--threads", str(threads)]) == 0
         tables.add((outdir / "limit_comparison.csv").read_bytes())
+        manifests.add((outdir / "meta.json").read_bytes())
     assert len(tables) == 1
+    # The solve counts, as rate writes them, do not depend on the blocks.
+    assert len(manifests) == 1
+    stats = json.loads(manifests.pop())["solve_stats"]
+    assert list(stats) == ["0.7"]
+    assert stats["0.7"]["fallbacks"] == 0
+    assert stats["0.7"]["newton_iterations"] > 0
 
 
 def test_limit_rejects_p_out_of_range(tmp_path, capsys):

@@ -370,3 +370,36 @@ def test_failing_lane_reports_its_first_failing_run():
     assert str(err.value) == str(seq.value)
     assert str(err.value).endswith("(path 8, path seed 80)")
     assert err.value.step == 0
+
+
+# The master grid of a rate table and of a limit comparison: the reference
+# and the five meshes of configs/example2.cfg, and the n values of
+# configs/limit_linear.cfg.
+MASTER = Partition.uniform(1.0, 2048)
+RATE_RUNS = [(1, 1.0)] + [(ratio, 1.0) for ratio in (64, 32, 16, 8, 4)]
+LIMIT_N = (32, 64, 128, 256)
+
+
+def _master_block(lanes, dim):
+    hv = HurstVector.constant(0.7, dim)
+    return NoiseBlock.stack([sample_multi(MASTER, hv, child_seed(11, i),
+                                          method="circulant") for i in range(lanes)])
+
+
+def test_predictor_start_cuts_the_planar_newton_iterations():
+    # Started at the target c, the same pass took 494462 iterations.
+    _, counts = backward_euler_runs(PLANAR_CUBIC, _master_block(80, 2), [1.0, 1.0],
+                                    RATE_RUNS, keep=MASTER.n_steps)
+    stats = SolveStats.of(counts)
+    assert stats.newton_iterations <= 0.65 * 494462
+    assert stats.fallbacks == 0
+
+
+def test_predictor_start_keeps_one_newton_iteration_per_linear_step():
+    # Newton solves a linear step in one iteration from any start.
+    runs = [(1, 1.0)] + [(MASTER.n_steps // n, 1.0) for n in LIMIT_N]
+    _, counts = backward_euler_runs(make_linear_drift(np.array([[-1.0]])),
+                                    _master_block(64, 1), [1.0], runs,
+                                    keep=MASTER.n_steps)
+    assert SolveStats.of(counts) == SolveStats(
+        newton_iterations=64 * (MASTER.n_steps + sum(LIMIT_N)), max_iterations=1)

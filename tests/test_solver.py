@@ -20,7 +20,7 @@ from fbmsde import (
 )
 from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC
 from fbmsde.engine import _newton_rows
-from fbmsde.solver import _newton, _step_for
+from fbmsde.solver import _newton, _solve_small, _step_for
 
 
 def real_cubic_root(c: float) -> float:
@@ -161,10 +161,12 @@ TARGETS_1D = np.concatenate([np.geomspace(1e-3, 4e3, 60),
                              -np.geomspace(1e-3, 4e3, 60)])
 
 
+# ``halves``: some target halves a Newton update.  From the explicit
+# predictor, doublewell1d halves at 0.08 as well as at 0.9.
 @pytest.mark.parametrize("spec, delta, halves", [
     (CUBIC1D, 0.08, False),
     (CUBIC1D, 1e-4, False),
-    (DOUBLEWELL1D, 0.08, False),
+    (DOUBLEWELL1D, 0.08, True),
     (DOUBLEWELL1D, 0.9, True),
     (make_linear_drift(np.array([[-2.0]])), 0.08, False),
 ])
@@ -179,6 +181,43 @@ def test_scalar_step_equals_engine_rows_bit_for_bit(spec, delta, halves):
         assert r.y.shape == (1,)
         assert r.y.tobytes() == y[row].tobytes()
         assert r.iterations == tally[row, 0]
+
+
+# Planar targets of radius 1e-3 to 1e2 in eight directions.
+TARGETS_2D = np.array([[r * math.cos(a), r * math.sin(a)]
+                       for r in np.geomspace(1e-3, 1e2, 15)
+                       for a in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)])
+
+
+@pytest.mark.parametrize("delta, halves", [
+    (2.0 ** -11, False),
+    (1e-3, False),
+    (0.08, True),
+    (0.9, False),
+])
+def test_planar_step_equals_engine_rows_bit_for_bit(delta, halves):
+    c = TARGETS_2D
+    y, tally, fallback = _newton_rows(PLANAR_CUBIC, np.full((c.shape[0], 1), delta),
+                                      c, SolveConfig())
+    assert not fallback.any()
+    assert (tally[:, 1] > 0).any() == halves
+    for row in range(c.shape[0]):
+        r = solve_backward_step(PLANAR_CUBIC, delta, c[row])
+        assert r.y.tobytes() == y[row].tobytes()
+        assert r.iterations == tally[row, 0]
+
+
+def test_planar_singular_system_falls_back_and_keeps_its_message():
+    # I - J is singular for the swap at delta = 1; its residual at c and at
+    # the predictor tie, so both loops start from c.
+    c = np.array([[1.0, 2.0], [0.5, -0.25]])
+    _, tally, fallback = _newton_rows(_SWAP, np.ones((2, 1)), c, SolveConfig())
+    assert fallback.all()
+    assert tally[:, 0].tolist() == [1, 1]
+    with pytest.raises(LinearSolveFailure) as err:
+        solve_backward_step(_SWAP, 1.0, c[0])
+    assert str(err.value) == \
+        "singular Newton system at iterate with residual 2.236e+00"
 
 
 def test_scalar_singular_system_is_a_linear_solve_failure():
@@ -197,6 +236,30 @@ def test_scalar_stall_keeps_its_message():
         "damping stalled with residual 1.819e-12 above tol 1e-12"
     assert err.value.iterations == 15
 
+
+
+# --- the small linear solve ---------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_small_solve_of_a_stack_equals_each_system_alone(rng, m, k):
+    a = np.eye(m) + 0.5 * rng.standard_normal((40, m, m))
+    a[7] = 0.0          # singular
+    b = rng.standard_normal((40, m, k))
+    with np.errstate(all="raise"):
+        x = _solve_small(a, b)
+        assert np.isnan(_solve_small(a[7:8], b[7:8])).all()
+    assert np.isnan(x[7]).all()
+    for j in set(range(40)) - {7}:
+        alone = _solve_small(a[j:j + 1], b[j:j + 1])[0]
+        assert alone.tobytes() == x[j].tobytes()
+        want = np.linalg.solve(a[j], b[j])
+        if m == k == 1:
+            assert np.array_equal(alone, want)    # the 1x1 LU solve divides
+        else:
+            # Two solvers agree to the condition number times rounding.
+            assert np.linalg.norm(alone - want) <= \
+                1e-14 * np.linalg.cond(a[j]) * np.linalg.norm(want)
 
 
 # --- one step object, re-aimed ------------------------------------------------
