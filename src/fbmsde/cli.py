@@ -119,10 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "their master paths (default: --steps)")
     p_sim.add_argument("--t-final", type=float, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--newton-tol", type=float, default=1e-12)
     p_sim.add_argument("--newton-max-iter", type=int, default=50)
-    p_sim.add_argument("--method", choices=("cholesky", "circulant"),
-                       default="circulant")
     p_sim.add_argument("--zero-noise", action="store_true",
                        help="replace the sampled path by zero noise")
     p_sim.add_argument("--out", required=True)
@@ -187,17 +184,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.zero_noise:
         noise = zero_path(grid, hurst)
     else:
-        noise = sample_multi(grid, hurst, args.seed, method=args.method)
+        noise = sample_multi(grid, hurst, args.seed, method="circulant")
     noise = coarsen(noise, grid.subsample(master_steps // args.steps))
-    solve_cfg = SolveConfig(tol=args.newton_tol, max_iter=args.newton_max_iter)
+    solve_cfg = SolveConfig(max_iter=args.newton_max_iter)
     traj = run_scheme(args.scheme, spec, noise, x0, solve_cfg)
     write_trajectory_csv(traj, args.out)
     write_manifest(
         args.out + ".meta.json", "simulate",
         {"drift": spec.name, "scheme": args.scheme, "x0": list(map(float, x0)),
          "hurst": args.hurst, "steps": args.steps, "master_steps": master_steps,
-         "t_final": args.t_final, "newton_tol": args.newton_tol,
-         "newton_max_iter": args.newton_max_iter, "method": args.method,
+         "t_final": args.t_final, "newton_max_iter": args.newton_max_iter,
          "zero_noise": bool(args.zero_noise)},
         args.seed, __version__, [args.out])
     terminal = ", ".join(format_float(v) for v in traj.states[-1])
@@ -268,8 +264,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
     comparison, stats = limit_check(
         validate_limit_config(cfg), np.asarray(cfg.x0, dtype=np.float64), cfg.hurst,
         cfg.t, cfg.n_values, cfg.mc_paths, cfg.seed, p=cfg.p,
-        master_factor=cfg.master_factor, threads=cfg.threads,
-        sampler=cfg.sampler, tol=cfg.newton_tol)
+        master_factor=cfg.master_factor, threads=cfg.threads)
     target = os.path.join(out_dir, "limit_comparison.csv")
     write_limit_csv(comparison, target)
     for i, n in enumerate(comparison.n_values):

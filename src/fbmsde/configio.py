@@ -126,9 +126,7 @@ EXPERIMENT_SCHEMA = (
     ("threads", "threads", _INTEGER, 1),
     ("sup_error", "sup_error", _BOOLEAN, False),
     ("zero_noise", "zero_noise", _BOOLEAN, False),
-    ("newton_tol", "newton_tol", _NUMBER, 1e-12),
     ("newton_max_iter", "newton_max_iter", _INTEGER, 50),
-    ("sampler", "sampler", _TEXT, "circulant"),
     ("linear_matrix", "linear_matrix", _MATRIX, None),
 )
 
@@ -143,8 +141,6 @@ LIMIT_SCHEMA = (
     ("master_factor", "master_factor", _INTEGER, 8),
     ("seed", "seed", _INTEGER, _REQUIRED),
     ("threads", "threads", _INTEGER, 1),
-    ("sampler", "sampler", _TEXT, "circulant"),
-    ("newton_tol", "newton_tol", _NUMBER, 1e-12),
     ("out", "out", _TEXT, None),
     ("linear_matrix", "linear_matrix", _MATRIX, None),
 )

@@ -99,14 +99,12 @@ class ExperimentConfig:
     out: str | None = None
     threads: int = 1
     sup_error: bool = False
-    newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    sampler: str = "circulant"
     zero_noise: bool = False
     linear_matrix: tuple[tuple[float, ...], ...] | None = None
 
     def solve_config(self) -> SolveConfig:
-        return SolveConfig(tol=self.newton_tol, max_iter=self.newton_max_iter)
+        return SolveConfig(max_iter=self.newton_max_iter)
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,6 @@ class LimitConfig:
     master_factor: int
     seed: int
     threads: int
-    sampler: str
-    newton_tol: float
     out: str | None
     linear_matrix: tuple[tuple[float, ...], ...] | None
 
@@ -167,15 +163,32 @@ def _drift_issues(cfg: ExperimentConfig | LimitConfig
     return [], spec
 
 
-def _worker_issues(cfg: ExperimentConfig | LimitConfig) -> list[str]:
-    """The issues of the settings every Monte Carlo run shares."""
+def _threads_issues(threads: int) -> list[str]:
+    return [] if threads >= 1 else [f"threads must be >= 1, got {threads}"]
+
+
+def _limit_issues(n_values: tuple[int, ...], p: float, mc_paths: int,
+                 master_factor: int, threads: int) -> list[tuple[str, str]]:
+    """The issues of a ``limit`` run's Monte Carlo settings, each as the
+    setting it concerns and its message, in the order
+    :func:`validate_limit_config` reports them."""
     issues = []
-    if cfg.threads < 1:
-        issues.append(f"threads must be >= 1, got {cfg.threads}")
-    if cfg.sampler not in ("circulant", "cholesky"):
-        issues.append(f"unknown sampler {cfg.sampler!r}")
-    if not cfg.newton_tol > 0.0:
-        issues.append(f"newton_tol must be positive, got {cfg.newton_tol}")
+    if not n_values or min(n_values) < 1:
+        issues.append(("n_values",
+                       "n_values must be a nonempty list of positive integers"))
+    if not 1.0 <= p < 2.0:
+        issues.append(("p", f"p must lie in [1, 2), got {p}"))
+    if mc_paths < 1:
+        issues.append(("mc_paths", f"mc_paths must be >= 1, got {mc_paths}"))
+    if master_factor < 2:
+        issues.append(("master_factor",
+                       "master_factor must be >= 2 so the reference is finer"))
+    elif n_values and min(n_values) >= 1:
+        master_n = master_factor * max(n_values)
+        issues += [("n_values", f"n = {n} does not divide the master step "
+                                f"count {master_n}")
+                   for n in n_values if master_n % n != 0]
+    issues += [("threads", issue) for issue in _threads_issues(threads)]
     return issues
 
 
@@ -210,7 +223,7 @@ def _common_issues(cfg: ExperimentConfig) -> tuple[list[str], DriftSpec | None]:
                               f"master mesh {cfg.master_mesh}")
     if cfg.mc_paths < 1:
         issues.append(f"mc_paths must be >= 1, got {cfg.mc_paths}")
-    issues += _worker_issues(cfg)
+    issues += _threads_issues(cfg.threads)
     if cfg.newton_max_iter < 1:
         issues.append(f"newton_max_iter must be >= 1, got {cfg.newton_max_iter}")
     return issues, spec
@@ -273,19 +286,8 @@ def validate_limit_config(cfg: LimitConfig) -> DriftSpec:
         issues.append(f"Hurst value {cfg.hurst} outside the supported range (0.5, 1)")
     if not cfg.t >= 0.0:
         issues.append(f"t must be non-negative, got {cfg.t}")
-    if not cfg.n_values or min(cfg.n_values) < 1:
-        issues.append("n_values must be a nonempty list of positive integers")
-    if not 1.0 <= cfg.p < 2.0:
-        issues.append(f"p must lie in [1, 2), got {cfg.p}")
-    if cfg.mc_paths < 1:
-        issues.append(f"mc_paths must be >= 1, got {cfg.mc_paths}")
-    if cfg.master_factor < 2:
-        issues.append("master_factor must be >= 2 so the reference is finer")
-    elif cfg.n_values and min(cfg.n_values) >= 1:
-        master_n = cfg.master_factor * max(cfg.n_values)
-        issues += [f"n = {n} does not divide the master step count {master_n}"
-                   for n in cfg.n_values if master_n % n != 0]
-    issues += _worker_issues(cfg)
+    issues += [issue for _, issue in _limit_issues(
+        cfg.n_values, cfg.p, cfg.mc_paths, cfg.master_factor, cfg.threads)]
     if issues:
         raise ConfigError(issues)
     assert spec is not None
@@ -360,15 +362,14 @@ class Ensemble:
 
     The lanes run Hurst-major: lane ``i`` is path ``i % paths`` of the
     Hurst vector ``hursts[i // paths]``, drawn from
-    ``child_seed(seed, i % paths)``, or zero when ``zero_noise`` is set, so
-    it does not depend on how lanes are split.
+    ``child_seed(seed, i % paths)`` by circulant embedding, or zero when
+    ``zero_noise`` is set, so it does not depend on how lanes are split.
     """
 
     grid: Partition
     hursts: tuple[HurstVector, ...]
     paths: int
     seed: int
-    sampler: str
     zero_noise: bool = False
 
     @classmethod
@@ -378,8 +379,7 @@ class Ensemble:
         return cls(grid=grid,
                    hursts=tuple(HurstVector.constant(h, spec.dim)
                                 for h in cfg.hurst_values),
-                   paths=cfg.mc_paths, seed=cfg.seed, sampler=cfg.sampler,
-                   zero_noise=cfg.zero_noise)
+                   paths=cfg.mc_paths, seed=cfg.seed, zero_noise=cfg.zero_noise)
 
     @property
     def lanes(self) -> int:
@@ -395,7 +395,7 @@ class Ensemble:
         if self.zero_noise:
             return zero_path(self.grid, hurst)
         return sample_multi(self.grid, hurst, child_seed(self.seed, lane % self.paths),
-                            method=self.sampler)
+                            method="circulant")
 
     def block(self, lanes: range) -> NoiseBlock:
         """The noise block of ``lanes``, each path written straight into

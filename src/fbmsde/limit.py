@@ -36,7 +36,7 @@ from .engine import NoiseBlock, SolveStats, backward_euler_runs, name_path, sq_n
 from .errors import ConfigError, DomainError, GridError, StepTooLargeError
 from .fbm import FbmPath, HurstVector, sample_multi  # noqa: F401
 from .grids import Partition, nested_indices
-from .harness import Ensemble, _lp_norm_with_se, map_blocks
+from .harness import Ensemble, _limit_issues, _lp_norm_with_se, map_blocks
 from .harness import map_indexed  # noqa: F401
 from .integrate import (  # noqa: F401
     FundamentalMatrixPath,
@@ -45,7 +45,7 @@ from .integrate import (  # noqa: F401
     fundamental_matrix_block,
     fundamental_matrix_reference,
 )
-from .solver import SolveConfig
+from .solver import DEFAULT_SOLVE_CONFIG
 
 __all__ = [
     "ResidualBundle",
@@ -247,14 +247,14 @@ def solve_U_ode(spec: DriftSpec, traj: Trajectory, noise: FbmPath) -> Trajectory
 
 
 def _limit_block(spec: DriftSpec, x0: np.ndarray, n_values: tuple[int, ...],
-                 cfg: SolveConfig, noise: NoiseBlock
+                 noise: NoiseBlock
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per lane: ``|n Z - U|`` and ``|n Z|`` for every ``n``, ``|U|``, and
     the solve counts of the runs (see :meth:`SolveStats.of`)."""
     grid = noise.grid
     (ref, *coarse), counts = backward_euler_runs(
         spec, noise, x0, [(1, 1.0)] + [(grid.n_steps // n, 1.0) for n in n_values],
-        cfg)
+        DEFAULT_SOLVE_CONFIG)
     rescaled = np.stack([float(n) * (ref[:, -1] - states[:, -1])
                          for n, states in zip(n_values, coarse)], axis=1)
     try:
@@ -269,8 +269,7 @@ def _limit_block(spec: DriftSpec, x0: np.ndarray, n_values: tuple[int, ...],
 
 def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
                 t: float, n_values: tuple[int, ...], mc_paths: int, seed: int,
-                p: float = 1.0, master_factor: int = 8, threads: int = 1,
-                sampler: str = "circulant", tol: float = 1e-12
+                p: float = 1.0, master_factor: int = 8, threads: int = 1
                 ) -> tuple[LimitComparison, SolveStats]:
     """Monte Carlo comparison of ``n Z`` against the limit process.
 
@@ -278,41 +277,35 @@ def limit_check(spec: DriftSpec, x0: np.ndarray, hurst: float | HurstVector,
     the exact solution and the evaluation of ``U``; coarse runs reuse the
     restricted noise.  The master grid has ``master_factor * max(n_values)``
     steps.  Returns the comparison and the counts of the implicit solves
-    of all runs, which do not depend on ``threads``.
+    of all runs, which do not depend on ``threads``.  The settings are
+    checked as :func:`~fbmsde.harness.validate_limit_config` checks them,
+    with the same messages, before ``t = 0`` returns zeros.
 
     Raises:
         DomainError: if ``p`` is outside ``[1, 2)``.
-        ConfigError: if some ``n`` does not divide the master step count.
+        ConfigError: listing every other issue of the settings, such as an
+            ``n`` that does not divide the master step count.
     """
-    if not 1.0 <= p < 2.0:
-        raise DomainError(f"p must lie in [1, 2), got {p!r}")
     n_values = tuple(int(n) for n in n_values)
-    if len(n_values) == 0 or any(n < 1 for n in n_values):
-        raise ConfigError("n_values must be a nonempty list of positive integers")
-    if mc_paths < 1:
-        raise ConfigError(f"mc_paths must be >= 1, got {mc_paths}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    issues = _limit_issues(n_values, p, mc_paths, master_factor, threads)
+    for setting, issue in issues:
+        if setting == "p":
+            raise DomainError(issue)
+    if issues:
+        raise ConfigError([issue for _, issue in issues])
     zeros = np.zeros(len(n_values))
     if t == 0.0:
         return (LimitComparison(n_values=n_values, lp_distances=zeros.copy(), p=p,
                                 stderrs=zeros.copy(), mean_abs_nz=zeros.copy(),
                                 mean_abs_u=zeros.copy()),
                 SolveStats())
-    if master_factor < 2:
-        raise ConfigError("master_factor must be >= 2 so the reference is finer")
     if isinstance(hurst, (int, float)):
         hurst = HurstVector.constant(float(hurst), spec.dim)
-    master_n = master_factor * max(n_values)
-    issues = [f"n = {n} does not divide the master step count {master_n}"
-              for n in n_values if master_n % n != 0]
-    if issues:
-        raise ConfigError(issues)
 
     run = partial(_limit_block, spec, np.atleast_1d(np.asarray(x0, dtype=np.float64)),
-                  n_values, SolveConfig(tol=float(tol)))
-    ensemble = Ensemble(grid=Partition.uniform(float(t), master_n), hursts=(hurst,),
-                        paths=mc_paths, seed=int(seed), sampler=sampler)
+                  n_values)
+    ensemble = Ensemble(grid=Partition.uniform(float(t), master_factor * max(n_values)),
+                        hursts=(hurst,), paths=mc_paths, seed=int(seed))
     blocks = map_blocks(run, ensemble, threads)
     dists, nz, u_norms, counts = (np.concatenate([b[i] for b in blocks])
                                   for i in range(4))

@@ -274,7 +274,7 @@ def test_criterion_6_flow_approximation_order(criterion):
         return sups
 
     sups = np.concatenate(map_blocks(sup_errors, Ensemble(
-        grid=master, hursts=(hv,), paths=n_paths, seed=20250600, sampler="circulant")))
+        grid=master, hursts=(hv,), paths=n_paths, seed=20250600)))
     meshes = [2.0 ** -k for k in ks]
     slope, _ = fit_order(meshes, sups.mean(axis=0))
     ok = abs(slope - h) <= 0.15
@@ -316,7 +316,7 @@ def test_criterion_7_residual_scaling(criterion):
         return maxs, means
 
     blocks = map_blocks(rhat_norms, Ensemble(
-        grid=master, hursts=(hv,), paths=n_paths, seed=20250700, sampler="circulant"))
+        grid=master, hursts=(hv,), paths=n_paths, seed=20250700))
     maxs = np.concatenate([b[0] for b in blocks])
     means = np.concatenate([b[1] for b in blocks])
     meshes = [2.0 ** -k for k in ks]

@@ -14,10 +14,18 @@ from fbmsde.configio import (
     LIMIT_SCHEMA,
     experiment_config_from_mapping,
     limit_params_from_mapping,
+    load_config_file,
     parse_config_text,
 )
 from fbmsde.engine import backward_euler_block
-from fbmsde.harness import Ensemble, resolve_drift, run_scheme
+from fbmsde.harness import (
+    Ensemble,
+    resolve_drift,
+    run_scheme,
+    validate_limit_config,
+    validate_rate_config,
+    validate_stability_config,
+)
 
 RATE_CFG = """\
 # strong-error smoke configuration
@@ -78,7 +86,7 @@ def test_experiment_mapping_parses_dyadic_and_defaults():
     assert cfg.meshes == (2.0 ** -4, 2.0 ** -5)
     assert cfg.master_mesh == 2.0 ** -7
     assert cfg.schemes == ("bem",)
-    assert cfg.sampler == "circulant"
+    assert cfg.newton_max_iter == 50
     assert cfg.hurst_values == (0.7,)
     alt = experiment_config_from_mapping(
         parse_config_text(RATE_CFG.replace("2^-4", "2**-4")))
@@ -144,6 +152,20 @@ def test_readme_key_lists_match_the_schemas():
     assert table == {key for key, *_ in EXPERIMENT_SCHEMA}
     limit_text = section.split("`limit` uses", 1)[1].split(".", 1)[0]
     assert set(re.findall(r"`(\w+)`", limit_text)) == {key for key, *_ in LIMIT_SCHEMA}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_bundled_configs_are_valid(path):
+    # Parsed and validated, not run: a key the schemas dropped fails here.
+    mapping = load_config_file(path)
+    if path.name.startswith("example2"):
+        validate_rate_config(experiment_config_from_mapping(mapping))
+    elif path.name.startswith("limit"):
+        validate_limit_config(limit_params_from_mapping(mapping))
+    elif path.name.startswith("stability"):
+        validate_stability_config(experiment_config_from_mapping(mapping))
+    else:
+        pytest.fail(f"no validator is known for {path.name}")
 
 
 # --- fbm subcommand -------------------------------------------------------------
@@ -279,6 +301,16 @@ def test_simulate_master_steps_must_nest_the_steps(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == \
         "error: --master-steps must be a positive multiple of --steps 16, got 100\n"
+
+
+@pytest.mark.parametrize("flag", [["--method", "circulant"], ["--newton-tol", "1e-12"]])
+def test_simulate_has_no_sampler_or_tolerance_flag(tmp_path, capsys, flag):
+    out = tmp_path / "s.csv"
+    rc = main(["simulate", "--drift", "cubic1d", "--x0", "1.0", "--steps", "16",
+               "--t-final", "1", "--out", str(out)] + flag)
+    assert rc == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- rate subcommand ---------------------------------------------------------------
@@ -423,6 +455,12 @@ def test_rate_rejects_repeated_values(tmp_path, capsys, old, new, expected):
      "config error: master_mesh must be positive, got 0.0"),
     ("rate", RATE_CFG.replace("hurst = 0.7", "hurst ="),
      "config error: at least one Hurst value is required"),
+    # Every run samples by circulant embedding and solves to the default
+    # tolerance; neither is a setting.
+    ("rate", RATE_CFG + "sampler = circulant\n",
+     "config error: unknown key 'sampler'"),
+    ("limit", LIMIT_CFG + "newton_tol = 1e-12\n",
+     "config error: unknown key 'newton_tol'"),
 ])
 def test_config_errors_leave_no_output_directory(tmp_path, capsys, subcommand,
                                                  text, expected):

@@ -9,6 +9,7 @@ from fbmsde import (
     ConfigError,
     ExperimentConfig,
     NoConvergenceError,
+    SolveConfig,
     child_seed,
     fit_order,
     mc_strong_error,
@@ -132,7 +133,8 @@ def test_resolve_drift_linear_requires_matrix():
 def test_experiment_config_solve_config():
     cfg = rate_cfg()
     sc = cfg.solve_config()
-    assert sc.tol == cfg.newton_tol
+    assert sc.tol == SolveConfig().tol
+    assert sc.max_iter == cfg.newton_max_iter
 
 
 # --- strong error pipeline --------------------------------------------------------
@@ -223,7 +225,7 @@ def _block_contents(noise):
 def test_map_blocks_covers_the_ensemble_in_path_order():
     grid = Partition.uniform(1.0, 8)
     hurst = HurstVector.constant(0.7, 2)
-    ensemble = Ensemble(grid=grid, hursts=(hurst,), paths=5, seed=9, sampler="circulant")
+    ensemble = Ensemble(grid=grid, hursts=(hurst,), paths=5, seed=9)
     seeds = tuple(child_seed(9, i) for i in range(5))
     values = np.stack([sample_multi(grid, hurst, s, method="circulant").values
                        for s in seeds])
@@ -233,7 +235,7 @@ def test_map_blocks_covers_the_ensemble_in_path_order():
         assert sum((b[0] for b in blocks), ()) == tuple(range(5))
         assert sum((b[1] for b in blocks), ()) == seeds
         assert np.array_equal(np.concatenate([b[2] for b in blocks]), values)
-    zero = Ensemble(grid=grid, hursts=(hurst,), paths=5, seed=9, sampler="circulant",
+    zero = Ensemble(grid=grid, hursts=(hurst,), paths=5, seed=9,
                     zero_noise=True)
     assert not np.any(zero.path(4).values)
 

@@ -355,7 +355,7 @@ def test_fourth_moment_of_running_sup_is_sample_stable():
         return np.max(np.linalg.norm(states, axis=2), axis=1) ** 4
 
     sups4 = np.concatenate(map_blocks(sup4, Ensemble(
-        grid=g, hursts=(hv,), paths=1000, seed=77, sampler="circulant")))
+        grid=g, hursts=(hv,), paths=1000, seed=77)))
     half = sups4[:500].mean()
     full = sups4.mean()
     assert np.isfinite(full)

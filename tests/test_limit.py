@@ -31,7 +31,13 @@ from fbmsde.engine import (
     lowest_failure,
     sq_norms,
 )
-from fbmsde.harness import Ensemble, fit_order, map_blocks
+from fbmsde.harness import (
+    Ensemble,
+    LimitConfig,
+    fit_order,
+    map_blocks,
+    validate_limit_config,
+)
 from fbmsde.integrate import fundamental_matrix_block
 from fbmsde.limit import _limit_block, compute_U_block
 
@@ -215,8 +221,7 @@ def test_residual_rates_match_smoothness_of_the_path():
                 maxs[lane, i] = np.max(norms)
         return means, maxs
 
-    blocks = map_blocks(rhat_norms, Ensemble(grid=gm, hursts=(hv,), paths=8, seed=31,
-                                             sampler="circulant"))
+    blocks = map_blocks(rhat_norms, Ensemble(grid=gm, hursts=(hv,), paths=8, seed=31))
     means = np.concatenate([b[0] for b in blocks])
     maxs = np.concatenate([b[1] for b in blocks])
     meshes = [2.0 ** -k for k in ks]
@@ -344,8 +349,7 @@ def test_flow_failure_names_the_lowest_failing_path():
         with pytest.raises(StepTooLargeError) as err:
             for start in range(0, 4, size):
                 part = block.select(slice(start, start + size))
-                lowest_failure(lambda b: _limit_block(CUBIC1D, x0, (8, 16), cfg, b),
-                               part)
+                lowest_failure(lambda b: _limit_block(CUBIC1D, x0, (8, 16), b), part)
         assert err.value.path == 41
         assert str(err.value) == want
 
@@ -457,6 +461,37 @@ def test_limit_check_validates_inputs():
         limit_check(CUBIC1D, np.array([1.0]), 0.7, 1.0, (8,), 2, 0, p=0.5)
     with pytest.raises(ConfigError):
         limit_check(CUBIC1D, np.array([1.0]), 0.7, 1.0, (3, 8), 2, 0)
+    # The settings are checked before t = 0 returns zeros.
+    with pytest.raises(ConfigError, match="master_factor must be >= 2"):
+        limit_check(CUBIC1D, np.array([1.0]), 0.7, 0.0, (4, 8), 2, 0, master_factor=1)
+
+
+LIMIT_SETTINGS = dict(drift="linear", x0=(1.0,), hurst=0.7, t=1.0, n_values=(8, 16),
+                      p=1.0, mc_paths=4, master_factor=8, seed=3, threads=1, out=None,
+                      linear_matrix=((-1.0,),))
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ({"n_values": ()}, ConfigError,
+     "n_values must be a nonempty list of positive integers"),
+    ({"p": 2.5}, DomainError, "p must lie in [1, 2), got 2.5"),
+    ({"mc_paths": 0}, ConfigError, "mc_paths must be >= 1, got 0"),
+    ({"threads": 0}, ConfigError, "threads must be >= 1, got 0"),
+    ({"master_factor": 1}, ConfigError,
+     "master_factor must be >= 2 so the reference is finer"),
+    ({"n_values": (12, 16)}, ConfigError,
+     "n = 12 does not divide the master step count 128"),
+])
+def test_limit_check_raises_the_issue_the_config_validation_lists(bad, error, message):
+    cfg = LimitConfig(**{**LIMIT_SETTINGS, **bad})
+    with pytest.raises(ConfigError) as listed:
+        validate_limit_config(cfg)
+    assert listed.value.issues == [message]
+    with pytest.raises(error) as raised:
+        limit_check(make_linear_drift(np.array([[-1.0]])), np.array(cfg.x0), cfg.hurst,
+                    cfg.t, cfg.n_values, cfg.mc_paths, cfg.seed, p=cfg.p,
+                    master_factor=cfg.master_factor, threads=cfg.threads)
+    assert str(raised.value) == message
 
 
 def test_limit_check_time_origin_short_circuits():
