@@ -32,18 +32,22 @@ update) is solved again from the same target by
 :func:`solve_backward_step`, the rule the engine applies to its rows, so
 rescues and errors are the public call's.
 
-The drift and its Jacobian are still evaluated on a (reused) one-element
-array, never on a float: Python's ``y**3`` differs from numpy's array power
-in the last bit for about 3% of arguments, and an ``np.float64`` scalar
-power for about as many.  Evaluating on arrays keeps every step
-bit-identical to the path-batched engine, whose lanes must reproduce this
-solver exactly.
+In one dimension the drift and its derivative are evaluated on floats
+too when the spec carries a float pair (``DriftSpec.on_float``; the
+built-in one-dimensional drifts do), and otherwise on a reused
+one-element array.  The engine's lanes must reproduce this solver
+exactly, so the pair must give the bits of the array forms, which
+construction checks: the built-in forms write powers as products, which
+round the same way on floats and on arrays, where Python's ``y**3``
+differs from numpy's array power in the last bit for a few percent of
+arguments.  With a float pair a step makes no numpy call at all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -191,20 +195,33 @@ def _bisect_scalar(residual: Callable[[float], tuple[float, float]], c: float,
     return None
 
 
+def _on_array(fn: Callable[[np.ndarray], np.ndarray], index: int | tuple[int, int],
+              x: np.ndarray, y: float) -> float:
+    """``fn`` at the state ``y``, evaluated on the one-element array ``x``."""
+    x[0] = y
+    return float(fn(x)[index])
+
+
 class _ScalarStep:
     """The step equation in one dimension, on Python floats.
 
     Built once per run and aimed at each step's ``(delta, c)``.  The norm
     is ``sqrt(r * r)``, as ``np.linalg.norm`` computes it, and the Newton
     update is the division that the 1x1 LU solve computes, so every value
-    has the bits of the array computation.  The drift is evaluated on the
-    reused one-element array ``x`` (see the module docstring).
+    has the bits of the array computation.  The drift and its derivative,
+    ``b`` and ``db``, are the spec's float pair if it has one, and else
+    its array forms on one reused one-element array (see the module
+    docstring).
     """
 
     def __init__(self, spec: DriftSpec) -> None:
         self.eval = spec.eval
-        self.jacobian = spec.jacobian
-        self.x = np.empty(1)
+        if spec.on_float is not None:
+            self.b, self.db = spec.on_float
+        else:
+            x = np.empty(1)
+            self.b = partial(_on_array, spec.eval, 0, x)
+            self.db = partial(_on_array, spec.jacobian, (0, 0), x)
         self.delta = 0.0
         self.c = 0.0
 
@@ -217,25 +234,23 @@ class _ScalarStep:
 
     def explicit(self, y: float, a: float, inc: float) -> float:
         """``y + a * b(y) + inc``, in this order.  A non-finite sum is
-        taken again on the array: of two NaN operands numpy keeps the
+        taken again on an array: of two NaN operands numpy keeps the
         first, while Python floats keep either, depending on whether the
         interpreter has specialized the operation yet, and diverging runs
         must keep numpy's bits.  A finite sum met no NaN, so floats give
         the array's bits."""
-        self.x[0] = y
-        c = y + a * float(self.eval(self.x)[0]) + inc
+        c = y + a * self.b(y) + inc
         if math.isfinite(c):
             return c
-        return float((self.x + a * self.eval(self.x) + inc)[0])
+        x = np.array([y])
+        return float((x + a * self.eval(x) + inc)[0])
 
     def residual(self, y: float) -> tuple[float, float]:
-        self.x[0] = y
-        r = y - self.delta * float(self.eval(self.x)[0]) - self.c
+        r = y - self.delta * self.b(y) - self.c
         return r, math.sqrt(r * r)
 
     def newton(self, y: float, res: float) -> float:
-        self.x[0] = y
-        system = 1.0 - self.delta * float(self.jacobian(self.x)[0, 0])
+        system = 1.0 - self.delta * self.db(y)
         if system == 0.0:
             raise np.linalg.LinAlgError("Singular matrix")
         return -res / system

@@ -49,7 +49,19 @@ against 0.89-1.15 s; the 9-step run stayed at about 2 ms.  The planar
 path, which solves its one 2x2 system per iteration as a stack of one,
 took 100-170 ms against 115-200 ms (medians of seven runs, five
 alternations, faster in four).
+
+The reference case runs twice: on the cubic's float pair
+(``DriftSpec.on_float``), as ``stability`` does, and on an array-only copy
+of the same spec, which evaluates the same callables on a reused
+one-element array.  In two alternating runs against the former tree,
+whose cube was the array power ``-(x**3)``, the float pair took 15.6-32.2
+ms (2.2-4.5 µs per step) against 57-109 ms before, and the array-only copy
+89-120 ms: a cube written as a product costs one more numpy call on an
+array than the power did.  The scalar implicit step took 13-15 µs against
+26-29 µs and the 9-step run 0.43-0.46 ms against 0.92-1.75 ms (minima).
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,11 +140,13 @@ def test_implicit_step(benchmark, spec, delta, c, iterations):
     assert result.iterations == iterations
 
 
-def test_stability_reference(benchmark):
+@pytest.mark.parametrize("spec", [CUBIC1D, replace(CUBIC1D, on_float=None)],
+                         ids=["floats", "arrays"])
+def test_stability_reference(benchmark, spec):
     grid = Partition.uniform(0.72, 7200)
     noise = sample_multi(grid, HurstVector.constant(0.6, 1), child_seed(0, 0),
                          method="circulant")
-    traj = benchmark.pedantic(reference_solution, (CUBIC1D, noise, np.array([5.0])),
+    traj = benchmark.pedantic(reference_solution, (spec, noise, np.array([5.0])),
                               rounds=5, warmup_rounds=1)
     assert np.all(np.isfinite(traj.states))
 

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,14 @@ from fbmsde import (
     register_drift,
     verify_one_sided,
 )
-from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC
+from fbmsde.drifts import (
+    CUBIC1D,
+    DOUBLEWELL1D,
+    PLANAR_CUBIC,
+    _cubic1d_eval,
+    _cubic1d_jac,
+    _cubic1d_jac_float,
+)
 
 
 # --- pointwise oracles ----------------------------------------------------
@@ -106,6 +116,48 @@ def test_one_state_callables_need_the_pointwise_wrapper():
     xs = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(spec.eval(xs), [[2.0, 1.0], [4.0, 3.0]])
     assert spec.jacobian(xs).shape == (2, 2, 2)
+
+
+# --- float forms of one-dimensional drifts ----------------------------------
+
+FLOAT_PAIRED = [CUBIC1D, DOUBLEWELL1D, make_linear_drift(np.array([[-1.0]])),
+                make_linear_drift(np.array([[0.37]]), name="linear_up")]
+
+
+@pytest.mark.parametrize("spec", FLOAT_PAIRED, ids=lambda spec: spec.name)
+@given(y=st.floats(-1e8, 1e8, allow_nan=False))
+@settings(max_examples=300, deadline=None)
+def test_float_forms_have_the_bits_of_the_array_forms(spec, y):
+    b, db = spec.on_float
+    one, stack = np.array([y]), np.array([[y], [1.5]])
+    assert np.float64(b(y)).tobytes() == spec.eval(one)[0].tobytes() \
+        == spec.eval(stack)[0, 0].tobytes()
+    assert np.float64(db(y)).tobytes() == spec.jacobian(one)[0, 0].tobytes() \
+        == spec.jacobian(stack)[0, 0, 0].tobytes()
+
+
+def test_float_pair_is_checked_against_the_array_forms():
+    # A power rounds apart from the product for some probe points.
+    with pytest.raises(DomainError, match="float form of eval"):
+        DriftSpec("cube", 1, _cubic1d_eval, _cubic1d_jac, 0.0, 3.0,
+                  on_float=(lambda y: -(y ** 3), _cubic1d_jac_float))
+    with pytest.raises(DomainError, match="float form of jacobian"):
+        DriftSpec("cube", 1, _cubic1d_eval, _cubic1d_jac, 0.0, 3.0,
+                  on_float=(CUBIC1D.on_float[0], lambda y: -3.0 * y * y))
+    with pytest.raises(DomainError, match="only a one-dimensional drift"):
+        replace(PLANAR_CUBIC, on_float=CUBIC1D.on_float)
+    spec = DriftSpec("cube", 1, _cubic1d_eval, _cubic1d_jac, 0.0, 3.0,
+                     on_float=CUBIC1D.on_float)
+    assert spec.on_float == CUBIC1D.on_float
+
+
+def test_only_one_dimensional_linear_drifts_evaluate_on_floats():
+    scalar = make_linear_drift(np.array([[-2.0]]))
+    assert pickle.loads(pickle.dumps(scalar)).on_float[0](3.0) == -6.0
+    assert make_linear_drift(-np.eye(2)).on_float is None
+    assert PLANAR_CUBIC.on_float is None
+    assert DriftSpec.pointwise("p", 1, lambda y: -y, lambda y: -np.eye(1),
+                               0.0, 1.0).on_float is None
 
 
 # --- structural validation -------------------------------------------------

@@ -348,12 +348,12 @@ def test_runs_pass_raises_a_guard_after_the_runs_before_it():
 
 
 def test_failing_lane_reports_its_first_failing_run():
-    # Lane 1 jumps by 1e5 at node 6.  The run of ratio 2 stalls on it at
+    # Lane 1 jumps by 1e6 at node 6.  The run of ratio 2 stalls on it at
     # its step 2 (master step 5), the run of ratio 8 at its step 0 (master
     # step 7); with the ratio-8 run first, one-run calls in order report
     # its stall, and so must the pass.
     values = np.zeros((2, GRID.times.size, 1))
-    values[1, 6:, 0] = 1e5
+    values[1, 6:, 0] = 1e6
     block = NoiseBlock(grid=GRID, values=values,
                        hursts=(HurstVector.constant(0.7, 1),) * 2,
                        indices=(7, 8), seeds=(70, 80))

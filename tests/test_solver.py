@@ -155,8 +155,8 @@ def test_cubic_step_property(c, delta):
 
 # --- the one-dimensional step on floats -------------------------------------
 
-# Targets of both signs from 1e-3 to 4e3; far beyond, the absolute
-# tolerance stalls.
+# Targets of both signs from 1e-3 to 4e3.  Beyond 2e4 the absolute
+# tolerance stalls the cubic at delta = 1e-3 (the stall test's 3e4).
 TARGETS_1D = np.concatenate([np.geomspace(1e-3, 4e3, 60),
                              -np.geomspace(1e-3, 4e3, 60)])
 
@@ -231,10 +231,10 @@ def test_scalar_singular_system_is_a_linear_solve_failure():
 
 def test_scalar_stall_keeps_its_message():
     with pytest.raises(NoConvergenceError) as err:
-        solve_backward_step(CUBIC1D, 1e-3, np.array([1e4]))
+        solve_backward_step(CUBIC1D, 1e-3, np.array([3e4]))
     assert str(err.value) == \
-        "damping stalled with residual 1.819e-12 above tol 1e-12"
-    assert err.value.iterations == 15
+        "damping stalled with residual 3.638e-12 above tol 1e-12"
+    assert err.value.iterations == 17
 
 
 

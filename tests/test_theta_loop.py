@@ -5,8 +5,12 @@ public :func:`fbmsde.solver.solve_backward_step`.  The integrators now step
 on a step object built once per run (floats in one dimension) and call the
 public solver only to re-solve a step that is not a plain converged Newton
 solve; every state, every NaN row and every error must stay the oracle's,
-bit for bit.
+bit for bit.  In the same way a one-dimensional drift's float pair must
+give the runs of its array forms, and a run on the pair alone makes no
+array call.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,10 +26,14 @@ from fbmsde import (
     crank_nicolson,
     forward_euler,
     make_linear_drift,
+    reference_solution,
     sample_multi,
 )
-from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC
+from fbmsde import drifts
+from fbmsde.configio import ExperimentConfig
+from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC, DriftSpec
 from fbmsde.errors import SolverError
+from fbmsde.harness import stability_compare
 from fbmsde.integrate import (
     THETA,
     _attach_step,
@@ -179,3 +187,75 @@ def test_non_finite_noise_gives_the_oracle_outcome(run, bad, drift):
     else:
         assert run in ("em", "cn-stability")
     _assert_same_outcome(run, spec, noise, np.array(x0))
+
+
+# --- float forms against array forms ------------------------------------------
+
+# The cubic without its float pair: the single path evaluates the same
+# array callables on a one-element array.
+CUBIC1D_ARRAYS = replace(CUBIC1D, on_float=None)
+
+
+def _stability_cfg(x0):
+    """``configs/stability_example1.cfg`` from ``x0``."""
+    return ExperimentConfig(drift="example1", x0=(x0,), t_final=0.72,
+                            hurst_values=(0.6,), schemes=("em", "cn", "bem"),
+                            meshes=(0.08,), master_mesh=0.0001, mc_paths=1, seed=0)
+
+
+def _stability_rows(monkeypatch, spec, x0):
+    """Labels and value bytes of the stability rows of ``spec``, or its error."""
+    monkeypatch.setitem(drifts._REGISTRY, "cubic1d", spec)
+    try:
+        rows = stability_compare(_stability_cfg(x0))
+    except SolverError as exc:
+        return type(exc), str(exc)
+    return [row[:2] for row in rows], np.array([row[2] for row in rows]).tobytes()
+
+
+@pytest.mark.parametrize("x0", [5.0, 500.0, 1e6])
+def test_stability_rows_on_floats_equal_those_on_arrays(monkeypatch, x0):
+    got = _stability_rows(monkeypatch, CUBIC1D, x0)
+    assert got == _stability_rows(monkeypatch, CUBIC1D_ARRAYS, x0)
+    if x0 == 1e6:       # the reference stalls at its first step
+        assert got[0] is NoConvergenceError
+        assert got[1].startswith("step 0: damping stalled")
+        return
+    labels, values = got
+    values = np.frombuffer(values)
+    em = [v for (scheme, _), v in zip(labels, values) if scheme == "em"]
+    cn = [v for (scheme, _), v in zip(labels, values) if scheme == "cn"]
+    assert not np.all(np.abs(em) < 1e6)         # em diverges from both starts
+    assert np.isnan(cn).any() == (x0 == 500.0)  # cn stalls from 500
+
+
+@pytest.mark.parametrize("x0", [5.0, 500.0])
+def test_reference_on_floats_equals_the_reference_on_arrays(x0):
+    noise = sample_multi(Partition.uniform(0.72, 7200), HurstVector.constant(0.6, 1),
+                         child_seed(0, 0), method="circulant")
+    want = reference_solution(CUBIC1D_ARRAYS, noise, np.array([x0])).states
+    assert reference_solution(CUBIC1D, noise, np.array([x0])).states.tobytes() \
+        == want.tobytes()
+
+
+def _counted(fn, calls):
+    def counting(x):
+        calls.append(fn.__name__)
+        return fn(x)
+    return counting
+
+
+@pytest.mark.parametrize("on_float", [CUBIC1D.on_float, None], ids=["floats", "arrays"])
+def test_a_float_paired_single_path_makes_no_array_call(on_float):
+    calls = []
+    spec = DriftSpec("counted", 1, _counted(CUBIC1D.eval, calls),
+                     _counted(CUBIC1D.jacobian, calls), 0.0, 3.0, on_float=on_float)
+    calls.clear()       # construction checks the callables
+    noise = sample_multi(Partition.uniform(1.0, 200), HurstVector.constant(0.7, 1),
+                         child_seed(9, 0), method="circulant")
+    states = backward_euler(spec, noise, np.array([5.0])).states
+    assert states.tobytes() == backward_euler(CUBIC1D, noise, np.array([5.0])).states.tobytes()
+    if on_float is None:
+        assert len(calls) > 400         # a drift and a derivative per step at least
+    else:
+        assert calls == []
