@@ -12,13 +12,15 @@ a stack of states, so a lane of the path-batched engine has the bits of the
 single path it replaces.  A one-dimensional spec may also carry the same
 pair on Python floats (``on_float``), which the single-path solver uses to
 step without numpy calls; construction checks it bit for bit against the
-array forms.  All built-in drift functions live at module level so specs
-stay picklable and Monte Carlo work can be farmed out to worker processes.
+array forms.  A linear drift records its matrix (``matrix``), so that
+each implicit step of it is one direct solve instead of Newton's loop.
+All built-in drift functions live at module level so specs stay
+picklable and Monte Carlo work can be farmed out to worker processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -53,6 +55,10 @@ class DriftSpec:
         on_float: for ``dim == 1`` only, an optional pair ``(b, db)`` of
             callables mapping a Python float ``y`` to ``b(y)`` and
             ``b'(y)`` as floats; ``None`` if the drift has none.
+        matrix: for the linear drift ``b(x) = A x`` only, the read-only
+            ``(m, m)`` matrix ``A``; ``None`` for every other drift.  It
+            takes no part in ``==`` and ``hash``, which compare the
+            callables that hold it.
 
     Both array callables also take a stack of states, shape ``(M, m)``, and
     must give each row the bits of its one-state value, so that an engine
@@ -61,7 +67,8 @@ class DriftSpec:
     float pair must give the bits of the array forms; construction checks
     it on those states and on :data:`FLOAT_PROBES`.  Like the array
     callables it must be module-level functions or ``partial`` objects of
-    them, so that specs pickle.
+    them, so that specs pickle.  The matrix must be the Jacobian at those
+    states.
     """
 
     name: str
@@ -71,6 +78,7 @@ class DriftSpec:
     kappa: float
     mu: float
     on_float: tuple[Callable[[float], float], Callable[[float], float]] | None = None
+    matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         states = np.linspace(0.25, 2.0, (self.dim + 1) * self.dim).reshape(-1, self.dim)
@@ -86,6 +94,12 @@ class DriftSpec:
                                   f"with DriftSpec.pointwise")
         if self.on_float is not None:
             self._check_on_float(np.concatenate([states.ravel(), FLOAT_PROBES]))
+        if self.matrix is not None and not (
+                self.matrix.shape == (self.dim, self.dim)
+                and np.array_equal(self.jacobian(states), np.broadcast_to(
+                    self.matrix, (len(states), self.dim, self.dim)))):
+            raise DomainError(f"drift {self.name!r}: its matrix is not the "
+                              f"Jacobian of the drift")
 
     def _check_on_float(self, points: np.ndarray) -> None:
         """Require the float pair to give, at every point, the bits of the
@@ -232,8 +246,9 @@ def _linear_jac_float(a: float, y: float) -> float:
 
 def make_linear_drift(matrix: np.ndarray, name: str = "linear") -> DriftSpec:
     """Linear drift ``b(x) = M x`` with ``kappa`` set to the largest
-    eigenvalue of the symmetric part of ``M``; a 1x1 ``M = (a)`` also
-    evaluates on floats, as ``y * a``."""
+    eigenvalue of the symmetric part of ``M``; the spec records ``M`` as
+    its ``matrix``, and a 1x1 ``M = (a)`` also evaluates on floats, as
+    ``y * a``."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"linear drift needs a square matrix, got {matrix.shape}")
@@ -252,6 +267,7 @@ def make_linear_drift(matrix: np.ndarray, name: str = "linear") -> DriftSpec:
         kappa=kappa,
         mu=1.0,
         on_float=on_float,
+        matrix=matrix,
     )
 
 

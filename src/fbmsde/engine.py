@@ -35,11 +35,17 @@ batchmates, the block size or the other runs of the pass.  A row that
 stalls, reaches ``max_iter``, or gets a singular or non-finite Newton
 update is solved again from the same target by the scalar
 :func:`~fbmsde.solver.solve_backward_step`, which brings the scalar
-bisection rescue and the scalar errors with it.  A failing lane is
-replayed one run at a time, so its error is that of its first failing run
-in the order of ``runs``, and :func:`lowest_failure` turns the error of a
-failing block into that of its lowest failing lane, so which path a
-failure names does not depend on the blocks either.
+bisection rescue and the scalar errors with it.  A linear drift
+(``DriftSpec.matrix``) takes no Newton iteration: every row is solved
+directly, as the scalar solver starts it, by one stacked
+:func:`~fbmsde.solver._solve_linear` and one drift evaluation for the
+residual, and counts one iteration; a row whose solution misses the
+tolerance, or whose system is singular, goes to the scalar solver too.
+A failing lane is replayed one run at a time, so its error is that of
+its first failing run in the order of ``runs``, and
+:func:`lowest_failure` turns the error of a failing block into that of
+its lowest failing lane, so which path a failure names does not depend
+on the blocks either.
 
 Single paths stay on the scalar integrators of :mod:`fbmsde.integrate`:
 with one lane a batched step costs more than a scalar one, about 140-230
@@ -67,6 +73,7 @@ from .solver import (
     DEFAULT_SOLVE_CONFIG,
     SolveConfig,
     _check_step_guard,
+    _solve_linear,
     _solve_small,
     solve_backward_step,
 )
@@ -179,8 +186,12 @@ def sq_norms(a: np.ndarray) -> np.ndarray:
     A stacked matrix product of each row with itself takes every entry
     from the vector dot product, the one a single-path run and the scalar
     solver's ``np.linalg.norm`` use, so each entry is bit-identical to its
-    single-row value; a sum of squares may round differently.
+    single-row value; a sum of squares may round differently.  A row of
+    one entry is squared by one product, which has the bits of that dot
+    product and costs less.
     """
+    if a.shape[-1] == 1:
+        return a[..., 0] * a[..., 0]
     a = np.ascontiguousarray(a)
     return np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0]
 
@@ -213,9 +224,27 @@ def _take_rows(took: np.ndarray, new: tuple[np.ndarray, ...],
             np.where(took, new[2], old[2]))
 
 
+def _linear_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
+                 cfg: SolveConfig
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_newton_rows` for a linear drift: the direct solution of
+    every row by :func:`~fbmsde.solver._solve_linear`, the scalar step's
+    start, counted as one Newton iteration.  A row whose solution is not
+    within ``cfg.tol`` needs the scalar solver, which starts from the
+    same solution, or from the target or the predictor where that is not
+    finite (a singular system, a non-finite target)."""
+    y = _solve_linear(spec.matrix, delta, c)
+    res = y - delta * spec.eval(y) - c
+    fallback = ~(np.sqrt(sq_norms(res)) <= cfg.tol)
+    tally = np.zeros((c.shape[0], 3), dtype=np.int64)
+    tally[:, 0] = 1
+    tally[:, 2] = fallback
+    return y, tally, fallback
+
+
 def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
                  cfg: SolveConfig
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton for ``y - delta b(y) = c``, one equation per row of
     ``c``; ``delta`` holds the step of every row, shape ``(M, 1)``.
 
@@ -225,8 +254,11 @@ def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
     bits of multiplying by the scalar step.  Returns the iterates, the
     counts of every row (shape ``(M, 3)``: Newton iterations, rejected
     updates, and 1 if the row needs the scalar solver) and the mask of the
-    rows that need it.
+    rows that need it.  A linear drift's rows are solved directly
+    (:func:`_linear_rows`), as the scalar solver starts them.
     """
+    if spec.matrix is not None:
+        return _linear_rows(spec, delta, c, cfg)
     y = c.copy()
     res = y - delta * spec.eval(y) - c
     norm = np.sqrt(sq_norms(res))
@@ -356,6 +388,9 @@ def _advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
     # steps, and the most iterations of one step.
     sums = np.zeros((len(runs), lanes, 3), dtype=np.int64)
     most = np.zeros((len(runs), lanes), dtype=np.int64)
+    # Per run, its last θδ and the (lanes, 1) array of it, reused while
+    # the run's θδ stays the same (on a uniform grid, every step).
+    last_steps: list[tuple[float, np.ndarray | None]] = [(math.nan, None)] * len(runs)
     with np.errstate(all="ignore"):
         for k in range(block.grid.n_steps):
             # (run, its step index) of every run that solves.
@@ -375,13 +410,16 @@ def _advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
                     continue
                 members.append((r, j))
                 targets.append(c)
-                steps.append(np.full((lanes, 1), theta * delta))
+                size = theta * delta
+                if last_steps[r][0] != size:
+                    last_steps[r] = (size, np.full((lanes, 1), size))
+                steps.append(last_steps[r][1])
             if members:
                 c, step = (targets[0], steps[0]) if len(members) == 1 \
                     else (np.concatenate(targets), np.concatenate(steps))
                 # A row with a non-finite target always falls back.
                 y, tally, fallback = _newton_rows(spec, step, c, cfg)
-                for row in np.flatnonzero(fallback):
+                for row in np.flatnonzero(fallback) if fallback.any() else ():
                     member, lane = divmod(int(row), lanes)
                     r, j = members[member]
                     try:

@@ -45,7 +45,7 @@ from .integrate import (  # noqa: F401
     fundamental_matrix_block,
     fundamental_matrix_reference,
 )
-from .solver import DEFAULT_SOLVE_CONFIG
+from .solver import DEFAULT_SOLVE_CONFIG, _solve_small
 
 __all__ = [
     "ResidualBundle",
@@ -193,10 +193,11 @@ def compute_U_block(spec: DriftSpec, grid: Partition, states: np.ndarray,
     dt = np.diff(grid.times[:kt + 1])[:, None]
     forcing = _apply_rows(jac, spec.eval(left).reshape(lanes, kt, m) * dt
                           + np.diff(values[:, :kt + 1], axis=1))
-    # Phi(t, s) = phi_t phi_s^{-1}; solve phi_s^T X^T = phi_t^T in one batch.
+    # Phi(t, s) = phi_t phi_s^{-1}; solve phi_s^T X^T = phi_t^T in one batch,
+    # a division in one dimension and Cramer's rule in two.
     lhs = np.swapaxes(flows[:, :kt], -1, -2)
     rhs = np.broadcast_to(np.swapaxes(flows[:, kt:kt + 1], -1, -2), lhs.shape)
-    terms = np.swapaxes(np.linalg.solve(lhs, rhs), -1, -2) @ forcing[..., None]
+    terms = np.swapaxes(_solve_small(lhs, rhs), -1, -2) @ forcing[..., None]
     # Sum over nodes along a contiguous axis, one lane and coordinate per
     # row, so the rounding of the sum does not depend on the block size.
     return 0.5 * np.ascontiguousarray(terms[..., 0].swapaxes(1, 2)).sum(axis=-1)

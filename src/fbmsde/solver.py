@@ -13,15 +13,26 @@ two were needed from ``c``; where it overshoots, as for large ``|c|``, the
 solve starts at ``c`` as before (Hairer & Wanner, *Solving ODEs II*,
 §IV.8).  Each iteration halves the update up to 30 times until the
 residual norm decreases, and the solve falls back to sign-change bisection
-in one dimension when damping stalls.  The start, stop, update, halve and
-stall decisions are written once, in ``_newton``; only the evaluation of
-the residual, its norm and the Newton update depend on the dimension, and
-live on a step object (``_ScalarStep``, ``_VectorStep``) that is built
-once and aimed at each step's ``(delta, c)``.  In one dimension the
-iterate, the residual and the update are Python floats, which saves the
-numpy overhead of one-element arrays on every iteration; for ``m >= 2``
-they are arrays and :func:`_solve_small` solves the Newton system, in
-closed form for ``m = 2`` (Cramer's rule) and by LAPACK above.
+in one dimension when damping stalls.  The stop, update, halve and stall
+decisions are written once, in ``_newton``; the evaluation of the
+residual, its norm, the Newton update and the start depend on the
+dimension and the drift, and live on a step object (``_ScalarStep``,
+``_VectorStep`` and their linear subclasses) that is built once and
+aimed at each step's ``(delta, c)``.  In one dimension the iterate, the
+residual and the update are Python floats, which saves the numpy
+overhead of one-element arrays on every iteration; for ``m >= 2`` they
+are arrays and :func:`_solve_small` solves the Newton system, in closed
+form for ``m = 2`` (Cramer's rule) and by LAPACK above.
+
+A linear drift ``b(y) = A y`` (``DriftSpec.matrix``) starts instead from
+the direct solution of ``(I - delta A) y = c`` (:func:`_solve_linear`, a
+division in one dimension), which counts as one Newton iteration: a
+Newton step on a linear map gives it from any start.  It is kept when
+its residual norm is within the tolerance; otherwise Newton continues
+from it, as from any start.  A singular or non-finite direct solution
+takes the start above.  :func:`_step_for` picks the step's class, and
+with it the start, once per run, so a nonlinear drift's solve makes no
+test for it.
 
 :func:`solve_backward_step` checks its inputs, aims a fresh step and runs
 ``_newton``, then the bisection rescue and the errors.  The single-path
@@ -107,7 +118,7 @@ def _small_det(a: np.ndarray) -> np.ndarray:
 
 def _solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a x = b`` for a stack of small systems: ``a`` of shape
-    ``(M, m, m)``, ``b`` of shape ``(M, m, k)``.
+    ``(..., m, m)``, ``b`` of shape ``(..., m, k)``.
 
     For m = 1 this is a division, which is what the 1x1 LU solve of one
     column computes, for m = 2 Cramer's rule, and LAPACK above.  Each
@@ -124,7 +135,7 @@ def _solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
         out = np.full(b.shape, np.nan)
-        for j in range(len(a)):
+        for j in np.ndindex(a.shape[:-2]):
             try:
                 out[j] = np.linalg.solve(a[j], b[j])
             except np.linalg.LinAlgError:
@@ -141,6 +152,15 @@ def _solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.divide(a[..., 0, :1] * b1 - a[..., 1, :1] * b0, det, out=out[..., 1, :],
               where=solvable)
     return out
+
+
+def _solve_linear(matrix: np.ndarray, delta: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The implicit steps of the linear drift ``b(y) = A y``: solve
+    ``(I - delta A) y = c`` for every row of ``c``, shape ``(M, m)``, with
+    the step of every row in ``delta``, shape ``(M, 1)``, by
+    :func:`_solve_small`.  A singular system gives a NaN row."""
+    system = np.eye(matrix.shape[0]) - delta[:, :, None] * matrix
+    return _solve_small(system, c[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -202,16 +222,48 @@ def _on_array(fn: Callable[[np.ndarray], np.ndarray], index: int | tuple[int, in
     return float(fn(x)[index])
 
 
-class _ScalarStep:
+class _Step:
+    """The start of the Newton loop, which every step object shares.
+
+    ``start(tol)`` returns the first iterate, its residual and norm, and
+    the Newton iterations it counts as: the better of the target and the
+    explicit predictor, or for a linear drift's step (the classes
+    :func:`_step_for` picks when the spec has a ``matrix``) the direct
+    solution.
+    """
+
+    def start(self, tol: float) -> tuple:
+        """The target ``c``, or the explicit predictor ``c - r(c)`` when
+        ``c`` is not within ``tol`` and the predictor's norm is smaller (a
+        NaN norm never is, and a tie keeps ``c``)."""
+        y = self.c
+        res, res_norm = self.residual(y)
+        if not res_norm <= tol:
+            guess = y - res
+            guess_res, guess_norm = self.residual(guess)
+            if guess_norm < res_norm:
+                return guess, guess_res, guess_norm, 0
+        return y, res, res_norm, 0
+
+    def direct_start(self, tol: float) -> tuple:
+        """The direct solution of a linear step, one iteration; the start
+        above if it is not finite, as for a singular system."""
+        y = self.direct()
+        if not self.finite(y):
+            return _Step.start(self, tol)
+        return (y, *self.residual(y), 1)
+
+
+class _ScalarStep(_Step):
     """The step equation in one dimension, on Python floats.
 
     Built once per run and aimed at each step's ``(delta, c)``.  The norm
     is ``sqrt(r * r)``, as ``np.linalg.norm`` computes it, and the Newton
-    update is the division that the 1x1 LU solve computes, so every value
-    has the bits of the array computation.  The drift and its derivative,
-    ``b`` and ``db``, are the spec's float pair if it has one, and else
-    its array forms on one reused one-element array (see the module
-    docstring).
+    update and the direct solution are the divisions that the 1x1 LU
+    solve and :func:`_solve_linear` compute, so every value has the bits
+    of the array computation.  The drift and its derivative, ``b`` and
+    ``db``, are the spec's float pair if it has one, and else its array
+    forms on one reused one-element array (see the module docstring).
     """
 
     def __init__(self, spec: DriftSpec) -> None:
@@ -228,9 +280,6 @@ class _ScalarStep:
     def aim(self, delta: float, c: float) -> None:
         self.delta = delta
         self.c = c
-
-    def start(self) -> float:
-        return self.c
 
     def explicit(self, y: float, a: float, inc: float) -> float:
         """``y + a * b(y) + inc``, in this order.  A non-finite sum is
@@ -270,11 +319,11 @@ class _ScalarStep:
         return np.array([y])
 
 
-class _VectorStep:
+class _VectorStep(_Step):
     """The step equation in ``m >= 2`` dimensions, on arrays, with the
-    Newton system solved by :func:`_solve_small`.  Built once per run and
-    aimed at each step's ``(delta, c)``; no iterate is ever written in
-    place."""
+    Newton system and a linear step solved by :func:`_solve_small` as a
+    stack of one.  Built once per run and aimed at each step's
+    ``(delta, c)``; no iterate is ever written in place."""
 
     def __init__(self, spec: DriftSpec) -> None:
         self.eval = spec.eval
@@ -286,9 +335,6 @@ class _VectorStep:
     def aim(self, delta: float, c: np.ndarray) -> None:
         self.delta = delta
         self.c = c
-
-    def start(self) -> np.ndarray:
-        return self.c.copy()
 
     def explicit(self, y: np.ndarray, a: float, inc: np.ndarray) -> np.ndarray:
         return y + a * self.eval(y) + inc
@@ -317,39 +363,65 @@ class _VectorStep:
 
     @staticmethod
     def state(y: np.ndarray) -> np.ndarray:
-        return y
+        return y.copy()
+
+
+class _LinearScalarStep(_ScalarStep):
+    """The scalar step of a linear drift ``b(y) = a y``, started from its
+    direct solution ``c / (1 - delta a)``, the bits of
+    :func:`_solve_linear`."""
+
+    start = _Step.direct_start
+
+    def __init__(self, spec: DriftSpec) -> None:
+        super().__init__(spec)
+        self.a = float(spec.matrix[0, 0])
+
+    def direct(self) -> float:
+        system = 1.0 - self.delta * self.a
+        return self.c / system if system != 0.0 else math.nan
+
+
+class _LinearVectorStep(_VectorStep):
+    """The step of a linear drift ``b(y) = A y`` in ``m >= 2`` dimensions,
+    started from its direct solution by :func:`_solve_linear`, as a stack
+    of one."""
+
+    start = _Step.direct_start
+
+    def __init__(self, spec: DriftSpec) -> None:
+        super().__init__(spec)
+        self.matrix = spec.matrix
+
+    def direct(self) -> np.ndarray:
+        return _solve_linear(self.matrix, np.array([[self.delta]]), self.c[None])[0]
 
 
 def _step_for(spec: DriftSpec) -> _ScalarStep | _VectorStep:
-    """The step equation of ``spec``, to be aimed before each solve."""
-    return (_ScalarStep if spec.dim == 1 else _VectorStep)(spec)
+    """The step equation of ``spec``, to be aimed before each solve; a
+    linear drift's starts from the direct solution."""
+    if spec.dim == 1:
+        return (_ScalarStep if spec.matrix is None else _LinearScalarStep)(spec)
+    return (_VectorStep if spec.matrix is None else _LinearVectorStep)(spec)
 
 
 def _newton(step: _ScalarStep | _VectorStep, cfg: SolveConfig
             ) -> tuple[float | np.ndarray, float, int, bool]:
-    """Damped Newton for the aimed ``step``, from its target ``c`` or from
-    the explicit predictor ``c - r(c)``.
+    """Damped Newton for the aimed ``step``, from its start: the target
+    ``c`` or the explicit predictor ``c - r(c)``, or for a linear drift
+    the direct solution (see :class:`_Step`).
 
-    A target whose residual norm is above ``cfg.tol`` is replaced by the
-    predictor if the predictor's norm is smaller; a NaN norm never is, and
-    a tie keeps ``c``.  Stops once the residual norm is within ``cfg.tol``,
-    halves each update up to ``_MAX_HALVINGS`` times until the norm
-    decreases, and stalls when no halving does.  Returns the iterate, its
-    residual norm, the Newton iterations and whether damping stalled; the
-    solve converged exactly when the norm is within ``cfg.tol``.
+    Stops once the residual norm is within ``cfg.tol``, halves each update
+    up to ``_MAX_HALVINGS`` times until the norm decreases, and stalls
+    when no halving does.  Returns the iterate, its residual norm, the
+    Newton iterations and whether damping stalled; the solve converged
+    exactly when the norm is within ``cfg.tol``.
 
     Raises:
         LinearSolveFailure: a Newton system was singular or gave a
             non-finite update.
     """
-    y = step.start()
-    res, res_norm = step.residual(y)
-    if not res_norm <= cfg.tol:
-        guess = y - res
-        guess_res, guess_norm = step.residual(guess)
-        if guess_norm < res_norm:
-            y, res, res_norm = guess, guess_res, guess_norm
-    iterations = 0
+    y, res, res_norm, iterations = step.start(cfg.tol)
     while iterations < cfg.max_iter and not res_norm <= cfg.tol:
         try:
             update = step.newton(y, res)

@@ -16,16 +16,23 @@ sweep of 20 paths keeping the terminal states only, as
 
 The linear cases time the layers that ``limit`` adds on ``b(x) = -x``: the
 five-run pass of ``configs/limit_linear.cfg`` (the reference and n = 32 to
-256) on 64 lanes keeping every node, one Newton iteration per lane step,
-and :func:`fbmsde.integrate.fundamental_matrix_block` along its 64
-reference runs, one division per lane and node; the planar flow case
-solves its 2x2 systems by Cramer's rule.
+256) on 64 lanes keeping every node, one direct solve per lane step,
+counted as one Newton iteration, and
+:func:`fbmsde.integrate.fundamental_matrix_block` along its 64 reference
+runs, one division per lane and node; the planar flow case solves its
+2x2 systems by Cramer's rule.  Solved directly instead of by one damped
+Newton iteration from the explicit predictor, the pass took 53-58 ms
+against 128-135 ms (minima and medians of two alternating runs, 2-core
+machine, numpy 2.4).
 
 The implicit-step cases time one :func:`fbmsde.solver.solve_backward_step`
 on the scalar cubic (a coarse stability step from about 5, five Newton
 iterations on floats; the explicit predictor overshoots, so Newton starts
-at the target) and on the planar cubic (a master-grid step, one iteration
-from the predictor, with the 2x2 system solved in closed form).  The
+at the target), on the planar cubic (a master-grid step, one iteration
+from the predictor, with the 2x2 system solved in closed form) and on
+``b(x) = -x`` (one division on floats, counted as one iteration; 5.4-5.6
+µs against 5.1-5.6 µs for the former Newton iteration, since checking the
+inputs and building the step cost most of one public call).  The
 single-path cases time the integrators, which step on one reused step
 object and call the public solver only to re-solve a step:
 :func:`fbmsde.integrate.reference_solution` over the 7200-step master
@@ -134,7 +141,8 @@ def test_flow_block(benchmark, spec, x0):
 @pytest.mark.parametrize("spec, delta, c, iterations", [
     (CUBIC1D, 0.08, [5.3], 5),
     (PLANAR_CUBIC, 2.0 ** -11, [1.3, -0.4], 1),
-], ids=["cubic1d", "planar_cubic"])
+    (LINEAR, 2.0 ** -11, [1.3], 1),
+], ids=["cubic1d", "planar_cubic", "linear"])
 def test_implicit_step(benchmark, spec, delta, c, iterations):
     result = benchmark(solve_backward_step, spec, delta, np.array(c))
     assert result.iterations == iterations

@@ -160,6 +160,33 @@ def test_only_one_dimensional_linear_drifts_evaluate_on_floats():
                                0.0, 1.0).on_float is None
 
 
+def test_linear_drifts_record_their_matrix():
+    matrix = np.array([[-1.0, 3.0], [-0.5, -2.0]])
+    spec = make_linear_drift(matrix)
+    assert np.array_equal(spec.matrix, matrix)
+    assert not spec.matrix.flags.writeable
+    assert np.array_equal(pickle.loads(pickle.dumps(spec)).matrix, matrix)
+    # The matrix takes no part in == and hash.
+    assert spec == spec and hash(spec) == hash(spec)
+    assert spec != make_linear_drift(matrix)
+    assert replace(spec, kappa=0.0).matrix is spec.matrix
+    for other in (CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC):
+        assert other.matrix is None
+    assert DriftSpec.pointwise("p", 1, lambda y: -y, lambda y: -np.eye(1),
+                               0.0, 1.0).matrix is None
+
+
+@pytest.mark.parametrize("spec, matrix", [
+    (make_linear_drift(np.array([[-1.0]])), np.array([[-2.0]])),
+    (make_linear_drift(np.array([[-1.0]])), np.array([[-1.0, 0.0], [0.0, -1.0]])),
+    (CUBIC1D, np.array([[0.0]])),
+    (PLANAR_CUBIC, np.eye(2)),
+], ids=["other-entry", "other-shape", "cubic1d", "planar_cubic"])
+def test_a_matrix_must_be_the_jacobian(spec, matrix):
+    with pytest.raises(DomainError, match="its matrix is not the Jacobian"):
+        replace(spec, matrix=matrix)
+
+
 # --- structural validation -------------------------------------------------
 
 def test_check_state_validates_shape_and_dtype():

@@ -12,6 +12,7 @@ from fbmsde import (
     DriftSpec,
     ExperimentConfig,
     HurstVector,
+    LinearSolveFailure,
     NoConvergenceError,
     Partition,
     SolveConfig,
@@ -41,6 +42,7 @@ from fbmsde.engine import (
     block_count,
     block_range,
     lowest_failure,
+    sq_norms,
 )
 
 GRID = Partition.uniform(1.0, 256)
@@ -403,3 +405,77 @@ def test_predictor_start_keeps_one_newton_iteration_per_linear_step():
                                     keep=MASTER.n_steps)
     assert SolveStats.of(counts) == SolveStats(
         newton_iterations=64 * (MASTER.n_steps + sum(LIMIT_N)), max_iterations=1)
+
+
+def test_sq_norms_of_one_entry_rows_have_the_bits_of_the_dot_product():
+    rng = np.random.default_rng(0)
+    sizes = 10.0 ** rng.uniform(-170.0, 170.0, 100_000)
+    values = np.concatenate([sizes * rng.choice([-1.0, 1.0], sizes.size),
+                             [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-170,
+                              1.7e308]])
+    for rows in (values[:, None], values.reshape(-1, 4, 1)):
+        with np.errstate(all="ignore"):     # squares underflow and overflow
+            want = np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0]
+            got = sq_norms(rows)
+        assert got.shape == rows.shape[:-1]
+        assert got.tobytes() == want.tobytes()
+
+
+def _counted(fn, calls, name):
+    def counting(x):
+        calls.append(name)
+        return fn(x)
+    return counting
+
+
+def test_linear_pass_evaluates_the_drift_once_per_master_step():
+    linear = make_linear_drift(np.array([[-1.0]]))
+    calls = []
+    spec = replace(linear, eval=_counted(linear.eval, calls, "eval"),
+                   jacobian=_counted(linear.jacobian, calls, "jacobian"))
+    calls.clear()       # construction checks the callables
+    block = _master_block(16, 1)
+    runs = [(1, 1.0)] + [(MASTER.n_steps // n, 1.0) for n in LIMIT_N]
+    states, counts = backward_euler_runs(spec, block, [1.0], runs)
+    # One residual check over the rows of every run that steps, no Newton.
+    assert calls == ["eval"] * MASTER.n_steps
+    want, _ = backward_euler_runs(linear, block, [1.0], runs)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(states, want))
+    assert SolveStats.of(counts).fallbacks == 0
+
+
+def _one_step_block(delta, c):
+    """One lane of one step of length ``delta`` whose noise jumps by ``c``."""
+    return NoiseBlock(grid=Partition.uniform(delta, 1), values=np.array([[[0.0], [c]]]),
+                      hursts=(HurstVector.constant(0.7, 1),), indices=(0,), seeds=(5,))
+
+
+# Targets of the step of b(x) = -x at delta = 1e-3.  The direct solution
+# of all but 1e20 misses the tolerance, and Newton goes on from it.
+@pytest.mark.parametrize("c", [3e4, -2.5e4, 1e16, 1.3e20, 1e20])
+def test_a_linear_step_missing_the_tolerance_solves_alike_three_ways(c):
+    spec = make_linear_drift(np.array([[-1.0]]))
+    block = _one_step_block(1e-3, c)
+    public = solve_backward_step(spec, 1e-3, np.array([c]))
+    assert public.iterations == (1 if c == 1e20 else 2)
+    lanes, stats = backward_euler_block(spec, block, [0.0])
+    assert stats.fallbacks == public.iterations - 1
+    single = backward_euler(spec, block.path(0), [0.0]).states
+    for states in (lanes[0], single):
+        assert states[1].tobytes() == public.y.tobytes()
+
+
+def test_a_singular_linear_step_fails_alike_three_ways():
+    # 1 - delta * a = 0: the direct solution is NaN, and each way takes
+    # the predictor start and meets the singular Newton system.
+    spec = replace(make_linear_drift(np.array([[1.0]])), kappa=0.0)
+    block = _one_step_block(1.0, 2.0)
+    message = "singular Newton system at iterate with residual 2.000e+00"
+    for run, want in [
+            (lambda: solve_backward_step(spec, 1.0, np.array([2.0])), message),
+            (lambda: backward_euler(spec, block.path(0), [0.0]), f"step 0: {message}"),
+            (lambda: backward_euler_block(spec, block, [0.0]),
+             f"step 0: {message} (path 0, path seed 5)")]:
+        with pytest.raises(LinearSolveFailure) as err:
+            run()
+        assert str(err.value) == want

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -499,3 +502,32 @@ def test_limit_check_time_origin_short_circuits():
     assert stats == SolveStats()
     assert np.array_equal(out.lp_distances, np.zeros(2))
     assert np.array_equal(out.mean_abs_nz, np.zeros(2))
+
+
+CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+
+
+def _checks_module():
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_linear_limit_check_equals_its_closed_form():
+    # Backward Euler on b(x) = -x is y' = (y + dB) / (1 + dt): the direct
+    # solve computes just that division, where Newton's iterate rounded
+    # apart from it by up to a few 1e-13 relative in the table.
+    checks = _checks_module()
+    n_values, paths, seed = (32, 64, 128, 256), 24, 20250800
+    comparison, stats = limit_check(make_linear_drift(np.array([[-1.0]])), np.array([1.0]),
+                                    0.7, 1.0, n_values, paths, seed)
+    values = np.stack([checks._noise(8 * 256, 1.0, 0.7, 1, child_seed(seed, i)).values[:, 0]
+                       for i in range(paths)])
+    want = checks.linear_limit_closed_form(values, n_values)
+    for column, got in [("lp_distance", comparison.lp_distances),
+                        ("stderr", comparison.stderrs),
+                        ("mean_abs_nZ", comparison.mean_abs_nz),
+                        ("mean_abs_U", comparison.mean_abs_u)]:
+        assert np.max(np.abs(got - want[column]) / np.abs(want[column])) <= 1e-13, column
+    assert stats.fallbacks == 0

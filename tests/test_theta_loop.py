@@ -259,3 +259,29 @@ def test_a_float_paired_single_path_makes_no_array_call(on_float):
         assert len(calls) > 400         # a drift and a derivative per step at least
     else:
         assert calls == []
+
+
+@pytest.mark.parametrize("matrix", [[[-2.0]], [[-1.0, 3.0], [-0.5, -2.0]]],
+                         ids=["1x1", "2x2"])
+def test_a_linear_single_path_makes_no_jacobian_call(matrix):
+    linear = make_linear_drift(np.array(matrix))
+    calls = []
+
+    def drift(x):
+        calls.append("eval")
+        return linear.eval(x)
+
+    def jacobian(x):
+        calls.append("jacobian")
+        return linear.jacobian(x)
+
+    # Without the float pair, so that the 1x1 drift is evaluated on arrays.
+    spec = replace(linear, eval=drift, jacobian=jacobian, on_float=None)
+    calls.clear()       # construction checks the callables
+    noise = sample_multi(Partition.uniform(1.0, 200), HurstVector.constant(0.7, spec.dim),
+                         child_seed(9, 0), method="circulant")
+    x0 = np.linspace(1.0, -0.5, spec.dim)
+    states = backward_euler(spec, noise, x0).states
+    assert states.tobytes() == backward_euler(linear, noise, x0).states.tobytes()
+    # One residual check per step, and no Newton system.
+    assert calls == ["eval"] * 200
