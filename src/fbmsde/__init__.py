@@ -16,9 +16,7 @@ from .drifts import (
     available_drifts,
     get_drift,
     make_linear_drift,
-    noise_free_bound_check,
     register_drift,
-    verify_one_sided,
 )
 from .errors import (
     CirculantEmbeddingError,
@@ -63,18 +61,14 @@ from .integrate import (
     forward_euler,
     fundamental_matrix_fb_euler,
     fundamental_matrix_reference,
-    interpolate_backward,
     reference_solution,
 )
 from .limit import (
     LimitComparison,
-    ResidualBundle,
     ResidualGrid,
     compute_U,
     limit_check,
-    residual_bundle,
     residual_grid,
-    solve_U_ode,
 )
 from .solver import SolveConfig, StepResult, resolvent_norm_bound, solve_backward_step
 
@@ -90,16 +84,16 @@ __all__ = [
     "sample_multi", "coarsen", "child_seed", "zero_path",
     # drifts
     "DriftSpec", "register_drift", "get_drift", "available_drifts",
-    "make_linear_drift", "verify_one_sided", "noise_free_bound_check",
+    "make_linear_drift",
     # solver
     "SolveConfig", "StepResult", "solve_backward_step", "resolvent_norm_bound",
     # integrators
     "Trajectory", "FundamentalMatrixPath", "backward_euler", "forward_euler",
-    "crank_nicolson", "reference_solution", "interpolate_backward",
-    "fundamental_matrix_reference", "fundamental_matrix_fb_euler",
+    "crank_nicolson", "reference_solution", "fundamental_matrix_reference",
+    "fundamental_matrix_fb_euler",
     # limit process
-    "ResidualBundle", "ResidualGrid", "LimitComparison", "residual_bundle",
-    "residual_grid", "compute_U", "solve_U_ode", "limit_check",
+    "ResidualGrid", "LimitComparison", "residual_grid", "compute_U",
+    "limit_check",
     # experiments
     "ExperimentConfig", "RateReport", "resolve_drift", "mc_strong_error",
     "sweep_strong_error", "fit_order", "stability_compare",

@@ -3,9 +3,7 @@
 A :class:`DriftSpec` bundles a drift ``b``, its Jacobian, and two declared
 constants: ``kappa`` with ``<x - y, b(x) - b(y)> <= kappa |x - y|^2`` for all
 ``x, y``, and a polynomial growth exponent ``mu``.  The implicit solver and
-the integrators trust ``kappa``; :func:`verify_one_sided` probes it by
-sampling, and :func:`noise_free_bound_check` exercises the matching a-priori
-bound on noise-free trajectories.
+the integrators trust ``kappa`` as declared.
 
 Each spec has one ``eval`` and one ``jacobian``, and both take one state or
 a stack of states, so a lane of the path-batched engine has the bits of the
@@ -34,10 +32,6 @@ __all__ = [
     "get_drift",
     "available_drifts",
     "make_linear_drift",
-    "verify_one_sided",
-    "noise_free_bound_check",
-    "OneSidedReport",
-    "NoiseFreeReport",
 ]
 
 
@@ -131,10 +125,6 @@ class DriftSpec:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.eval(x)
-
-    def drift_drift_product(self, x: np.ndarray) -> np.ndarray:
-        """The vector ``(Jacobian b)(x) @ b(x)``, shape ``(m,)``."""
-        return self.jacobian(x) @ self.eval(x)
 
     def check_state(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -313,82 +303,3 @@ def available_drifts() -> list[str]:
 
 for _spec in (CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC):
     register_drift(_spec)
-
-
-@dataclass(frozen=True)
-class OneSidedReport:
-    """Result of sampling the one-sided Lipschitz quotient."""
-
-    max_quotient: float
-    kappa: float
-    violation: bool
-    worst_point: np.ndarray
-
-
-def verify_one_sided(spec: DriftSpec, box_radius: float = 3.0,
-                     samples: int = 2000, seed: int = 0,
-                     slack: float = 1e-9) -> OneSidedReport:
-    """Probe ``sup <x, J_b(y) x> / |x|^2`` over random points and directions.
-
-    The supremum over all ``y`` of the largest eigenvalue of the symmetric
-    Jacobian part equals the best one-sided constant, so sampled quotients
-    must stay below ``spec.kappa`` up to ``slack``.
-    """
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    worst_point = np.zeros(spec.dim)
-    for _ in range(samples):
-        y = rng.uniform(-box_radius, box_radius, size=spec.dim)
-        x = rng.standard_normal(spec.dim)
-        norm2 = float(x @ x)
-        if norm2 == 0.0:
-            continue
-        jac = spec.jacobian(y)
-        quotient = float(x @ (jac @ x)) / norm2
-        if quotient > worst:
-            worst = quotient
-            worst_point = y
-    return OneSidedReport(
-        max_quotient=worst,
-        kappa=spec.kappa,
-        violation=bool(worst > spec.kappa + slack),
-        worst_point=worst_point,
-    )
-
-
-@dataclass(frozen=True)
-class NoiseFreeReport:
-    """Outcome of the a-priori bound check on a noise-free trajectory."""
-
-    ok: bool
-    max_ratio: float
-    final_state: np.ndarray
-
-
-def noise_free_bound_check(spec: DriftSpec, x0: np.ndarray, t_final: float,
-                           steps: int = 400, slack: float = 1.05) -> NoiseFreeReport:
-    """Integrate the noise-free dynamics implicitly and compare against the
-    a-priori bound ``|x_t|^2 <= (|x_0|^2 + t |b(0)|^2) exp((2 kappa + 1) t)``.
-
-    ``max_ratio`` is the largest observed ``|x_t|^2 / bound(t)``; the check
-    passes while it stays below ``slack``.
-    """
-    from .integrate import backward_euler
-    from .grids import Partition
-    from .fbm import HurstVector, zero_path
-
-    x0 = spec.check_state(np.atleast_1d(np.asarray(x0, dtype=np.float64)))
-    grid = Partition.uniform(t_final, steps)
-    noise = zero_path(grid, HurstVector.constant(0.75, spec.dim))
-    traj = backward_euler(spec, noise, x0)
-    b0 = spec.eval(np.zeros(spec.dim))
-    norms2 = np.sum(traj.states**2, axis=1)
-    t = grid.times
-    bound = (float(x0 @ x0) + t * float(b0 @ b0)) * np.exp((2.0 * spec.kappa + 1.0) * t)
-    # t = 0 gives ratio |x0|^2 / |x0|^2; guard the x0 = 0 case.
-    safe = np.where(bound > 0.0, bound, 1.0)
-    ratios = np.where(bound > 0.0, norms2 / safe, np.where(norms2 > 0.0, np.inf, 0.0))
-    max_ratio = float(np.max(ratios))
-    return NoiseFreeReport(ok=bool(max_ratio <= slack),
-                           max_ratio=max_ratio,
-                           final_state=traj.states[-1].copy())

@@ -204,6 +204,8 @@ def _common_issues(cfg: ExperimentConfig) -> tuple[list[str], DriftSpec | None]:
     for scheme in cfg.schemes:
         if scheme not in THETA:
             issues.append(f"unknown scheme {scheme!r}; choose from {tuple(THETA)}")
+    for scheme in _repeated(cfg.schemes):
+        issues.append(f"scheme {scheme!r} is listed more than once")
     if not cfg.meshes:
         issues.append("at least one mesh is required")
     for mesh in _repeated(cfg.meshes):

@@ -57,7 +57,6 @@ __all__ = [
     "forward_euler",
     "crank_nicolson",
     "reference_solution",
-    "interpolate_backward",
     "fundamental_matrix_block",
     "fundamental_matrix_reference",
     "fundamental_matrix_fb_euler",
@@ -244,34 +243,6 @@ def crank_nicolson(spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
     """
     return _theta_method("cn", spec, noise, x0, cfg or DEFAULT_SOLVE_CONFIG,
                          stability_mode)
-
-
-def interpolate_backward(spec: DriftSpec, noise: FbmPath, traj: Trajectory,
-                         t: float, cfg: SolveConfig | None = None) -> np.ndarray:
-    """Value of the implicit scheme's continuous interpolant at time ``t``.
-
-    The interpolant solves one backward step from the last trajectory node
-    strictly before ``t``, using the noise increment of the master path,
-    so it agrees with the trajectory at grid nodes.  ``t`` must be a node
-    of the master (noise) grid.
-    """
-    cfg = cfg or DEFAULT_SOLVE_CONFIG
-    if traj.dim != spec.dim or noise.dim != spec.dim:
-        raise DomainError("drift, trajectory and noise dimensions must agree")
-    t = float(t)
-    if not 0.0 < t <= traj.grid.t_final:
-        raise DomainError(f"t must lie in (0, {traj.grid.t_final}], got {t!r}")
-    i_t = noise.grid.index_of(t)
-    k_eta = int(np.searchsorted(traj.grid.times, t, side="left")) - 1
-    eta = float(traj.grid.times[k_eta])
-    i_eta = noise.grid.index_of(eta)
-    c = traj.states[k_eta] + (noise.values[i_t] - noise.values[i_eta])
-    try:
-        step = solve_backward_step(spec, t - eta, c, cfg)
-    except SolverError as exc:
-        _attach_step(exc, k_eta)
-        raise
-    return step.y
 
 
 def fundamental_matrix_block(spec: DriftSpec, grid: Partition,

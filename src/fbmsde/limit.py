@@ -9,17 +9,16 @@ converges, as the grid is refined, to the process
 where ``Phi(t, s)`` is the linearization flow along the exact solution and
 ``J_b`` the drift Jacobian.  :func:`compute_U_block` evaluates the
 representation with left-point sums on a fine grid for a block of lanes at
-once, and :func:`compute_U` is its one-lane call; :func:`solve_U_ode`
-integrates the equivalent linear equation step by step, and
-:func:`limit_check` compares ``n * (X - Y^n)`` against ``U`` in ``L^p`` over
-a Monte Carlo ensemble, one block of paths per call of the engine, the
-flow (:func:`~fbmsde.integrate.fundamental_matrix_block`) and ``U``.
+once, and :func:`compute_U` is its one-lane call.  :func:`limit_check`
+compares ``n * (X - Y^n)`` against ``U`` in ``L^p`` over a Monte Carlo
+ensemble, one block of paths per call of the engine, the flow
+(:func:`~fbmsde.integrate.fundamental_matrix_block`) and ``U``.
 
 :func:`residual_grid` exposes the per-interval defect decomposition that
 drives the expansion, for every interval of a coarse grid from one drift
 evaluation over the trajectory: the raw defect ``R``, the quadratic drift
 correction ``R1`` and the noise cross term ``R2`` cancel to higher order
-when summed.  :func:`residual_bundle` is its one-interval view.
+when summed.
 """
 
 from __future__ import annotations
@@ -48,31 +47,13 @@ from .integrate import (  # noqa: F401
 from .solver import DEFAULT_SOLVE_CONFIG, _solve_small
 
 __all__ = [
-    "ResidualBundle",
     "ResidualGrid",
     "LimitComparison",
     "residual_grid",
-    "residual_bundle",
     "compute_U_block",
     "compute_U",
-    "solve_U_ode",
     "limit_check",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ResidualBundle:
-    """Defect terms of coarse interval ``k``; all vectors of shape ``(m,)``.
-
-    ``rhat = r + r1 + r2`` is the compensated defect, smaller than the
-    individual terms by one power of the mesh and more.
-    """
-
-    k: int
-    r: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    rhat: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,17 +145,6 @@ def residual_grid(spec: DriftSpec, traj: Trajectory, noise: FbmPath,
     return ResidualGrid(r=r, r1=r1, r2=r2, rhat=r + r1 + r2)
 
 
-def residual_bundle(spec: DriftSpec, traj: Trajectory, noise: FbmPath,
-                    coarse: Partition, k: int) -> ResidualBundle:
-    """Defect decomposition of coarse interval ``k``: row ``k`` of
-    :func:`residual_grid`, which a loop over intervals should call once."""
-    grid = residual_grid(spec, traj, noise, coarse)
-    if not 0 <= k < coarse.n_steps:
-        raise DomainError(f"interval index {k} outside 0..{coarse.n_steps - 1}")
-    return ResidualBundle(k=k, r=grid.r[k], r1=grid.r1[k], r2=grid.r2[k],
-                          rhat=grid.rhat[k])
-
-
 def compute_U_block(spec: DriftSpec, grid: Partition, states: np.ndarray,
                     flows: np.ndarray, values: np.ndarray, kt: int) -> np.ndarray:
     """The limit process at node ``kt`` of ``grid`` for every lane.
@@ -218,33 +188,6 @@ def compute_U(spec: DriftSpec, traj: Trajectory, phi: FundamentalMatrixPath,
     kt = traj.grid.index_of(float(t))
     return compute_U_block(spec, traj.grid, traj.states[None],
                            phi.matrices[None], noise.values[None], kt)[0]
-
-
-def solve_U_ode(spec: DriftSpec, traj: Trajectory, noise: FbmPath) -> Trajectory:
-    """Integrate the linear equation for the limit process along ``traj``.
-
-    The drift part ``J_b(X) U + (1/2)(J_b b)(X)`` is taken implicitly at the
-    right node, the noise term ``(1/2) J_b(X) dB`` explicitly at the left
-    node, matching the sums in :func:`compute_U` to first order.
-    """
-    if traj.dim != spec.dim or noise.dim != spec.dim:
-        raise DomainError("drift, trajectory and noise dimensions must agree")
-    _check_same_grid(traj.grid, noise.grid, "trajectory and noise")
-    times = traj.grid.times
-    m = spec.dim
-    eye = np.eye(m)
-    states = np.zeros((times.size, m))
-    for k in range(times.size - 1):
-        dt = times[k + 1] - times[k]
-        db = noise.values[k + 1] - noise.values[k]
-        jac_left = spec.jacobian(traj.states[k])
-        jac_right = spec.jacobian(traj.states[k + 1])
-        forcing = states[k] \
-            + 0.5 * spec.drift_drift_product(traj.states[k + 1]) * dt \
-            + 0.5 * (jac_left @ db)
-        states[k + 1] = np.linalg.solve(eye - dt * jac_right, forcing)
-    return Trajectory(grid=traj.grid, states=states, scheme="error_sde",
-                      drift=spec.name, path_seed=noise.seed)
 
 
 def _limit_block(spec: DriftSpec, x0: np.ndarray, n_values: tuple[int, ...],

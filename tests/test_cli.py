@@ -453,6 +453,9 @@ def test_rate_rejects_repeated_values(tmp_path, capsys, old, new, expected):
      "config error: x0 has 2 coordinates but drift 'linear' expects 1"),
     ("stability", STAB_CFG.replace("master_mesh = 0.0001", "master_mesh = 0"),
      "config error: master_mesh must be positive, got 0.0"),
+    # A repeated scheme would write each of its rows twice.
+    ("stability", STAB_CFG.replace("schemes = em cn bem", "schemes = bem cn bem"),
+     "config error: scheme 'bem' is listed more than once"),
     ("rate", RATE_CFG.replace("hurst = 0.7", "hurst ="),
      "config error: at least one Hurst value is required"),
     # Every run samples by circulant embedding and solves to the default

@@ -12,9 +12,7 @@ from fbmsde import (
     available_drifts,
     get_drift,
     make_linear_drift,
-    noise_free_bound_check,
     register_drift,
-    verify_one_sided,
 )
 from fbmsde.drifts import (
     CUBIC1D,
@@ -24,6 +22,7 @@ from fbmsde.drifts import (
     _cubic1d_jac,
     _cubic1d_jac_float,
 )
+from oracles import drift_drift_product, noise_free_bound_check, verify_one_sided
 
 
 # --- pointwise oracles ----------------------------------------------------
@@ -33,7 +32,7 @@ def test_cubic1d_values():
     assert b(np.array([2.0])) == pytest.approx([-8.0])
     assert np.allclose(b.jacobian(np.array([2.0])), [[-12.0]])
     # (Db)b at x = 2: (-12) * (-8) = 96... worked by hand: J @ b
-    assert b.drift_drift_product(np.array([2.0])) == pytest.approx([96.0])
+    assert drift_drift_product(b, np.array([2.0])) == pytest.approx([96.0])
     assert b.kappa == 0.0
     assert b.mu == 3.0
     assert b.dim == 1
@@ -45,7 +44,7 @@ def test_doublewell1d_values():
     assert b(np.array([-1.0])) == pytest.approx([0.0])           # equilibrium
     assert np.allclose(b.jacobian(np.array([2.0])), [[-11.0]])  # 1 - 12
     # (Db)b at 2: (-11) * (-6) = 66
-    assert b.drift_drift_product(np.array([2.0])) == pytest.approx([66.0])
+    assert drift_drift_product(b, np.array([2.0])) == pytest.approx([66.0])
     assert b.kappa == 1.0
 
 

@@ -18,7 +18,6 @@ from fbmsde import (
     forward_euler,
     fundamental_matrix_fb_euler,
     fundamental_matrix_reference,
-    interpolate_backward,
     make_linear_drift,
     reference_solution,
     sample_multi,
@@ -233,42 +232,6 @@ def test_trajectory_shape_validation():
     with pytest.raises(DomainError):
         Trajectory(grid=g, states=np.zeros((4, 1)), scheme="bem",
                    drift="cubic1d", path_seed=0)
-
-
-# --- continuous interpolant ----------------------------------------------------
-
-def test_interpolant_agrees_at_grid_nodes():
-    gm = Partition.uniform(1.0, 64)
-    coarse = gm.subsample(8)
-    noise = sample_multi(gm, H07, seed=5, method="circulant")
-    traj = backward_euler(CUBIC1D, coarsen(noise, coarse), np.array([1.0]))
-    for k in (1, 3, 8):
-        t = float(coarse.times[k])
-        val = interpolate_backward(CUBIC1D, noise, traj, t)
-        assert val[0] == pytest.approx(traj.states[k, 0], abs=1e-9)
-
-
-def test_interpolant_linear_oracle_between_nodes():
-    gm = Partition.uniform(1.0, 16)
-    coarse = gm.subsample(4)
-    noise = zero_path(gm, H07)
-    traj = backward_euler(DECAY, coarsen(noise, coarse), np.array([1.0]))
-    # t = 0.3125 sits one master step past the coarse node 0.25
-    val = interpolate_backward(DECAY, noise, traj, 0.3125)
-    assert val[0] == pytest.approx(traj.states[1, 0] / 1.0625, rel=1e-12)
-
-
-def test_interpolant_input_validation():
-    gm = Partition.uniform(1.0, 16)
-    coarse = gm.subsample(4)
-    noise = zero_path(gm, H07)
-    traj = backward_euler(DECAY, coarsen(noise, coarse), np.array([1.0]))
-    with pytest.raises(GridError):
-        interpolate_backward(DECAY, noise, traj, 0.3)     # not a master node
-    with pytest.raises(DomainError):
-        interpolate_backward(DECAY, noise, traj, 0.0)
-    with pytest.raises(DomainError):
-        interpolate_backward(DECAY, noise, traj, 1.5)
 
 
 # --- linearization flows ---------------------------------------------------------

@@ -20,10 +20,8 @@ from fbmsde import (
     make_linear_drift,
     nested_indices,
     reference_solution,
-    residual_bundle,
     residual_grid,
     sample_multi,
-    solve_U_ode,
     zero_path,
 )
 from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC
@@ -43,6 +41,7 @@ from fbmsde.harness import (
 )
 from fbmsde.integrate import fundamental_matrix_block
 from fbmsde.limit import _limit_block, compute_U_block
+from oracles import drift_drift_product, solve_U_ode
 
 H07 = HurstVector.constant(0.7, 1)
 
@@ -115,7 +114,7 @@ def per_interval_bundle(spec, traj, noise, coarse, k):
     b_seg = np.stack([np.asarray(spec.eval(traj.states[j]), dtype=np.float64)
                       for j in range(i0, i1 + 1)])
     r = np.trapezoid(b_seg - b_seg[-1], x=seg_times, axis=0)
-    r1 = spec.drift_drift_product(traj.states[i0]) * (delta**2) / 2.0
+    r1 = drift_drift_product(spec, traj.states[i0]) * (delta**2) / 2.0
     tail = noise.values[i1] - noise.values[i0:i1 + 1]
     r2 = np.asarray(spec.jacobian(traj.states[i0]), dtype=np.float64) \
         @ np.trapezoid(tail, x=seg_times, axis=0)
@@ -130,12 +129,12 @@ def test_residual_drift_term_hand_value():
     g = Partition.uniform(0.1, 1)
     traj = flat_traj(g, 2.0)
     noise = zero_path(g, H07)
-    bundle = residual_bundle(DOUBLEWELL1D, traj, noise, g, 0)
-    assert bundle.r == pytest.approx([0.0], abs=1e-15)
-    assert bundle.r1 == pytest.approx([0.33], rel=1e-12)
-    assert bundle.r2 == pytest.approx([0.0], abs=1e-15)
-    assert bundle.rhat == pytest.approx([0.33], rel=1e-12)
-    assert bundle.k == 0
+    grid = residual_grid(DOUBLEWELL1D, traj, noise, g)
+    assert grid.r[0] == pytest.approx([0.0], abs=1e-15)
+    assert grid.r1[0] == pytest.approx([0.33], rel=1e-12)
+    assert grid.r2[0] == pytest.approx([0.0], abs=1e-15)
+    assert grid.rhat[0] == pytest.approx([0.33], rel=1e-12)
+    assert grid.rhat.shape == (1, 1)
 
 
 def test_residual_noise_term_hand_value():
@@ -146,9 +145,9 @@ def test_residual_noise_term_hand_value():
     g = Partition.uniform(0.1, 1)
     traj = flat_traj(g, 2.0)
     noise_path = FbmPath(g, np.array([[0.0], [0.3]]), H07, 0)
-    bundle = residual_bundle(DOUBLEWELL1D, traj, noise_path, g, 0)
-    assert bundle.r2 == pytest.approx([-0.165], rel=1e-12)
-    assert bundle.r == pytest.approx([0.0], abs=1e-15)
+    grid = residual_grid(DOUBLEWELL1D, traj, noise_path, g)
+    assert grid.r2[0] == pytest.approx([-0.165], rel=1e-12)
+    assert grid.r[0] == pytest.approx([0.0], abs=1e-15)
 
 
 def test_residual_quadrature_hand_value():
@@ -161,20 +160,10 @@ def test_residual_quadrature_hand_value():
     traj = Trajectory(grid=fine, states=states, scheme="reference",
                       drift="doublewell1d", path_seed=0)
     noise = zero_path(fine, H07)
-    bundle = residual_bundle(DOUBLEWELL1D, traj, noise, coarse, 0)
-    assert bundle.r == pytest.approx([-0.24375], rel=1e-12)
+    grid = residual_grid(DOUBLEWELL1D, traj, noise, coarse)
+    assert grid.r[0] == pytest.approx([-0.24375], rel=1e-12)
     # r1 uses the left state: (Jb b)(2) * 0.1^2 / 2
-    assert bundle.r1 == pytest.approx([0.33], rel=1e-12)
-
-
-def test_residual_bundle_validates_interval_index():
-    g = Partition.uniform(0.1, 1)
-    traj = flat_traj(g, 2.0)
-    noise = zero_path(g, H07)
-    with pytest.raises(DomainError):
-        residual_bundle(DOUBLEWELL1D, traj, noise, g, 1)
-    with pytest.raises(DomainError):
-        residual_bundle(DOUBLEWELL1D, traj, noise, g, -1)
+    assert grid.r1[0] == pytest.approx([0.33], rel=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
@@ -194,8 +183,6 @@ def test_residual_grid_matches_the_per_interval_formula_to_the_bit(name):
                 want = per_interval_bundle(spec, traj, noise, coarse, k)
                 got = (grid.r[k], grid.r1[k], grid.r2[k], grid.rhat[k])
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
-                view = residual_bundle(spec, traj, noise, coarse, k)
-                assert np.array_equal(view.rhat, grid.rhat[k])
 
 
 def test_residual_rates_match_smoothness_of_the_path():
