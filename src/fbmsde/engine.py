@@ -50,7 +50,7 @@ on the blocks either.
 Single paths stay on the scalar integrators of :mod:`fbmsde.integrate`:
 with one lane a batched step costs more than a scalar one, about 140-230
 µs against 45-90 µs per step of the planar cubic and 70-125 µs against
-3.5-4.5 µs per step of the scalar cubic, whose single-path run steps on
+1.1-1.9 µs per step of the scalar cubic, whose single-path run steps on
 floats, its drift included, and calls the public solver only to re-solve
 a step (2-core machine, numpy 2.4, noisy shared host).
 """

@@ -152,15 +152,21 @@ def _repeated(values) -> list:
 def _drift_issues(cfg: ExperimentConfig | LimitConfig
                   ) -> tuple[list[str], DriftSpec | None]:
     """The drift of a run, or ``None`` if it does not resolve, and the
-    issues of the drift and of ``x0`` against it."""
+    issues of the drift and of ``x0``: its length against the drift, and
+    its entries, which must be finite."""
+    issues = []
     try:
         spec = resolve_drift(cfg)
     except (ConfigError, DomainError) as exc:
-        return [str(exc)], None
-    if len(cfg.x0) != spec.dim:
-        return [f"x0 has {len(cfg.x0)} coordinates but drift {spec.name!r} "
-                f"expects {spec.dim}"], spec
-    return [], spec
+        issues.append(str(exc))
+        spec = None
+    else:
+        if len(cfg.x0) != spec.dim:
+            issues.append(f"x0 has {len(cfg.x0)} coordinates but drift "
+                          f"{spec.name!r} expects {spec.dim}")
+    if not all(map(math.isfinite, cfg.x0)):
+        issues.append(f"start x0 must be finite, got {list(cfg.x0)}")
+    return issues, spec
 
 
 def _threads_issues(threads: int) -> list[str]:

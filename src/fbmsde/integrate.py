@@ -42,7 +42,6 @@ from .solver import (
     DEFAULT_SOLVE_CONFIG,
     SolveConfig,
     _check_step_guard,
-    _newton,
     _small_det,
     _solve_small,
     _step_for,
@@ -155,19 +154,22 @@ def _theta_method(scheme: str, spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
     node and θ = 0 solves nothing.  ``stability_mode`` records a non-finite
     target or a solver failure as non-finite states instead of raising.
 
-    One step object serves the whole run; in one dimension the state, the
-    target and the increments are Python floats.  A step that is not a
-    plain converged Newton solve (a non-finite target, a stall,
-    ``max_iter``, a singular or non-finite update) is solved again from
-    the same target by :func:`solve_backward_step`, which brings the
-    bisection rescue and the errors with it, as the engine's rows do.  The
-    guard on θ times the largest step covers every step."""
+    One step object serves the whole run and solves each implicit step in
+    one ``solve`` call; in one dimension the state, the target and the
+    increments are Python floats, and the states are stored through a
+    memoryview (``step.column``).  A step that is not a plain converged
+    Newton solve (a non-finite target, a stall, ``max_iter``, a singular
+    or non-finite update) is solved again from the same target by
+    :func:`solve_backward_step`, which brings the bisection rescue and
+    the errors with it, as the engine's rows do.  The guard on θ times
+    the largest step covers every step."""
     theta = THETA[scheme]
     x0 = _check_inputs(spec, noise.dim, (noise.hurst,), x0)
     _check_step_guard(spec, theta * noise.grid.mesh)
     step = _step_for(spec)
     states = np.empty((noise.grid.times.size, spec.dim))
     states[0] = x0
+    column = step.column(states)
     y = step.value(x0)
     with np.errstate(all="ignore"):
         deltas = np.diff(noise.grid.times).tolist()
@@ -178,31 +180,30 @@ def _theta_method(scheme: str, spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
             else:
                 c = y + increments[k]
             if theta == 0.0:
-                states[k + 1] = y = c
+                column[k + 1] = y = c
                 continue
             if theta < 1.0 and not step.finite(c):
                 if not stability_mode:
                     raise _explicit_overflow(k)
-                states[k + 1] = y = c
+                column[k + 1] = y = c
                 continue
             if step.finite(c):
-                step.aim(theta * delta, c)
                 try:
-                    y, res_norm, _, _ = _newton(step, cfg)
+                    y, res_norm, _, _ = step.solve(theta * delta, c, cfg)
                 except LinearSolveFailure:
                     res_norm = math.nan
                 if res_norm <= cfg.tol:
-                    states[k + 1] = y
+                    column[k + 1] = y
                     continue
             try:
-                states[k + 1] = solve_backward_step(spec, theta * delta,
-                                                    step.state(c), cfg).y
+                column[k + 1] = step.value(solve_backward_step(
+                    spec, theta * delta, step.state(c), cfg).y)
             except SolverError as exc:
                 if not stability_mode:
                     _attach_step(exc, k)
                     raise
-                states[k + 1] = np.nan
-            y = step.value(states[k + 1])
+                column[k + 1] = math.nan
+            y = column[k + 1]
     return Trajectory(grid=noise.grid, states=states, scheme=scheme,
                       drift=spec.name, path_seed=noise.seed)
 

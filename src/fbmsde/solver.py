@@ -13,16 +13,21 @@ two were needed from ``c``; where it overshoots, as for large ``|c|``, the
 solve starts at ``c`` as before (Hairer & Wanner, *Solving ODEs II*,
 §IV.8).  Each iteration halves the update up to 30 times until the
 residual norm decreases, and the solve falls back to sign-change bisection
-in one dimension when damping stalls.  The stop, update, halve and stall
-decisions are written once, in ``_newton``; the evaluation of the
-residual, its norm, the Newton update and the start depend on the
-dimension and the drift, and live on a step object (``_ScalarStep``,
-``_VectorStep`` and their linear subclasses) that is built once and
-aimed at each step's ``(delta, c)``.  In one dimension the iterate, the
-residual and the update are Python floats, which saves the numpy
-overhead of one-element arrays on every iteration; for ``m >= 2`` they
-are arrays and :func:`_solve_small` solves the Newton system, in closed
-form for ``m = 2`` (Cramer's rule) and by LAPACK above.
+in one dimension when damping stalls.
+
+The start, stop, update, halve and stall decisions are written once per
+dimension, each on a step object that is built once per run and whose
+``solve(delta, c, cfg)`` runs one step.  In one dimension
+:meth:`_ScalarStep.solve` runs the whole damped Newton on local Python
+floats, which saves the numpy overhead of one-element arrays and a Python
+method call per residual.  For ``m >= 2`` the iterate, the residual and
+the update are arrays: ``_VectorStep.solve`` aims the step and runs
+``_newton``, which calls the step's ``start``, ``residual`` and
+``newton``, and :func:`_solve_small` solves the Newton system, in closed
+form for ``m = 2`` (Cramer's rule) and by LAPACK above.  The engine's
+``_newton_rows`` takes the same decisions row by row.  On a
+one-dimensional spec the float loop gives the bits of ``_newton`` on
+arrays, whose ``_solve_small`` is then a division.
 
 A linear drift ``b(y) = A y`` (``DriftSpec.matrix``) starts instead from
 the direct solution of ``(I - delta A) y = c`` (:func:`_solve_linear`, a
@@ -30,15 +35,15 @@ division in one dimension), which counts as one Newton iteration: a
 Newton step on a linear map gives it from any start.  It is kept when
 its residual norm is within the tolerance; otherwise Newton continues
 from it, as from any start.  A singular or non-finite direct solution
-takes the start above.  :func:`_step_for` picks the step's class, and
-with it the start, once per run, so a nonlinear drift's solve makes no
-test for it.
+takes the start above.  :func:`_step_for` picks the step's class once per
+run: ``_LinearVectorStep`` for a linear drift in ``m >= 2`` dimensions,
+while ``_ScalarStep`` keeps a linear drift's coefficient ``a``.
 
-:func:`solve_backward_step` checks its inputs, aims a fresh step and runs
-``_newton``, then the bisection rescue and the errors.  The single-path
+:func:`solve_backward_step` checks its inputs and solves a fresh step,
+then runs the bisection rescue and raises the errors.  The single-path
 integrators of :mod:`fbmsde.integrate` build one step per run and call
-``_newton`` on every step; a step that is not a plain converged solve (a
-non-finite target, a stall, ``max_iter``, a singular or non-finite
+its ``solve`` on every step; a step that is not a plain converged solve
+(a non-finite target, a stall, ``max_iter``, a singular or non-finite
 update) is solved again from the same target by
 :func:`solve_backward_step`, the rule the engine applies to its rows, so
 rescues and errors are the public call's.
@@ -172,17 +177,14 @@ class StepResult:
     iterations: int
 
 
-def _bisect_scalar(residual: Callable[[float], tuple[float, float]], c: float,
+def _bisect_scalar(g: Callable[[float], float], c: float,
                    tol: float) -> tuple[float, float] | None:
-    """Sign-change bisection for the scalar step equation.
+    """Sign-change bisection for the scalar step equation with residual
+    ``g``.
 
     Expands the bracket around ``c`` geometrically, then bisects.  Returns
     ``(y, |residual|)`` on success, ``None`` if no bracket or no convergence.
     """
-
-    def g(y: float) -> float:
-        return residual(y)[0]
-
     base = max(1.0, abs(c))
     lo = hi = c
     glo = ghi = g(c)
@@ -222,48 +224,18 @@ def _on_array(fn: Callable[[np.ndarray], np.ndarray], index: int | tuple[int, in
     return float(fn(x)[index])
 
 
-class _Step:
-    """The start of the Newton loop, which every step object shares.
+class _ScalarStep:
+    """The step equation in one dimension, solved on Python floats.
 
-    ``start(tol)`` returns the first iterate, its residual and norm, and
-    the Newton iterations it counts as: the better of the target and the
-    explicit predictor, or for a linear drift's step (the classes
-    :func:`_step_for` picks when the spec has a ``matrix``) the direct
-    solution.
-    """
-
-    def start(self, tol: float) -> tuple:
-        """The target ``c``, or the explicit predictor ``c - r(c)`` when
-        ``c`` is not within ``tol`` and the predictor's norm is smaller (a
-        NaN norm never is, and a tie keeps ``c``)."""
-        y = self.c
-        res, res_norm = self.residual(y)
-        if not res_norm <= tol:
-            guess = y - res
-            guess_res, guess_norm = self.residual(guess)
-            if guess_norm < res_norm:
-                return guess, guess_res, guess_norm, 0
-        return y, res, res_norm, 0
-
-    def direct_start(self, tol: float) -> tuple:
-        """The direct solution of a linear step, one iteration; the start
-        above if it is not finite, as for a singular system."""
-        y = self.direct()
-        if not self.finite(y):
-            return _Step.start(self, tol)
-        return (y, *self.residual(y), 1)
-
-
-class _ScalarStep(_Step):
-    """The step equation in one dimension, on Python floats.
-
-    Built once per run and aimed at each step's ``(delta, c)``.  The norm
-    is ``sqrt(r * r)``, as ``np.linalg.norm`` computes it, and the Newton
-    update and the direct solution are the divisions that the 1x1 LU
-    solve and :func:`_solve_linear` compute, so every value has the bits
-    of the array computation.  The drift and its derivative, ``b`` and
-    ``db``, are the spec's float pair if it has one, and else its array
-    forms on one reused one-element array (see the module docstring).
+    Built once per run; :meth:`solve` runs the whole damped Newton of one
+    step on local floats and makes no Python method call per residual.
+    The norm is ``sqrt(r * r)``, as ``np.linalg.norm`` computes it, and
+    the Newton update and a linear drift's direct solution are the
+    divisions that the 1x1 LU solve and :func:`_solve_linear` compute, so
+    every value has the bits of :func:`_newton` on arrays.  The drift and
+    its derivative, ``b`` and ``db``, are the spec's float pair if it has
+    one, and else its array forms on one reused one-element array (see the
+    module docstring); ``a`` is a linear drift's coefficient, else ``None``.
     """
 
     def __init__(self, spec: DriftSpec) -> None:
@@ -274,12 +246,55 @@ class _ScalarStep(_Step):
             x = np.empty(1)
             self.b = partial(_on_array, spec.eval, 0, x)
             self.db = partial(_on_array, spec.jacobian, (0, 0), x)
-        self.delta = 0.0
-        self.c = 0.0
+        self.a = None if spec.matrix is None else float(spec.matrix[0, 0])
 
-    def aim(self, delta: float, c: float) -> None:
-        self.delta = delta
-        self.c = c
+    def solve(self, delta: float, c: float, cfg: SolveConfig
+              ) -> tuple[float, float, int, bool]:
+        """Damped Newton for ``y - delta * b(y) = c``, taking the decisions
+        of :func:`_newton` in the same order and raising its errors.
+
+        Starts at the direct solution ``c / (1 - delta a)`` of a linear
+        drift, one iteration, if it is finite, and else at ``c`` or the
+        explicit predictor ``c - r(c)`` when ``c`` is not within
+        ``cfg.tol`` and the predictor's norm is smaller (a NaN norm never
+        is, and a tie keeps ``c``)."""
+        b, db, tol = self.b, self.db, cfg.tol
+        y = c
+        iterations = 0
+        if self.a is not None:
+            system = 1.0 - delta * self.a
+            direct = c / system if system != 0.0 else math.nan
+            if math.isfinite(direct):
+                y, iterations = direct, 1
+        res = y - delta * b(y) - c
+        res_norm = math.sqrt(res * res)
+        if not iterations and not res_norm <= tol:
+            guess = y - res
+            guess_res = guess - delta * b(guess) - c
+            guess_norm = math.sqrt(guess_res * guess_res)
+            if guess_norm < res_norm:
+                y, res, res_norm = guess, guess_res, guess_norm
+        while iterations < cfg.max_iter and not res_norm <= tol:
+            system = 1.0 - delta * db(y)
+            if system == 0.0:
+                raise LinearSolveFailure(
+                    f"singular Newton system at iterate with residual {res_norm:.3e}")
+            update = -res / system
+            if not math.isfinite(update):
+                raise LinearSolveFailure("non-finite Newton update")
+            iterations += 1
+            scale = 1.0
+            for _ in range(_MAX_HALVINGS + 1):
+                cand = y + scale * update
+                cand_res = cand - delta * b(cand) - c
+                cand_norm = math.sqrt(cand_res * cand_res)
+                if math.isfinite(cand_norm) and cand_norm < res_norm:
+                    y, res, res_norm = cand, cand_res, cand_norm
+                    break
+                scale *= 0.5
+            else:
+                return y, res_norm, iterations, True
+        return y, res_norm, iterations, False
 
     def explicit(self, y: float, a: float, inc: float) -> float:
         """``y + a * b(y) + inc``, in this order.  A non-finite sum is
@@ -293,16 +308,6 @@ class _ScalarStep(_Step):
             return c
         x = np.array([y])
         return float((x + a * self.eval(x) + inc)[0])
-
-    def residual(self, y: float) -> tuple[float, float]:
-        r = y - self.delta * self.b(y) - self.c
-        return r, math.sqrt(r * r)
-
-    def newton(self, y: float, res: float) -> float:
-        system = 1.0 - self.delta * self.db(y)
-        if system == 0.0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return -res / system
 
     finite = staticmethod(math.isfinite)
 
@@ -318,12 +323,20 @@ class _ScalarStep(_Step):
     def state(y: float) -> np.ndarray:
         return np.array([y])
 
+    @staticmethod
+    def column(states: np.ndarray) -> memoryview:
+        """The states ``(n + 1, 1)`` as a memoryview of their ``n + 1``
+        floats: a float stored through it skips numpy's per-element
+        assignment, and a row read from it is a float."""
+        return memoryview(states.reshape(-1))
 
-class _VectorStep(_Step):
+
+class _VectorStep:
     """The step equation in ``m >= 2`` dimensions, on arrays, with the
     Newton system and a linear step solved by :func:`_solve_small` as a
-    stack of one.  Built once per run and aimed at each step's
-    ``(delta, c)``; no iterate is ever written in place."""
+    stack of one.  Built once per run; :meth:`solve` aims it at a step's
+    ``(delta, c)`` and runs :func:`_newton`.  No iterate is ever written
+    in place."""
 
     def __init__(self, spec: DriftSpec) -> None:
         self.eval = spec.eval
@@ -332,9 +345,26 @@ class _VectorStep(_Step):
         self.delta = 0.0
         self.c = np.zeros(spec.dim)
 
-    def aim(self, delta: float, c: np.ndarray) -> None:
+    def solve(self, delta: float, c: np.ndarray, cfg: SolveConfig
+              ) -> tuple[np.ndarray, float, int, bool]:
         self.delta = delta
         self.c = c
+        return _newton(self, cfg)
+
+    def start(self, tol: float) -> tuple:
+        """The first iterate, its residual and norm, and the Newton
+        iterations it counts as: the target ``c``, or the explicit
+        predictor ``c - r(c)`` when ``c`` is not within ``tol`` and the
+        predictor's norm is smaller (a NaN norm never is, and a tie keeps
+        ``c``)."""
+        y = self.c
+        res, res_norm = self.residual(y)
+        if not res_norm <= tol:
+            guess = y - res
+            guess_res, guess_norm = self.residual(guess)
+            if guess_norm < res_norm:
+                return guess, guess_res, guess_norm, 0
+        return y, res, res_norm, 0
 
     def explicit(self, y: np.ndarray, a: float, inc: np.ndarray) -> np.ndarray:
         return y + a * self.eval(y) + inc
@@ -365,21 +395,9 @@ class _VectorStep(_Step):
     def state(y: np.ndarray) -> np.ndarray:
         return y.copy()
 
-
-class _LinearScalarStep(_ScalarStep):
-    """The scalar step of a linear drift ``b(y) = a y``, started from its
-    direct solution ``c / (1 - delta a)``, the bits of
-    :func:`_solve_linear`."""
-
-    start = _Step.direct_start
-
-    def __init__(self, spec: DriftSpec) -> None:
-        super().__init__(spec)
-        self.a = float(spec.matrix[0, 0])
-
-    def direct(self) -> float:
-        system = 1.0 - self.delta * self.a
-        return self.c / system if system != 0.0 else math.nan
+    @staticmethod
+    def column(states: np.ndarray) -> np.ndarray:
+        return states
 
 
 class _LinearVectorStep(_VectorStep):
@@ -387,29 +405,35 @@ class _LinearVectorStep(_VectorStep):
     started from its direct solution by :func:`_solve_linear`, as a stack
     of one."""
 
-    start = _Step.direct_start
-
     def __init__(self, spec: DriftSpec) -> None:
         super().__init__(spec)
         self.matrix = spec.matrix
 
-    def direct(self) -> np.ndarray:
-        return _solve_linear(self.matrix, np.array([[self.delta]]), self.c[None])[0]
+    def start(self, tol: float) -> tuple:
+        """The direct solution, one iteration; the start of
+        :class:`_VectorStep` if it is not finite, as for a singular
+        system."""
+        y = _solve_linear(self.matrix, np.array([[self.delta]]), self.c[None])[0]
+        if not self.finite(y):
+            return super().start(tol)
+        return (y, *self.residual(y), 1)
 
 
 def _step_for(spec: DriftSpec) -> _ScalarStep | _VectorStep:
-    """The step equation of ``spec``, to be aimed before each solve; a
-    linear drift's starts from the direct solution."""
+    """The step equation of ``spec``, built once per run; a linear drift's
+    starts from the direct solution."""
     if spec.dim == 1:
-        return (_ScalarStep if spec.matrix is None else _LinearScalarStep)(spec)
+        return _ScalarStep(spec)
     return (_VectorStep if spec.matrix is None else _LinearVectorStep)(spec)
 
 
-def _newton(step: _ScalarStep | _VectorStep, cfg: SolveConfig
-            ) -> tuple[float | np.ndarray, float, int, bool]:
-    """Damped Newton for the aimed ``step``, from its start: the target
-    ``c`` or the explicit predictor ``c - r(c)``, or for a linear drift
-    the direct solution (see :class:`_Step`).
+def _newton(step: _VectorStep, cfg: SolveConfig
+            ) -> tuple[np.ndarray, float, int, bool]:
+    """Damped Newton for the aimed array ``step``, from its start: the
+    target ``c`` or the explicit predictor ``c - r(c)``, or for a linear
+    drift the direct solution (see :meth:`_VectorStep.start`).  Serves
+    ``m >= 2``; :meth:`_ScalarStep.solve` takes the same decisions on
+    floats.
 
     Stops once the residual norm is within ``cfg.tol``, halves each update
     up to ``_MAX_HALVINGS`` times until the norm decreases, and stalls
@@ -472,14 +496,16 @@ def solve_backward_step(spec: DriftSpec, delta: float, c: np.ndarray,
     if delta == 0.0:
         return StepResult(y=c.copy(), residual=0.0, iterations=0)
 
+    delta = float(delta)
     step = _step_for(spec)
-    step.aim(float(delta), step.value(c))
-    y, res_norm, iterations, stalled = _newton(step, cfg)
+    target = step.value(c)
+    y, res_norm, iterations, stalled = step.solve(delta, target, cfg)
     if res_norm <= cfg.tol:
         return StepResult(y=step.state(y), residual=res_norm, iterations=iterations)
 
     if spec.dim == 1:
-        got = _bisect_scalar(step.residual, step.c, cfg.tol)
+        got = _bisect_scalar(lambda x: x - delta * step.b(x) - target, target,
+                             cfg.tol)
         if got is not None:
             root, rnorm = got
             return StepResult(y=step.state(root), residual=rnorm,

@@ -464,6 +464,18 @@ def test_rate_rejects_repeated_values(tmp_path, capsys, old, new, expected):
      "config error: unknown key 'sampler'"),
     ("limit", LIMIT_CFG + "newton_tol = 1e-12\n",
      "config error: unknown key 'newton_tol'"),
+    # A start that is not finite is a config error of every command that
+    # reads one, listed with the other issues before any path is sampled.
+    ("rate", RATE_CFG.replace("x0 = 1.0 1.0", "x0 = nan 1.0"),
+     "config error: start x0 must be finite, got [nan, 1.0]"),
+    ("rate", RATE_CFG.replace("x0 = 1.0 1.0", "x0 = nan 1.0")
+     .replace("hurst = 0.7", "hurst = 0.3 0.7"),
+     "config error: start x0 must be finite, got [nan, 1.0]\n"
+     "config error: Hurst value 0.3 outside the supported range (0.5, 1)"),
+    ("limit", LIMIT_CFG.replace("x0 = 1.0", "x0 = inf"),
+     "config error: start x0 must be finite, got [inf]"),
+    ("stability", STAB_CFG.replace("x0 = 5.0", "x0 = -inf"),
+     "config error: start x0 must be finite, got [-inf]"),
 ])
 def test_config_errors_leave_no_output_directory(tmp_path, capsys, subcommand,
                                                  text, expected):
@@ -473,7 +485,7 @@ def test_config_errors_leave_no_output_directory(tmp_path, capsys, subcommand,
     outdir = tmp_path / "o"
     rc = main([subcommand, "--config", str(cfg), "--out", str(outdir)])
     assert rc == 2
-    assert capsys.readouterr().err.splitlines() == [expected]
+    assert capsys.readouterr().err.splitlines() == expected.splitlines()
     assert not outdir.exists()
 
 

@@ -20,7 +20,13 @@ from fbmsde import (
 )
 from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC
 from fbmsde.engine import _newton_rows
-from fbmsde.solver import _newton, _solve_small, _step_for
+from fbmsde.solver import (
+    _LinearVectorStep,
+    _ScalarStep,
+    _solve_small,
+    _step_for,
+    _VectorStep,
+)
 
 
 def real_cubic_root(c: float) -> float:
@@ -295,9 +301,8 @@ def test_a_reaimed_step_solves_as_a_fresh_call(case, data):
     returned = []
     for delta, target in sequence:
         c = np.array(target)
-        step.aim(delta, step.value(c))
         try:
-            y, norm, iterations, _ = _newton(step, cfg)
+            y, norm, iterations, _ = step.solve(delta, step.value(c), cfg)
         except LinearSolveFailure:
             norm = math.nan
         try:
@@ -311,9 +316,41 @@ def test_a_reaimed_step_solves_as_a_fresh_call(case, data):
         got = step.state(y)
         assert got.tobytes() == fresh.y.tobytes()
         assert (norm, iterations) == (fresh.residual, fresh.iterations)
-        buffers = [c, step.c, getattr(step, "x", np.empty(0))] + returned
+        buffers = [c, getattr(step, "c", np.empty(0))] + returned
         assert not any(np.shares_memory(got, other) for other in buffers)
         returned.append(got)
+
+
+# The one-dimensional cases, and a 1x1 linear drift, whose float loop must
+# take the decisions of the array loop: `_newton` on a step object whose
+# Newton system `_solve_small` solves by a division.
+SCALAR_CASES = {name: case for name, case in REAIM_CASES.items() if case[0].dim == 1}
+SCALAR_CASES["linear1"] = (make_linear_drift(np.array([[-2.0]])), SolveConfig(),
+                           [1e-3, 0.08, 1.0])
+
+
+def _solve_outcome(solve, delta, c, cfg):
+    """The bits of ``y`` and the norm, the iterations and the stall flag
+    of one solve, or its ``LinearSolveFailure`` message."""
+    try:
+        y, norm, iterations, stalled = solve(delta, c, cfg)
+    except LinearSolveFailure as exc:
+        return str(exc)
+    return np.float64(y).tobytes(), np.float64(norm).tobytes(), iterations, stalled
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_CASES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_float_loop_takes_the_array_loop_decisions(case, data):
+    spec, cfg, steps = SCALAR_CASES[case]
+    floats = _ScalarStep(spec)
+    arrays = (_VectorStep if spec.matrix is None else _LinearVectorStep)(spec)
+    sequence = data.draw(st.lists(st.tuples(st.sampled_from(steps), _REAIM_TARGETS),
+                                  min_size=1, max_size=8))
+    for delta, c in sequence:
+        want = _solve_outcome(arrays.solve, delta, np.array([c]), cfg)
+        assert _solve_outcome(floats.solve, delta, c, cfg) == want
 
 # --- resolvent norm and its monotonicity bound -------------------------------
 

@@ -116,6 +116,7 @@ DRIFTS = {
     "cubic1d": (CUBIC1D, [0.8]),
     "doublewell1d": (DOUBLEWELL1D, [-1.3]),
     "planar_cubic": (PLANAR_CUBIC, [1.0, -0.7]),
+    "linear1": (_linear(1), [1.0]),
     "linear2": (_linear(2), [1.0, 2.0]),
     "linear3": (_linear(3), [1.0, -1.0, 0.5]),
 }
