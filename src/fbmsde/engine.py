@@ -248,7 +248,7 @@ def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
     """Damped Newton for ``y - delta b(y) = c``, one equation per row of
     ``c``; ``delta`` holds the step of every row, shape ``(M, 1)``.
 
-    Mirrors :func:`~fbmsde.solver._newton` row by row, the explicit
+    Mirrors :meth:`~fbmsde.solver._VectorStep.solve` row by row, the explicit
     predictor start included: all rows are computed, and masks decide
     which rows take the result.  Multiplying by a row's step gives the
     bits of multiplying by the scalar step.  Returns the iterates, the

@@ -137,7 +137,11 @@ def resolve_drift(cfg: ExperimentConfig | LimitConfig) -> DriftSpec:
 
 
 def _int_ratio(value: float, base: float) -> int | None:
+    """``value / base`` as a whole number of at least 1, or ``None``; a
+    ratio that overflows, or of an infinite ``value``, is not one."""
     ratio = value / base
+    if not math.isfinite(ratio):
+        return None
     rounded = int(round(ratio))
     if rounded >= 1 and abs(ratio - rounded) <= _REL_TOL * max(1.0, rounded):
         return rounded
@@ -202,6 +206,8 @@ def _common_issues(cfg: ExperimentConfig) -> tuple[list[str], DriftSpec | None]:
     issues, spec = _drift_issues(cfg)
     if not cfg.t_final > 0.0:
         issues.append(f"t_final must be positive, got {cfg.t_final}")
+    elif not math.isfinite(cfg.t_final):
+        issues.append(f"t_final must be finite, got {cfg.t_final}")
     if not cfg.hurst_values:
         issues.append("at least one Hurst value is required")
     for h in cfg.hurst_values:
@@ -219,7 +225,7 @@ def _common_issues(cfg: ExperimentConfig) -> tuple[list[str], DriftSpec | None]:
     for mesh in cfg.meshes:
         if not mesh > 0.0:
             issues.append(f"mesh {mesh} must be positive")
-        elif cfg.t_final > 0.0 and _int_ratio(cfg.t_final, mesh) is None:
+        elif 0.0 < cfg.t_final < math.inf and _int_ratio(cfg.t_final, mesh) is None:
             issues.append(f"mesh {mesh} does not divide t_final {cfg.t_final} "
                           f"into whole steps")
     if cfg.master_mesh is not None and not cfg.master_mesh > 0.0:
@@ -294,6 +300,8 @@ def validate_limit_config(cfg: LimitConfig) -> DriftSpec:
         issues.append(f"Hurst value {cfg.hurst} outside the supported range (0.5, 1)")
     if not cfg.t >= 0.0:
         issues.append(f"t must be non-negative, got {cfg.t}")
+    elif not math.isfinite(cfg.t):
+        issues.append(f"t must be finite, got {cfg.t}")
     issues += [issue for _, issue in _limit_issues(
         cfg.n_values, cfg.p, cfg.mc_paths, cfg.master_factor, cfg.threads)]
     if issues:

@@ -16,18 +16,16 @@ residual norm decreases, and the solve falls back to sign-change bisection
 in one dimension when damping stalls.
 
 The start, stop, update, halve and stall decisions are written once per
-dimension, each on a step object that is built once per run and whose
-``solve(delta, c, cfg)`` runs one step.  In one dimension
-:meth:`_ScalarStep.solve` runs the whole damped Newton on local Python
-floats, which saves the numpy overhead of one-element arrays and a Python
-method call per residual.  For ``m >= 2`` the iterate, the residual and
-the update are arrays: ``_VectorStep.solve`` aims the step and runs
-``_newton``, which calls the step's ``start``, ``residual`` and
-``newton``, and :func:`_solve_small` solves the Newton system, in closed
-form for ``m = 2`` (Cramer's rule) and by LAPACK above.  The engine's
+dimension, each in the ``solve(delta, c, cfg)`` of a step object that is
+built once per run and runs one step as one function on locals.  In one
+dimension :meth:`_ScalarStep.solve` runs the whole damped Newton on
+Python floats, which saves the numpy overhead of one-element arrays.  For
+``m >= 2`` :meth:`_VectorStep.solve` runs it on arrays, and
+:func:`_solve_small` solves the Newton system, in closed form for
+``m = 2`` (Cramer's rule) and by LAPACK above.  The engine's
 ``_newton_rows`` takes the same decisions row by row.  On a
-one-dimensional spec the float loop gives the bits of ``_newton`` on
-arrays, whose ``_solve_small`` is then a division.
+one-dimensional spec the float loop gives the bits of the array loop,
+whose ``_solve_small`` is then a division.
 
 A linear drift ``b(y) = A y`` (``DriftSpec.matrix``) starts instead from
 the direct solution of ``(I - delta A) y = c`` (:func:`_solve_linear`, a
@@ -36,8 +34,8 @@ Newton step on a linear map gives it from any start.  It is kept when
 its residual norm is within the tolerance; otherwise Newton continues
 from it, as from any start.  A singular or non-finite direct solution
 takes the start above.  :func:`_step_for` picks the step's class once per
-run: ``_LinearVectorStep`` for a linear drift in ``m >= 2`` dimensions,
-while ``_ScalarStep`` keeps a linear drift's coefficient ``a``.
+run by dimension; a step keeps a linear drift's matrix, or in one
+dimension its coefficient ``a``.
 
 :func:`solve_backward_step` checks its inputs and solves a fresh step,
 then runs the bisection rescue and raises the errors.  The single-path
@@ -232,10 +230,11 @@ class _ScalarStep:
     The norm is ``sqrt(r * r)``, as ``np.linalg.norm`` computes it, and
     the Newton update and a linear drift's direct solution are the
     divisions that the 1x1 LU solve and :func:`_solve_linear` compute, so
-    every value has the bits of :func:`_newton` on arrays.  The drift and
-    its derivative, ``b`` and ``db``, are the spec's float pair if it has
-    one, and else its array forms on one reused one-element array (see the
-    module docstring); ``a`` is a linear drift's coefficient, else ``None``.
+    every value has the bits of :meth:`_VectorStep.solve` on arrays.  The
+    drift and its derivative, ``b`` and ``db``, are the spec's float pair
+    if it has one, and else its array forms on one reused one-element
+    array (see the module docstring); ``a`` is a linear drift's
+    coefficient, else ``None``.
     """
 
     def __init__(self, spec: DriftSpec) -> None:
@@ -251,7 +250,8 @@ class _ScalarStep:
     def solve(self, delta: float, c: float, cfg: SolveConfig
               ) -> tuple[float, float, int, bool]:
         """Damped Newton for ``y - delta * b(y) = c``, taking the decisions
-        of :func:`_newton` in the same order and raising its errors.
+        of :meth:`_VectorStep.solve` in the same order and raising its
+        errors.
 
         Starts at the direct solution ``c / (1 - delta a)`` of a linear
         drift, one iteration, if it is finite, and else at ``c`` or the
@@ -334,50 +334,74 @@ class _ScalarStep:
 class _VectorStep:
     """The step equation in ``m >= 2`` dimensions, on arrays, with the
     Newton system and a linear step solved by :func:`_solve_small` as a
-    stack of one.  Built once per run; :meth:`solve` aims it at a step's
-    ``(delta, c)`` and runs :func:`_newton`.  No iterate is ever written
-    in place."""
+    stack of one.  Built once per run; ``matrix`` is a linear drift's
+    ``A``, else ``None``."""
 
     def __init__(self, spec: DriftSpec) -> None:
         self.eval = spec.eval
         self.jacobian = spec.jacobian
         self.eye = np.eye(spec.dim)
-        self.delta = 0.0
-        self.c = np.zeros(spec.dim)
+        self.matrix = spec.matrix
 
     def solve(self, delta: float, c: np.ndarray, cfg: SolveConfig
               ) -> tuple[np.ndarray, float, int, bool]:
-        self.delta = delta
-        self.c = c
-        return _newton(self, cfg)
+        """Damped Newton for ``y - delta * b(y) = c``, taking the decisions
+        of :meth:`_ScalarStep.solve` on arrays, in the same order.
 
-    def start(self, tol: float) -> tuple:
-        """The first iterate, its residual and norm, and the Newton
-        iterations it counts as: the target ``c``, or the explicit
-        predictor ``c - r(c)`` when ``c`` is not within ``tol`` and the
-        predictor's norm is smaller (a NaN norm never is, and a tie keeps
-        ``c``)."""
-        y = self.c
-        res, res_norm = self.residual(y)
-        if not res_norm <= tol:
+        Starts at the direct solution of a linear drift by
+        :func:`_solve_linear`, one iteration, if it is finite, and else at
+        ``c`` or the explicit predictor ``c - r(c)`` when ``c`` is not
+        within ``cfg.tol`` and the predictor's norm is smaller (a NaN norm
+        never is, and a tie keeps ``c``).  Stops once the residual norm is
+        within ``cfg.tol``, halves each update up to ``_MAX_HALVINGS``
+        times until the norm decreases, and stalls when no halving does.
+        Returns the iterate, its residual norm, the Newton iterations and
+        whether damping stalled; the solve converged exactly when the norm
+        is within ``cfg.tol``.  No iterate is ever written in place.
+
+        Raises:
+            LinearSolveFailure: a Newton system was singular or gave a
+                non-finite update.
+        """
+        b, jacobian, tol = self.eval, self.jacobian, cfg.tol
+        y = c
+        iterations = 0
+        if self.matrix is not None:
+            direct = _solve_linear(self.matrix, np.array([[delta]]), c[None])[0]
+            if np.isfinite(direct).all():
+                y, iterations = direct, 1
+        res = y - delta * b(y) - c
+        res_norm = float(np.linalg.norm(res))
+        if not iterations and not res_norm <= tol:
             guess = y - res
-            guess_res, guess_norm = self.residual(guess)
+            guess_res = guess - delta * b(guess) - c
+            guess_norm = float(np.linalg.norm(guess_res))
             if guess_norm < res_norm:
-                return guess, guess_res, guess_norm, 0
-        return y, res, res_norm, 0
+                y, res, res_norm = guess, guess_res, guess_norm
+        while iterations < cfg.max_iter and not res_norm <= tol:
+            system = self.eye - delta * jacobian(y)
+            if _small_det(system) == 0.0:
+                raise LinearSolveFailure(
+                    f"singular Newton system at iterate with residual {res_norm:.3e}")
+            update = _solve_small(system[None], -res[None, :, None])[0, :, 0]
+            if not np.isfinite(update).all():
+                raise LinearSolveFailure("non-finite Newton update")
+            iterations += 1
+            scale = 1.0
+            for _ in range(_MAX_HALVINGS + 1):
+                cand = y + scale * update
+                cand_res = cand - delta * b(cand) - c
+                cand_norm = float(np.linalg.norm(cand_res))
+                if math.isfinite(cand_norm) and cand_norm < res_norm:
+                    y, res, res_norm = cand, cand_res, cand_norm
+                    break
+                scale *= 0.5
+            else:
+                return y, res_norm, iterations, True
+        return y, res_norm, iterations, False
 
     def explicit(self, y: np.ndarray, a: float, inc: np.ndarray) -> np.ndarray:
         return y + a * self.eval(y) + inc
-
-    def residual(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        res = y - self.delta * self.eval(y) - self.c
-        return res, float(np.linalg.norm(res))
-
-    def newton(self, y: np.ndarray, res: np.ndarray) -> np.ndarray:
-        system = self.eye - self.delta * self.jacobian(y)
-        if _small_det(system) == 0.0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return _solve_small(system[None], -res[None, :, None])[0, :, 0]
 
     @staticmethod
     def finite(update: np.ndarray) -> bool:
@@ -400,73 +424,9 @@ class _VectorStep:
         return states
 
 
-class _LinearVectorStep(_VectorStep):
-    """The step of a linear drift ``b(y) = A y`` in ``m >= 2`` dimensions,
-    started from its direct solution by :func:`_solve_linear`, as a stack
-    of one."""
-
-    def __init__(self, spec: DriftSpec) -> None:
-        super().__init__(spec)
-        self.matrix = spec.matrix
-
-    def start(self, tol: float) -> tuple:
-        """The direct solution, one iteration; the start of
-        :class:`_VectorStep` if it is not finite, as for a singular
-        system."""
-        y = _solve_linear(self.matrix, np.array([[self.delta]]), self.c[None])[0]
-        if not self.finite(y):
-            return super().start(tol)
-        return (y, *self.residual(y), 1)
-
-
 def _step_for(spec: DriftSpec) -> _ScalarStep | _VectorStep:
-    """The step equation of ``spec``, built once per run; a linear drift's
-    starts from the direct solution."""
-    if spec.dim == 1:
-        return _ScalarStep(spec)
-    return (_VectorStep if spec.matrix is None else _LinearVectorStep)(spec)
-
-
-def _newton(step: _VectorStep, cfg: SolveConfig
-            ) -> tuple[np.ndarray, float, int, bool]:
-    """Damped Newton for the aimed array ``step``, from its start: the
-    target ``c`` or the explicit predictor ``c - r(c)``, or for a linear
-    drift the direct solution (see :meth:`_VectorStep.start`).  Serves
-    ``m >= 2``; :meth:`_ScalarStep.solve` takes the same decisions on
-    floats.
-
-    Stops once the residual norm is within ``cfg.tol``, halves each update
-    up to ``_MAX_HALVINGS`` times until the norm decreases, and stalls
-    when no halving does.  Returns the iterate, its residual norm, the
-    Newton iterations and whether damping stalled; the solve converged
-    exactly when the norm is within ``cfg.tol``.
-
-    Raises:
-        LinearSolveFailure: a Newton system was singular or gave a
-            non-finite update.
-    """
-    y, res, res_norm, iterations = step.start(cfg.tol)
-    while iterations < cfg.max_iter and not res_norm <= cfg.tol:
-        try:
-            update = step.newton(y, res)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveFailure(
-                f"singular Newton system at iterate with residual {res_norm:.3e}"
-            ) from exc
-        if not step.finite(update):
-            raise LinearSolveFailure("non-finite Newton update")
-        iterations += 1
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            cand = y + scale * update
-            cand_res, cand_norm = step.residual(cand)
-            if math.isfinite(cand_norm) and cand_norm < res_norm:
-                y, res, res_norm = cand, cand_res, cand_norm
-                break
-            scale *= 0.5
-        else:
-            return y, res_norm, iterations, True
-    return y, res_norm, iterations, False
+    """The step equation of ``spec``, built once per run."""
+    return _ScalarStep(spec) if spec.dim == 1 else _VectorStep(spec)
 
 
 def solve_backward_step(spec: DriftSpec, delta: float, c: np.ndarray,

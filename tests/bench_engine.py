@@ -75,8 +75,19 @@ gave the reference on the float pair 8.0-13.6 ms (1.1-1.9 µs per step)
 against 14.1-26.8 ms and on the array-only copy 51-67 ms against 52-102
 ms, the scalar implicit step 7.7-11.6 µs against 8.4-13.8 µs and the
 9-step run 0.18-0.31 ms against 0.21-0.42 ms (minima and medians).  The
-planar path, whose steps still run ``_newton`` on arrays, took 81-110 ms
-against 77-140 ms.
+planar path, whose steps still ran the array loop through step-object
+method calls, took 81-110 ms against 77-140 ms.
+
+Since the array loop for ``m >= 2`` is one function too,
+``_VectorStep.solve``, five alternating runs against the former loop,
+which called the step's ``start``, ``residual`` and ``newton``, gave the
+planar path 152-177 ms against 97-172 ms (minima and medians) on a host
+whose speed switched between two levels: the unchanged scalar implicit
+step moved by as much in the same runs, so these runs tell the two
+apart in neither direction.  Timed in one process instead, alternating
+ten times over the 2048 step targets of that path, the fused solve took
+58-78 µs per step against 73-81 µs before (minima and medians of three
+such runs; faster in six to eight of ten), which is no claimed gain.
 """
 from dataclasses import replace
 

@@ -476,6 +476,21 @@ def test_rate_rejects_repeated_values(tmp_path, capsys, old, new, expected):
      "config error: start x0 must be finite, got [inf]"),
     ("stability", STAB_CFG.replace("x0 = 5.0", "x0 = -inf"),
      "config error: start x0 must be finite, got [-inf]"),
+    # A time or a mesh ratio that is not finite has no whole step count.
+    ("rate", RATE_CFG.replace("t_final = 1.0", "t_final = inf"),
+     "config error: t_final must be finite, got inf\n"
+     "config error: master_mesh 0.0078125 does not divide t_final inf into whole steps"),
+    ("stability", STAB_CFG.replace("t_final = 0.72", "t_final = inf"),
+     "config error: t_final must be finite, got inf\n"
+     "config error: master_mesh 0.0001 does not divide t_final inf into whole steps"),
+    ("stability", STAB_CFG.replace("meshes = 0.08", "meshes = 1e-310"),
+     "config error: mesh 1e-310 does not divide t_final 0.72 into whole steps\n"
+     "config error: mesh 1e-310 is not an integer multiple of the master mesh 0.0001"),
+    ("limit", LIMIT_CFG.replace("t = 1.0", "t = inf"),
+     "config error: t must be finite, got inf"),
+    ("limit", LIMIT_CFG.replace("t = 1.0", "t = inf") + "p = 5\n",
+     "config error: t must be finite, got inf\n"
+     "config error: p must lie in [1, 2), got 5.0"),
 ])
 def test_config_errors_leave_no_output_directory(tmp_path, capsys, subcommand,
                                                  text, expected):

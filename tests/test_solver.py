@@ -21,7 +21,6 @@ from fbmsde import (
 from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC
 from fbmsde.engine import _newton_rows
 from fbmsde.solver import (
-    _LinearVectorStep,
     _ScalarStep,
     _solve_small,
     _step_for,
@@ -243,6 +242,37 @@ def test_scalar_stall_keeps_its_message():
     assert err.value.iterations == 17
 
 
+# b(y) = -y with a reported derivative of 2 - 2.5 * 2^-30, so that at
+# delta = 0.5 the Newton system is 1.25 * 2^-30 and a full update is about
+# 1.2 * 2^30 times too long: only the last of the 31 tries, at scale
+# 2^-30, lowers the residual, to a fifth of it.
+_STEEP = 2.0 - 2.5 * 2.0 ** -30
+
+
+def _long_update_spec(dim: int, calls: list) -> DriftSpec:
+    def eval_(y):
+        calls.append(y)
+        return -y
+    return DriftSpec.pointwise(f"long-update-{dim}d", dim, eval_,
+                               lambda y: _STEEP * np.eye(dim), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_loop_lowers_the_residual_only_on_its_last_damping_try(dim):
+    calls = []
+    spec = _long_update_spec(dim, calls)
+    cfg = SolveConfig()
+    step = _step_for(spec)
+    c = np.ones(dim)
+    calls.clear()
+    y, norm, iterations, stalled = step.solve(0.5, step.value(c), cfg)
+    # The target and the predictor, then 31 tries in every iteration.
+    assert (iterations, stalled, len(calls)) == (17, False, 2 + 17 * 31)
+    assert norm <= cfg.tol
+    rows, tally, _ = _newton_rows(spec, np.full((1, 1), 0.5), c[None], cfg)
+    assert tally.tolist() == [[17, 17 * 30, 0]]
+    assert rows[0].tobytes() == step.state(y).tobytes()
+
 
 # --- the small linear solve ---------------------------------------------------
 
@@ -316,14 +346,13 @@ def test_a_reaimed_step_solves_as_a_fresh_call(case, data):
         got = step.state(y)
         assert got.tobytes() == fresh.y.tobytes()
         assert (norm, iterations) == (fresh.residual, fresh.iterations)
-        buffers = [c, getattr(step, "c", np.empty(0))] + returned
-        assert not any(np.shares_memory(got, other) for other in buffers)
+        assert not any(np.shares_memory(got, other) for other in [c] + returned)
         returned.append(got)
 
 
 # The one-dimensional cases, and a 1x1 linear drift, whose float loop must
-# take the decisions of the array loop: `_newton` on a step object whose
-# Newton system `_solve_small` solves by a division.
+# take the decisions of the array loop: `_VectorStep.solve`, whose Newton
+# system `_solve_small` solves by a division.
 SCALAR_CASES = {name: case for name, case in REAIM_CASES.items() if case[0].dim == 1}
 SCALAR_CASES["linear1"] = (make_linear_drift(np.array([[-2.0]])), SolveConfig(),
                            [1e-3, 0.08, 1.0])
@@ -345,12 +374,43 @@ def _solve_outcome(solve, delta, c, cfg):
 def test_the_float_loop_takes_the_array_loop_decisions(case, data):
     spec, cfg, steps = SCALAR_CASES[case]
     floats = _ScalarStep(spec)
-    arrays = (_VectorStep if spec.matrix is None else _LinearVectorStep)(spec)
+    arrays = _VectorStep(spec)
     sequence = data.draw(st.lists(st.tuples(st.sampled_from(steps), _REAIM_TARGETS),
                                   min_size=1, max_size=8))
     for delta, c in sequence:
         want = _solve_outcome(arrays.solve, delta, np.array([c]), cfg)
         assert _solve_outcome(floats.solve, delta, c, cfg) == want
+
+
+# The m >= 2 cases, and a 2x2 linear drift: the single-path loop against
+# one row of the engine's `_newton_rows`.
+VECTOR_CASES = {name: case for name, case in REAIM_CASES.items() if case[0].dim == 2}
+VECTOR_CASES["linear2"] = (make_linear_drift(np.array([[-2.0, 1.0], [0.5, -3.0]])),
+                           SolveConfig(), [1e-3, 0.08, 1.0])
+
+
+@pytest.mark.parametrize("case", sorted(VECTOR_CASES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_vector_loop_takes_the_row_loop_decisions(case, data):
+    spec, cfg, steps = VECTOR_CASES[case]
+    delta = data.draw(st.sampled_from(steps))
+    c = np.array(data.draw(st.lists(_REAIM_TARGETS, min_size=2, max_size=2)))
+    y, tally, fallback = _newton_rows(spec, np.full((1, 1), delta), c[None], cfg)
+    try:
+        got, norm, iterations, _ = _VectorStep(spec).solve(delta, c, cfg)
+    except LinearSolveFailure:
+        assert fallback[0]
+        return
+    if spec.matrix is not None and fallback[0]:
+        # A linear row stops at its direct solution, which missed the
+        # tolerance; the single path goes on from it with Newton.
+        assert iterations > 1
+        return
+    assert (norm <= cfg.tol) == (not fallback[0])
+    assert got.tobytes() == y[0].tobytes()
+    assert iterations == tally[0, 0]
+
 
 # --- resolvent norm and its monotonicity bound -------------------------------
 
