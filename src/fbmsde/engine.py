@@ -36,11 +36,12 @@ stalls, reaches ``max_iter``, or gets a singular or non-finite Newton
 update is solved again from the same target by the scalar
 :func:`~fbmsde.solver.solve_backward_step`, which brings the scalar
 bisection rescue and the scalar errors with it.  A linear drift
-(``DriftSpec.matrix``) takes no Newton iteration: every row is solved
-directly, as the scalar solver starts it, by one stacked
-:func:`~fbmsde.solver._solve_linear` and one drift evaluation for the
-residual, and counts one iteration; a row whose solution misses the
-tolerance, or whose system is singular, goes to the scalar solver too.
+(``DriftSpec.matrix``) starts every row at its direct solution, as the
+single-path loops do: one stacked :func:`~fbmsde.solver._solve_linear`
+and one drift evaluation for the residual, counted as one iteration, so
+a step whose rows all meet the tolerance builds no Jacobian.  A row whose
+solution misses the tolerance goes on with Newton from it; one whose
+solution is not finite (a singular system) goes to the scalar solver.
 A failing lane is replayed one run at a time, so its error is that of
 its first failing run in the order of ``runs``, and
 :func:`lowest_failure` turns the error of a failing block into that of
@@ -224,49 +225,35 @@ def _take_rows(took: np.ndarray, new: tuple[np.ndarray, ...],
             np.where(took, new[2], old[2]))
 
 
-def _linear_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
-                 cfg: SolveConfig
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_newton_rows` for a linear drift: the direct solution of
-    every row by :func:`~fbmsde.solver._solve_linear`, the scalar step's
-    start, counted as one Newton iteration.  A row whose solution is not
-    within ``cfg.tol`` needs the scalar solver, which starts from the
-    same solution, or from the target or the predictor where that is not
-    finite (a singular system, a non-finite target)."""
-    y = _solve_linear(spec.matrix, delta, c)
-    res = y - delta * spec.eval(y) - c
-    fallback = ~(np.sqrt(sq_norms(res)) <= cfg.tol)
-    tally = np.zeros((c.shape[0], 3), dtype=np.int64)
-    tally[:, 0] = 1
-    tally[:, 2] = fallback
-    return y, tally, fallback
-
-
 def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
                  cfg: SolveConfig
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton for ``y - delta b(y) = c``, one equation per row of
     ``c``; ``delta`` holds the step of every row, shape ``(M, 1)``.
 
-    Mirrors :meth:`~fbmsde.solver._VectorStep.solve` row by row, the explicit
-    predictor start included: all rows are computed, and masks decide
-    which rows take the result.  Multiplying by a row's step gives the
-    bits of multiplying by the scalar step.  Returns the iterates, the
-    counts of every row (shape ``(M, 3)``: Newton iterations, rejected
-    updates, and 1 if the row needs the scalar solver) and the mask of the
-    rows that need it.  A linear drift's rows are solved directly
-    (:func:`_linear_rows`), as the scalar solver starts them.
+    Mirrors :meth:`~fbmsde.solver._VectorStep.solve` row by row, its start
+    included: all rows are computed, and masks decide which rows take the
+    result.  Multiplying by a row's step gives the bits of multiplying by
+    the scalar step.  Returns the iterates, the counts of every row (shape
+    ``(M, 3)``: Newton iterations, rejected updates, and 1 if the row
+    needs the scalar solver) and the mask of the rows that need it.  A
+    linear drift's rows start at their direct solution by
+    :func:`~fbmsde.solver._solve_linear`, one iteration, and return at
+    once when every row is within ``cfg.tol``; a row whose direct solution
+    is not finite gets a non-finite Newton update and falls back.
     """
-    if spec.matrix is not None:
-        return _linear_rows(spec, delta, c, cfg)
-    y = c.copy()
+    linear = spec.matrix is not None
+    y = _solve_linear(spec.matrix, delta, c) if linear else c.copy()
     res = y - delta * spec.eval(y) - c
     norm = np.sqrt(sq_norms(res))
     tally = np.zeros((c.shape[0], 3), dtype=np.int64)
-    iterations, halvings = tally[:, 0], tally[:, 1]
-    fallback = np.zeros(c.shape[0], dtype=bool)
     active = ~(norm <= cfg.tol)
-    if active.any():
+    if linear:
+        # The direct solution counts as one iteration.
+        tally[:, 0] = 1
+        if not active.any():
+            return y, tally, active     # no row falls back
+    elif active.any():
         guess = c - res
         guess_res = guess - delta * spec.eval(guess) - c
         guess_norm = np.sqrt(sq_norms(guess_res))
@@ -274,7 +261,9 @@ def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
                                   (guess, guess_res, guess_norm), (y, res, norm))
         # Only active rows took the predictor; the others are still within.
         active = ~(norm <= cfg.tol)
-    for _ in range(cfg.max_iter):
+    iterations, halvings = tally[:, 0], tally[:, 1]
+    fallback = np.zeros(c.shape[0], dtype=bool)
+    for _ in range(cfg.max_iter - linear):
         if not active.any():
             break
         iterations += active

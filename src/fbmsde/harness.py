@@ -46,7 +46,7 @@ from .engine import (
 )
 from .errors import ConfigError, DomainError
 from .fbm import FbmPath, HurstVector, child_seed, coarsen, sample_multi, zero_path
-from .grids import Partition
+from .grids import MAX_STEPS, Partition
 from .integrate import (
     THETA,
     Trajectory,
@@ -173,6 +173,22 @@ def _drift_issues(cfg: ExperimentConfig | LimitConfig
     return issues, spec
 
 
+def _steps_issues(steps: int) -> list[str]:
+    """The issue of a master grid of ``steps`` steps, past :data:`MAX_STEPS`."""
+    return [] if steps <= MAX_STEPS else [
+        f"master step count {steps:.6g} exceeds the limit {MAX_STEPS}"]
+
+
+def _master_issues(cfg: ExperimentConfig) -> list[str]:
+    """The issues of a positive ``master_mesh``: its grid on ``[0, t_final]``
+    needs a whole step count within :data:`MAX_STEPS`."""
+    steps = _int_ratio(cfg.t_final, cfg.master_mesh)
+    if steps is None:
+        return [f"master_mesh {cfg.master_mesh} does not divide "
+                f"t_final {cfg.t_final} into whole steps"]
+    return _steps_issues(steps)
+
+
 def _threads_issues(threads: int) -> list[str]:
     return [] if threads >= 1 else [f"threads must be >= 1, got {threads}"]
 
@@ -198,6 +214,7 @@ def _limit_issues(n_values: tuple[int, ...], p: float, mc_paths: int,
         issues += [("n_values", f"n = {n} does not divide the master step "
                                 f"count {master_n}")
                    for n in n_values if master_n % n != 0]
+        issues += [("master_factor", issue) for issue in _steps_issues(master_n)]
     issues += [("threads", issue) for issue in _threads_issues(threads)]
     return issues
 
@@ -225,9 +242,14 @@ def _common_issues(cfg: ExperimentConfig) -> tuple[list[str], DriftSpec | None]:
     for mesh in cfg.meshes:
         if not mesh > 0.0:
             issues.append(f"mesh {mesh} must be positive")
-        elif 0.0 < cfg.t_final < math.inf and _int_ratio(cfg.t_final, mesh) is None:
-            issues.append(f"mesh {mesh} does not divide t_final {cfg.t_final} "
-                          f"into whole steps")
+        elif 0.0 < cfg.t_final < math.inf:
+            steps = _int_ratio(cfg.t_final, mesh)
+            if steps is None:
+                issues.append(f"mesh {mesh} does not divide t_final {cfg.t_final} "
+                              f"into whole steps")
+            elif steps > MAX_STEPS:
+                issues.append(f"step count {steps:.6g} of mesh {mesh} exceeds the "
+                              f"limit {MAX_STEPS}")
     if cfg.master_mesh is not None and not cfg.master_mesh > 0.0:
         issues.append(f"master_mesh must be positive, got {cfg.master_mesh}")
     elif cfg.master_mesh is not None:
@@ -261,9 +283,8 @@ def validate_rate_config(cfg: ExperimentConfig) -> DriftSpec:
             issues.append(
                 f"master_mesh {cfg.master_mesh} must be at most a quarter of "
                 f"the smallest mesh {min(cfg.meshes)}")
-        elif _int_ratio(cfg.t_final, cfg.master_mesh) is None:
-            issues.append(f"master_mesh {cfg.master_mesh} does not divide "
-                          f"t_final {cfg.t_final} into whole steps")
+        else:
+            issues += _master_issues(cfg)
     if issues:
         raise ConfigError(issues)
     assert spec is not None
@@ -282,10 +303,8 @@ def validate_stability_config(cfg: ExperimentConfig) -> DriftSpec:
         issues.append("stability runs use exactly one Hurst value")
     if not cfg.schemes:
         issues.append("stability runs need at least one scheme")
-    if cfg.master_mesh is not None and cfg.master_mesh > 0.0 \
-            and _int_ratio(cfg.t_final, cfg.master_mesh) is None:
-        issues.append(f"master_mesh {cfg.master_mesh} does not divide "
-                      f"t_final {cfg.t_final} into whole steps")
+    if cfg.master_mesh is not None and cfg.master_mesh > 0.0:
+        issues += _master_issues(cfg)
     if issues:
         raise ConfigError(issues)
     assert spec is not None
@@ -431,14 +450,14 @@ class Ensemble:
 def map_indexed(worker: Callable[[Any, int], Any], payload: Any, count: int,
                 threads: int = 1) -> list[Any]:
     """Run ``worker(payload, i)`` for ``i in range(count)``, in index order;
-    with ``threads > 1`` in that many worker processes, to which the worker
-    and payload must pickle."""
+    with ``threads > 1`` in that many worker processes, but no more than
+    ``count``, to which the worker and payload must pickle."""
     if threads <= 1 or count <= 1:
         return [worker(payload, i) for i in range(count)]
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, count // (threads * 4))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, count)) as pool:
         return list(pool.map(partial(worker, payload), range(count),
                              chunksize=chunk))
 

@@ -303,6 +303,17 @@ def test_simulate_master_steps_must_nest_the_steps(tmp_path, capsys):
         "error: --master-steps must be a positive multiple of --steps 16, got 100\n"
 
 
+def test_simulate_rejects_a_grid_past_the_step_limit(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    rc = main(["simulate", "--drift", "cubic1d", "--x0", "1.0",
+               "--steps", "100000000000000000000000", "--t-final", "1",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: steps must be at most 1048576, got 100000000000000000000000\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--method", "circulant"], ["--newton-tol", "1e-12"]])
 def test_simulate_has_no_sampler_or_tolerance_flag(tmp_path, capsys, flag):
     out = tmp_path / "s.csv"
@@ -491,6 +502,19 @@ def test_rate_rejects_repeated_values(tmp_path, capsys, old, new, expected):
     ("limit", LIMIT_CFG.replace("t = 1.0", "t = inf") + "p = 5\n",
      "config error: t must be finite, got inf\n"
      "config error: p must lie in [1, 2), got 5.0"),
+    # A grid of more than 2^20 steps is refused before it is built.
+    ("rate", RATE_CFG.replace("meshes = 2^-4 2^-5", "meshes = 0.5")
+     .replace("master_mesh = 2^-7", "master_mesh = 1e-300"),
+     "config error: master step count 1e+300 exceeds the limit 1048576"),
+    ("stability", STAB_CFG.replace("master_mesh = 0.0001", "master_mesh = 1e-300"),
+     "config error: master step count 7.2e+299 exceeds the limit 1048576"),
+    ("stability", STAB_CFG.replace("meshes = 0.08", "meshes = 1e-300")
+     .replace("master_mesh = 0.0001\n", ""),
+     "config error: step count 7.2e+299 of mesh 1e-300 exceeds the limit 1048576"),
+    ("limit", LIMIT_CFG + "master_factor = 1000000000000000000000000000000\n",
+     "config error: master step count 1.6e+31 exceeds the limit 1048576"),
+    ("limit", LIMIT_CFG.replace("n_values = 8 16", "n_values = 2^100"),
+     "config error: master step count 1.01412e+31 exceeds the limit 1048576"),
 ])
 def test_config_errors_leave_no_output_directory(tmp_path, capsys, subcommand,
                                                  text, expected):

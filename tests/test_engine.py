@@ -451,7 +451,8 @@ def _one_step_block(delta, c):
 
 
 # Targets of the step of b(x) = -x at delta = 1e-3.  The direct solution
-# of all but 1e20 misses the tolerance, and Newton goes on from it.
+# of all but 1e20 misses the tolerance, and Newton goes on from it, on the
+# engine's rows as on a single path.
 @pytest.mark.parametrize("c", [3e4, -2.5e4, 1e16, 1.3e20, 1e20])
 def test_a_linear_step_missing_the_tolerance_solves_alike_three_ways(c):
     spec = make_linear_drift(np.array([[-1.0]]))
@@ -459,7 +460,8 @@ def test_a_linear_step_missing_the_tolerance_solves_alike_three_ways(c):
     public = solve_backward_step(spec, 1e-3, np.array([c]))
     assert public.iterations == (1 if c == 1e20 else 2)
     lanes, stats = backward_euler_block(spec, block, [0.0])
-    assert stats.fallbacks == public.iterations - 1
+    assert stats.fallbacks == 0
+    assert stats.newton_iterations == public.iterations
     single = backward_euler(spec, block.path(0), [0.0]).states
     for states in (lanes[0], single):
         assert states[1].tobytes() == public.y.tobytes()

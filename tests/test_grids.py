@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fbmsde import GridError, Partition
-from fbmsde.grids import nested_indices
+from fbmsde import DomainError, GridError, Partition
+from fbmsde.grids import MAX_STEPS, nested_indices
 
 
 def test_uniform_grid_nodes():
@@ -11,6 +11,12 @@ def test_uniform_grid_nodes():
     assert g.n_steps == 4
     assert g.t_final == 1.0
     assert g.mesh == 0.25
+
+
+def test_uniform_grid_refuses_more_than_max_steps():
+    # Checked before any node is computed: no array of this size is built.
+    with pytest.raises(DomainError, match=f"steps must be at most {MAX_STEPS}, got"):
+        Partition.uniform(1.0, MAX_STEPS + 1)
 
 
 def test_deltas_of_nonuniform_grid():

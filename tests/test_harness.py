@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 from dataclasses import replace
 from functools import partial
@@ -31,6 +32,7 @@ from fbmsde.harness import (
     Ensemble,
     _rate_report,
     map_blocks,
+    map_indexed,
     validate_rate_config,
     validate_stability_config,
 )
@@ -238,6 +240,32 @@ def test_map_blocks_covers_the_ensemble_in_path_order():
     zero = Ensemble(grid=grid, hursts=(hurst,), paths=5, seed=9,
                     zero_noise=True)
     assert not np.any(zero.path(4).values)
+
+
+@pytest.mark.parametrize("count, threads, workers", [(2, 4, 2), (5, 3, 3)])
+def test_map_indexed_starts_no_more_workers_than_blocks(monkeypatch, count, threads,
+                                                        workers):
+    started = []
+
+    class InProcessPool:
+        """Records its worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    got = map_indexed(lambda payload, i: (payload, i), "p", count, threads)
+    assert got == [("p", i) for i in range(count)]
+    assert started == [workers]
 
 
 def test_sweep_strong_error_runs_each_hurst():

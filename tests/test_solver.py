@@ -22,6 +22,7 @@ from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC
 from fbmsde.engine import _newton_rows
 from fbmsde.solver import (
     _ScalarStep,
+    _solve_linear,
     _solve_small,
     _step_for,
     _VectorStep,
@@ -382,30 +383,34 @@ def test_the_float_loop_takes_the_array_loop_decisions(case, data):
         assert _solve_outcome(floats.solve, delta, c, cfg) == want
 
 
-# The m >= 2 cases, and a 2x2 linear drift: the single-path loop against
-# one row of the engine's `_newton_rows`.
-VECTOR_CASES = {name: case for name, case in REAIM_CASES.items() if case[0].dim == 2}
-VECTOR_CASES["linear2"] = (make_linear_drift(np.array([[-2.0, 1.0], [0.5, -3.0]])),
-                           SolveConfig(), [1e-3, 0.08, 1.0])
+# Every case, and a 1x1 and a 2x2 linear drift: the single-path array
+# loop against one row of the engine's `_newton_rows`.
+ROW_CASES = dict(REAIM_CASES)
+ROW_CASES["linear1"] = (make_linear_drift(np.array([[-1.0]])), SolveConfig(),
+                        [1e-3, 0.08, 1.0])
+ROW_CASES["linear2"] = (make_linear_drift(np.array([[-2.0, 1.0], [0.5, -3.0]])),
+                        SolveConfig(), [1e-3, 0.08, 1.0])
 
 
-@pytest.mark.parametrize("case", sorted(VECTOR_CASES))
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_the_vector_loop_takes_the_row_loop_decisions(case, data):
-    spec, cfg, steps = VECTOR_CASES[case]
+    spec, cfg, steps = ROW_CASES[case]
     delta = data.draw(st.sampled_from(steps))
-    c = np.array(data.draw(st.lists(_REAIM_TARGETS, min_size=2, max_size=2)))
-    y, tally, fallback = _newton_rows(spec, np.full((1, 1), delta), c[None], cfg)
+    c = np.array(data.draw(st.lists(_REAIM_TARGETS, min_size=spec.dim,
+                                    max_size=spec.dim)))
+    rows = np.full((1, 1), delta)
+    y, tally, fallback = _newton_rows(spec, rows, c[None], cfg)
+    if spec.matrix is not None \
+            and not np.isfinite(_solve_linear(spec.matrix, rows, c[None])).all():
+        # The single path takes the predictor start; the row falls back.
+        assert fallback[0]
+        return
     try:
         got, norm, iterations, _ = _VectorStep(spec).solve(delta, c, cfg)
     except LinearSolveFailure:
         assert fallback[0]
-        return
-    if spec.matrix is not None and fallback[0]:
-        # A linear row stops at its direct solution, which missed the
-        # tolerance; the single path goes on from it with Newton.
-        assert iterations > 1
         return
     assert (norm <= cfg.tol) == (not fallback[0])
     assert got.tobytes() == y[0].tobytes()
