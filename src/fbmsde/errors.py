@@ -49,8 +49,9 @@ class SolverError(FbmSdeError):
     integrator loop, or ``None`` for a bare solver call.  ``path`` is the
     Monte Carlo path index when a batched run failed on one of its paths,
     or the lane index when a block function that knows no path indices
-    (:func:`~fbmsde.integrate.fundamental_matrix_block`) failed on a lane;
-    ``lane`` is then the failing lane of the block.
+    (:func:`~fbmsde.integrate.fundamental_matrix_block`,
+    :func:`~fbmsde.limit.compute_U_block`) failed on a lane; ``lane`` is
+    then the failing lane of the block.
     """
 
     path: int | None = None

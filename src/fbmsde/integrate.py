@@ -14,6 +14,10 @@ block of lanes (:func:`fundamental_matrix_block`): one Jacobian evaluation
 over all lanes and nodes, then one stacked solve per node, a division in
 one dimension and Cramer's rule in two.  The
 single-trajectory :func:`fundamental_matrix_reference` is its one-lane call.
+The stored flow is the oracle of the first-order flow approximation
+:func:`fundamental_matrix_fb_euler`; the limit process
+(:func:`fbmsde.limit.compute_U_block`) multiplies the same step factors
+without storing it, and both report a failing flow by :func:`_flow_failure`.
 
 All schemes require every Hurst component of the driving path to exceed
 one half; that is the regime where the drift-noise interplay the package
@@ -246,6 +250,40 @@ def crank_nicolson(spec: DriftSpec, noise: FbmPath, x0: np.ndarray,
                          stability_mode)
 
 
+def _flow_failure(det_lhs: np.ndarray, det_rhs: np.ndarray
+                  ) -> StepTooLargeError | None:
+    """The error of the lowest lane whose trapezoid flow fails, or ``None``.
+
+    Step ``k`` of lane ``i`` maps the flow by ``(I - h_k/2 J_{k+1})^{-1}
+    (I + h_k/2 J_k)``; ``det_lhs[i, k]`` and ``det_rhs[i, k]`` are the
+    determinants of its two factors, shape ``(M, n)``.  A step is not
+    solvable when its left factor is singular or either determinant is not
+    finite.  The flow loses invertibility at the first node where the sign
+    of ``det phi``, the running product of the factors' signs, is not
+    positive: a determinant too small for a float still has its sign.  A
+    lane with a step that is not solvable reports that step; the lane
+    index is in ``path``.
+    """
+    steps = det_lhs.shape[1]
+    solvable = np.isfinite(det_lhs) & np.isfinite(det_rhs) & (det_lhs != 0.0)
+    # A non-finite determinant makes the running sign NaN, which compares
+    # false, from its step on.
+    lost = np.cumprod(np.sign(det_lhs) * np.sign(det_rhs), axis=1) <= 0.0
+    singular = np.where(solvable.all(axis=1), steps, np.argmin(solvable, axis=1))
+    failed = (singular < steps) | lost.any(axis=1)
+    if not failed.any():
+        return None
+    lane = int(np.argmax(failed))
+    if singular[lane] < steps:
+        exc = StepTooLargeError(f"linearization flow not solvable at step "
+                                f"{singular[lane]}; refine the mesh")
+    else:
+        exc = StepTooLargeError(f"linearization flow lost invertibility at step "
+                                f"{int(np.argmax(lost[lane])) + 1}; refine the mesh")
+    exc.path = lane
+    return exc
+
+
 def fundamental_matrix_block(spec: DriftSpec, grid: Partition,
                              states: np.ndarray) -> np.ndarray:
     """Second-order flow of the linearization along every lane of ``states``.
@@ -261,7 +299,8 @@ def fundamental_matrix_block(spec: DriftSpec, grid: Partition,
     Raises:
         StepTooLargeError: a step of some lane is not solvable, or its flow
             loses invertibility: the mesh was too coarse.  The error is that
-            of the lowest such lane, whose index is in ``path``.
+            of the lowest such lane (:func:`_flow_failure`), whose index is
+            in ``path``.
     """
     lanes, nodes, m = states.shape
     if m != spec.dim:
@@ -271,29 +310,15 @@ def fundamental_matrix_block(spec: DriftSpec, grid: Partition,
     eye = np.eye(m)
     lhs = eye - half * jacs[:, 1:]
     rhs = eye + half * jacs[:, :-1]
-    mats = np.empty((lanes, nodes, m, m))
-    mats[:, 0] = eye
     with np.errstate(all="ignore"):
+        exc = _flow_failure(_small_det(lhs), _small_det(rhs))
+        if exc is not None:
+            raise exc
+        mats = np.empty((lanes, nodes, m, m))
+        mats[:, 0] = eye
         for k in range(nodes - 1):
             mats[:, k + 1] = _solve_small(lhs[:, k], rhs[:, k] @ mats[:, k])
-        # A singular system gives NaN matrices from its next node on,
-        # whose determinants compare false.
-        finite = np.isfinite(mats).all(axis=(2, 3))
-        lost = _small_det(mats) <= 0.0
-    # First step of each lane whose solve is not finite; ``nodes`` if none.
-    singular = np.where(finite.all(axis=1), nodes, np.argmin(finite, axis=1) - 1)
-    failed = (singular < nodes) | lost.any(axis=1)
-    if not failed.any():
-        return mats
-    lane = int(np.argmax(failed))
-    if singular[lane] < nodes:
-        exc = StepTooLargeError(f"linearization flow not solvable at step "
-                                f"{singular[lane]}; refine the mesh")
-    else:
-        exc = StepTooLargeError(f"linearization flow lost invertibility at step "
-                                f"{int(np.argmax(lost[lane]))}; refine the mesh")
-    exc.path = lane
-    raise exc
+    return mats
 
 
 def fundamental_matrix_reference(spec: DriftSpec, traj: Trajectory

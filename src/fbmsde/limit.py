@@ -9,10 +9,13 @@ converges, as the grid is refined, to the process
 where ``Phi(t, s)`` is the linearization flow along the exact solution and
 ``J_b`` the drift Jacobian.  :func:`compute_U_block` evaluates the
 representation with left-point sums on a fine grid for a block of lanes at
-once, and :func:`compute_U` is its one-lane call.  :func:`limit_check`
-compares ``n * (X - Y^n)`` against ``U`` in ``L^p`` over a Monte Carlo
-ensemble, one block of paths per call of the engine, the flow
-(:func:`~fbmsde.integrate.fundamental_matrix_block`) and ``U``.
+once, and :func:`compute_U` is its one-lane call.  It multiplies the
+flow's trapezoid step factors instead of storing the flow and inverting
+it at every node: a linear drift's factors and their products are built
+once for all lanes, and every other drift steps ``U`` node by node.
+:func:`limit_check` compares ``n * (X - Y^n)`` against ``U`` in ``L^p``
+over a Monte Carlo ensemble, one block of paths per call of the engine
+and of :func:`compute_U_block`.
 
 :func:`residual_grid` exposes the per-interval defect decomposition that
 drives the expansion, for every interval of a coarse grid from one drift
@@ -28,8 +31,9 @@ from functools import partial
 
 import numpy as np
 
-# The F401 names are unused here; tracing tools wrap map_indexed,
-# sample_multi, backward_euler and fundamental_matrix_reference under them.
+# The names marked F401 are not called here: tracing tools wrap
+# map_indexed, sample_multi, backward_euler and fundamental_matrix_reference
+# under them.
 from .drifts import DriftSpec
 from .engine import NoiseBlock, SolveStats, backward_euler_runs, name_path, sq_norms
 from .errors import ConfigError, DomainError, GridError, StepTooLargeError
@@ -40,11 +44,11 @@ from .harness import map_indexed  # noqa: F401
 from .integrate import (  # noqa: F401
     FundamentalMatrixPath,
     Trajectory,
+    _flow_failure,
     backward_euler,
-    fundamental_matrix_block,
     fundamental_matrix_reference,
 )
-from .solver import DEFAULT_SOLVE_CONFIG, _solve_small
+from .solver import DEFAULT_SOLVE_CONFIG, _small_det, _solve_small
 
 __all__ = [
     "ResidualGrid",
@@ -145,32 +149,112 @@ def residual_grid(spec: DriftSpec, traj: Trajectory, noise: FbmPath,
     return ResidualGrid(r=r, r1=r1, r2=r2, rhat=r + r1 + r2)
 
 
+# Nodes whose Jacobians one call evaluates in the recursion of a nonlinear
+# drift: it bounds the block's stacks at (M, chunk + 1, m, m).
+_NODE_CHUNK = 256
+
+
+def _noise_forcing(spec: DriftSpec, times: np.ndarray, states: np.ndarray,
+                   values: np.ndarray) -> np.ndarray:
+    """``g_j = b(X_j) h_j + dB_j`` at every node ``j`` but the last of
+    ``states`` and ``values``, both of shape ``(M, n + 1, m)`` on the grid
+    nodes ``times``; shape ``(M, n, m)``."""
+    lanes, nodes, m = states.shape
+    forcing = spec.eval(states[:, :-1].reshape(-1, m)).reshape(lanes, nodes - 1, m) \
+        * np.diff(times)[:, None]
+    forcing += np.diff(values, axis=1)
+    return forcing
+
+
+def _linear_u(spec: DriftSpec, times: np.ndarray, states: np.ndarray,
+              values: np.ndarray) -> np.ndarray:
+    """``2 U`` for the linear drift ``b(x) = A x``: ``sum_j P_j A g_j``,
+    with the flow's factors ``M_j`` and their suffix products
+    ``P_j = M_{n-1} ... M_j`` built once for all lanes."""
+    matrix, m = spec.matrix, spec.dim
+    half = (0.5 * np.diff(times))[:, None, None]
+    eye = np.eye(m)
+    lhs, rhs = eye - half * matrix, eye + half * matrix
+    exc = _flow_failure(_small_det(lhs)[None], _small_det(rhs)[None])
+    if exc is not None:
+        raise exc
+    suffix = _solve_small(lhs, rhs)[::-1]
+    if m == 1:
+        suffix = np.cumprod(suffix, axis=0)
+    else:
+        for j in range(1, len(suffix)):
+            suffix[j] = suffix[j - 1] @ suffix[j]
+    weights = suffix[::-1] @ matrix
+    forcing = _noise_forcing(spec, times, states, values)
+    # terms[i, a, j] = (P_j A g_j)_a for lane i, summed over nodes along a
+    # contiguous axis so the rounding of a lane does not depend on the block.
+    terms = forcing[:, :, None, 0] * weights[:, :, 0]
+    for b in range(1, m):
+        terms += forcing[:, :, None, b] * weights[:, :, b]
+    return np.ascontiguousarray(terms.swapaxes(1, 2)).sum(axis=-1)
+
+
+def _nonlinear_u(spec: DriftSpec, times: np.ndarray, states: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """``2 U`` by the recursion ``V_{k+1} = M_k (V_k + J_k g_k)``, with the
+    flow's factors ``M_k`` built a chunk of nodes at a time."""
+    lanes, nodes, m = states.shape
+    eye = np.eye(m)
+    det_lhs = np.empty((lanes, nodes - 1))
+    det_rhs = np.empty_like(det_lhs)
+    v = np.zeros((lanes, m, 1))
+    for start in range(0, nodes - 1, _NODE_CHUNK):
+        stop = min(start + _NODE_CHUNK, nodes - 1)
+        part = slice(start, stop + 1)
+        x = states[:, part]
+        jac = spec.jacobian(x.reshape(-1, m)).reshape(lanes, -1, m, m)
+        half = (0.5 * np.diff(times[part]))[:, None, None]
+        lhs = eye - half * jac[:, 1:]
+        rhs = eye + half * jac[:, :-1]
+        det_lhs[:, start:stop] = _small_det(lhs)
+        det_rhs[:, start:stop] = _small_det(rhs)
+        factors = _solve_small(lhs, rhs)
+        forcing = _apply_rows(jac[:, :-1], _noise_forcing(
+            spec, times[part], x, values[:, part]))[..., None]
+        for k in range(forcing.shape[1]):
+            v = factors[:, k] @ (v + forcing[:, k])
+    exc = _flow_failure(det_lhs, det_rhs)
+    if exc is not None:
+        raise exc
+    return v[..., 0]
+
+
 def compute_U_block(spec: DriftSpec, grid: Partition, states: np.ndarray,
-                    flows: np.ndarray, values: np.ndarray, kt: int) -> np.ndarray:
+                    values: np.ndarray, kt: int) -> np.ndarray:
     """The limit process at node ``kt`` of ``grid`` for every lane.
 
-    ``states`` holds the fine trajectories, shape ``(M, n + 1, m)``,
-    ``flows`` their flow matrices (:func:`fundamental_matrix_block`), shape
-    ``(M, n + 1, m, m)``, and ``values`` the noise, shape ``(M, n + 1, m)``.
-    Returns ``U`` by left-point sums, shape ``(M, m)``.  No operation mixes
-    lanes, so a lane's value does not depend on the block.
+    ``states`` holds the fine trajectories, shape ``(M, n + 1, m)``, and
+    ``values`` the noise, shape ``(M, n + 1, m)``.  Returns ``U``, shape
+    ``(M, m)``: the left-point sum ``(1/2) sum_{j < kt} Phi(t_kt, t_j)
+    J_j g_j`` with ``g_j = b(X_j) h_j + dB_j``.  The flow from ``t_j`` is
+    the product ``M_{kt-1} ... M_j`` of the trapezoid factors ``M_k =
+    (I - h_k/2 J_{k+1})^{-1} (I + h_k/2 J_k)``, so neither the flow nor an
+    inverse of it is formed.  A linear drift's factors and their suffix
+    products carry no lane axis and ``U`` is one contraction over the
+    lanes; every other drift runs ``U_{k+1} = M_k (U_k + J_k g_k / 2)``.  No
+    operation mixes lanes, so a lane's value does not depend on the block.
+
+    Raises:
+        StepTooLargeError: a step of the flow of some lane is not solvable,
+            or the flow loses invertibility, as
+            :func:`~fbmsde.integrate.fundamental_matrix_block` reports it;
+            the lowest such lane is in ``path``.
     """
     lanes, _, m = states.shape
     if kt == 0:
         return np.zeros((lanes, m))
-    left = states[:, :kt].reshape(-1, m)
-    jac = spec.jacobian(left).reshape(lanes, kt, m, m)
-    dt = np.diff(grid.times[:kt + 1])[:, None]
-    forcing = _apply_rows(jac, spec.eval(left).reshape(lanes, kt, m) * dt
-                          + np.diff(values[:, :kt + 1], axis=1))
-    # Phi(t, s) = phi_t phi_s^{-1}; solve phi_s^T X^T = phi_t^T in one batch,
-    # a division in one dimension and Cramer's rule in two.
-    lhs = np.swapaxes(flows[:, :kt], -1, -2)
-    rhs = np.broadcast_to(np.swapaxes(flows[:, kt:kt + 1], -1, -2), lhs.shape)
-    terms = np.swapaxes(_solve_small(lhs, rhs), -1, -2) @ forcing[..., None]
-    # Sum over nodes along a contiguous axis, one lane and coordinate per
-    # row, so the rounding of the sum does not depend on the block size.
-    return 0.5 * np.ascontiguousarray(terms[..., 0].swapaxes(1, 2)).sum(axis=-1)
+    times = grid.times[:kt + 1]
+    states, values = states[:, :kt + 1], values[:, :kt + 1]
+    # A singular or overflowing step gives non-finite lanes, not warnings.
+    with np.errstate(all="ignore"):
+        twice = (_nonlinear_u if spec.matrix is None else _linear_u)(
+            spec, times, states, values)
+    return 0.5 * twice
 
 
 def compute_U(spec: DriftSpec, traj: Trajectory, phi: FundamentalMatrixPath,
@@ -179,7 +263,8 @@ def compute_U(spec: DriftSpec, traj: Trajectory, phi: FundamentalMatrixPath,
     the one-lane :func:`compute_U_block`.
 
     ``traj``, ``phi`` and ``noise`` must share one (fine) grid; ``t`` must
-    be one of its nodes.  Returns a vector of shape ``(m,)``.
+    be one of its nodes.  ``phi`` is checked, not read: the sums step the
+    flow's factors themselves.  Returns a vector of shape ``(m,)``.
     """
     if traj.dim != spec.dim or noise.dim != spec.dim or phi.dim != spec.dim:
         raise DomainError("drift, trajectory, flow and noise dimensions must agree")
@@ -187,7 +272,7 @@ def compute_U(spec: DriftSpec, traj: Trajectory, phi: FundamentalMatrixPath,
     _check_same_grid(traj.grid, phi.grid, "trajectory and flow")
     kt = traj.grid.index_of(float(t))
     return compute_U_block(spec, traj.grid, traj.states[None],
-                           phi.matrices[None], noise.values[None], kt)[0]
+                           noise.values[None], kt)[0]
 
 
 def _limit_block(spec: DriftSpec, x0: np.ndarray, n_values: tuple[int, ...],
@@ -202,11 +287,10 @@ def _limit_block(spec: DriftSpec, x0: np.ndarray, n_values: tuple[int, ...],
     rescaled = np.stack([float(n) * (ref[:, -1] - states[:, -1])
                          for n, states in zip(n_values, coarse)], axis=1)
     try:
-        flows = fundamental_matrix_block(spec, grid, ref)
+        u_t = compute_U_block(spec, grid, ref, noise.values, grid.n_steps)
     except StepTooLargeError as exc:
         name_path(exc, noise, exc.path)
         raise
-    u_t = compute_U_block(spec, grid, ref, flows, noise.values, grid.n_steps)
     return (np.sqrt(sq_norms(rescaled - u_t[:, None])),
             np.sqrt(sq_norms(rescaled)), np.sqrt(sq_norms(u_t)), counts)
 

@@ -23,7 +23,15 @@ runs, one division per lane and node; the planar flow case solves its
 2x2 systems by Cramer's rule.  Solved directly instead of by one damped
 Newton iteration from the explicit predictor, the pass took 53-58 ms
 against 128-135 ms (minima and medians of two alternating runs, 2-core
-machine, numpy 2.4).
+machine, numpy 2.4).  The ``U`` cases time
+:func:`fbmsde.limit.compute_U_block`, which ``limit`` runs, along the same
+64 reference runs: on ``b(x) = -x`` its step factors and their suffix
+products are built once for all lanes, on the planar cubic it steps ``U``
+node by node.  In two alternating runs against the former evaluation,
+the flow followed by one inverse solve per node and lane, ``U`` took
+1.31-1.34 ms against 33.7-40.7 ms on the linear drift and 44.9-69.5 ms
+against 178-219 ms on the planar cubic (medians, on a host whose speed
+switched between two levels).
 
 The implicit-step cases time one :func:`fbmsde.solver.solve_backward_step`
 on the scalar cubic (a coarse stability step from about 5, five Newton
@@ -103,6 +111,7 @@ from fbmsde.integrate import (
     fundamental_matrix_block,
     reference_solution,
 )
+from fbmsde.limit import compute_U_block
 from fbmsde.solver import solve_backward_step
 
 GRID = Partition.uniform(1.0, 2048)
@@ -158,6 +167,17 @@ def test_flow_block(benchmark, spec, x0):
     mats = benchmark.pedantic(fundamental_matrix_block, (spec, GRID, states),
                               rounds=3, warmup_rounds=1)
     assert mats.shape == (64, 2049, spec.dim, spec.dim)
+
+
+@pytest.mark.parametrize("spec, x0", [(LINEAR, [1.0]), (PLANAR_CUBIC, [1.0, 1.0])],
+                         ids=["linear", "planar_cubic"])
+def test_u_block(benchmark, spec, x0):
+    block = _block(64, spec.dim)
+    (states,), _ = backward_euler_runs(spec, block, np.array(x0), [(1, 1.0)])
+    u = benchmark.pedantic(compute_U_block,
+                           (spec, GRID, states, block.values, GRID.n_steps),
+                           rounds=3, warmup_rounds=1)
+    assert u.shape == (64, spec.dim)
 
 
 @pytest.mark.parametrize("spec, delta, c, iterations", [

@@ -12,6 +12,10 @@ second route:
 * :func:`solve_U_ode` integrates the linear equation of the limit process
   step by step, the second evaluator of what
   :func:`fbmsde.limit.compute_U` sums;
+* :func:`quadrature_U_block` sums the same left-point terms as
+  :func:`fbmsde.limit.compute_U_block` from the stored flow, one inverse
+  of ``phi_s`` per node, where the package multiplies the flow's step
+  factors;
 * :func:`drift_drift_product` is the term ``(J_b b)(x)`` of that equation.
 """
 
@@ -32,6 +36,8 @@ from fbmsde import (
     backward_euler,
     zero_path,
 )
+from fbmsde.limit import _apply_rows
+from fbmsde.solver import _solve_small
 
 
 def drift_drift_product(spec: DriftSpec, x: np.ndarray) -> np.ndarray:
@@ -141,3 +147,26 @@ def solve_U_ode(spec: DriftSpec, traj: Trajectory, noise: FbmPath) -> Trajectory
         states[k + 1] = np.linalg.solve(eye - dt * jac_right, forcing)
     return Trajectory(grid=traj.grid, states=states, scheme="error_sde",
                       drift=spec.name, path_seed=noise.seed)
+
+
+def quadrature_U_block(spec: DriftSpec, grid: Partition, states: np.ndarray,
+                       flows: np.ndarray, values: np.ndarray, kt: int) -> np.ndarray:
+    """The limit process at node ``kt`` of ``grid`` for every lane, from
+    the flow matrices ``flows`` (:func:`fbmsde.integrate.fundamental_matrix_block`),
+    shape ``(M, n + 1, m, m)``; ``states`` and ``values`` have shape
+    ``(M, n + 1, m)``.  ``Phi(t, s) = phi_t phi_s^{-1}`` is one stacked
+    solve per node.  Returns ``U`` by left-point sums, shape ``(M, m)``.
+    """
+    lanes, _, m = states.shape
+    if kt == 0:
+        return np.zeros((lanes, m))
+    left = states[:, :kt].reshape(-1, m)
+    jac = spec.jacobian(left).reshape(lanes, kt, m, m)
+    dt = np.diff(grid.times[:kt + 1])[:, None]
+    forcing = _apply_rows(jac, spec.eval(left).reshape(lanes, kt, m) * dt
+                          + np.diff(values[:, :kt + 1], axis=1))
+    # Solve phi_s^T X^T = phi_t^T in one batch.
+    lhs = np.swapaxes(flows[:, :kt], -1, -2)
+    rhs = np.broadcast_to(np.swapaxes(flows[:, kt:kt + 1], -1, -2), lhs.shape)
+    terms = np.swapaxes(_solve_small(lhs, rhs), -1, -2) @ forcing[..., None]
+    return 0.5 * np.ascontiguousarray(terms[..., 0].swapaxes(1, 2)).sum(axis=-1)

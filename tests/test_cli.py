@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbmsde import ConfigError, Partition, cli, engine
+from fbmsde import ConfigError, Partition, child_seed, cli, engine
 from fbmsde.cli import main
 from fbmsde.configio import (
     EXPERIMENT_SCHEMA,
@@ -724,6 +724,18 @@ def test_limit_step_counts_must_be_whole(tmp_path, capsys):
     mapping = parse_config_text(LIMIT_CFG.replace("n_values = 8 16",
                                                   "n_values = 2^3 2**4 32"))
     assert limit_params_from_mapping(mapping).n_values == (8, 16, 32)
+
+
+def test_limit_names_the_path_whose_flow_loses_invertibility(tmp_path, capsys):
+    # 1 - (dt / 2) 5000 < 0 on the 128-step master grid: the flow of every
+    # path changes sign on its first step, and path 0 is named.
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text(LIMIT_CFG.replace("linear_matrix = -1.0", "linear_matrix = -5000.0"))
+    rc = main(["limit", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "solver failure: linearization flow lost invertibility at step 1; refine the "
+        f"mesh (path 0, path seed {child_seed(3, 0)})\n")
 
 
 # --- stability subcommand ---------------------------------------------------------------

@@ -29,6 +29,7 @@ from fbmsde.engine import (
     NoiseBlock,
     SolveStats,
     backward_euler_block,
+    backward_euler_runs,
     lowest_failure,
     sq_norms,
 )
@@ -41,7 +42,8 @@ from fbmsde.harness import (
 )
 from fbmsde.integrate import fundamental_matrix_block
 from fbmsde.limit import _limit_block, compute_U_block
-from oracles import drift_drift_product, solve_U_ode
+from fbmsde.solver import _solve_small
+from oracles import drift_drift_product, quadrature_U_block, solve_U_ode
 
 H07 = HurstVector.constant(0.7, 1)
 
@@ -91,19 +93,34 @@ def per_node_flow(spec, traj):
     return np.stack(mats)
 
 
-def per_node_u(spec, traj, phi, noise, kt):
+def per_node_u(spec, traj, noise, kt):
+    """``U`` at node ``kt`` by the recursion ``V_{k+1} = M_k (V_k + J_k g_k)``,
+    ``U = V / 2``, or for a linear drift ``b(x) = A x`` as the sum of
+    ``P_j A g_j / 2`` with the suffix products ``P_j = M_{kt-1} ... M_j``.
+    Each factor ``M_k`` is one system solved as the package solves it: a
+    2x2 factor by LAPACK instead of Cramer's rule would move ``U`` by
+    1.2e-14 over 256 nodes, as one ulp compounds along the products."""
     times = traj.grid.times
-    m = spec.dim
-    forcing = np.empty((kt, m))
+    eye = np.eye(spec.dim)
+    factors, jacs, g = [], [], []
     for j in range(kt):
-        x_j = traj.states[j]
-        forcing[j] = np.asarray(spec.jacobian(x_j)) @ (
-            np.asarray(spec.eval(x_j)) * (times[j + 1] - times[j])
-            + (noise.values[j + 1] - noise.values[j]))
-    lhs = np.transpose(phi[:kt], (0, 2, 1))
-    rhs = np.broadcast_to(phi[kt].T, (kt, m, m))
-    flows = np.transpose(np.linalg.solve(lhs, rhs), (0, 2, 1))
-    return 0.5 * np.einsum("jab,jb->a", flows, forcing)
+        half = 0.5 * (times[j + 1] - times[j])
+        jacs.append(np.asarray(spec.jacobian(traj.states[j])))
+        factors.append(_solve_small(
+            eye - half * np.asarray(spec.jacobian(traj.states[j + 1])),
+            eye + half * jacs[-1]))
+        g.append(np.asarray(spec.eval(traj.states[j])) * (times[j + 1] - times[j])
+                 + (noise.values[j + 1] - noise.values[j]))
+    v = np.zeros(spec.dim)
+    if spec.matrix is None:
+        for factor, jac, g_j in zip(factors, jacs, g):
+            v = factor @ (v + jac @ g_j)
+    else:
+        suffix = eye
+        for factor, g_j in zip(reversed(factors), reversed(g)):
+            suffix = suffix @ factor
+            v = v + (suffix @ spec.matrix) @ g_j
+    return 0.5 * v
 
 
 def per_interval_bundle(spec, traj, noise, coarse, k):
@@ -283,15 +300,14 @@ def test_flow_and_u_lanes_do_not_depend_on_block_size(name):
     grid = block.grid
     flows = fundamental_matrix_block(spec, grid, states)
     for kt in (100, grid.n_steps):
-        u = compute_U_block(spec, grid, states, flows, block.values, kt)
+        u = compute_U_block(spec, grid, states, block.values, kt)
         for size in (1, 7, 15):
             for start in range(0, 15, size):
                 part = slice(start, start + size)
                 part_flows = fundamental_matrix_block(spec, grid, states[part])
                 assert np.array_equal(part_flows, flows[part])
                 assert np.array_equal(compute_U_block(
-                    spec, grid, states[part], part_flows, block.values[part], kt),
-                    u[part])
+                    spec, grid, states[part], block.values[part], kt), u[part])
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
@@ -310,9 +326,28 @@ def test_one_lane_flow_and_u_match_the_per_node_formulas(name):
             assert np.max(np.abs(phi.matrices - flow)) <= 1e-13 * np.max(np.abs(flow))
         for t in (0.5, 1.0):
             got = compute_U(spec, traj, phi, block.path(lane), t)
-            want = per_node_u(spec, traj, phi.matrices, block.path(lane),
-                              traj.grid.index_of(t))
+            want = per_node_u(spec, traj, block.path(lane), traj.grid.index_of(t))
             assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+U_CASES = {**BLOCK_CASES,
+           "linear 1x1": (make_linear_drift(np.array([[-1.0]])), [1.0]),
+           "linear spiral": (make_linear_drift(np.array([[-0.5, 1.0], [-1.0, -0.5]])),
+                             [1.0, 0.0])}
+
+
+@pytest.mark.parametrize("name", sorted(U_CASES))
+def test_u_block_matches_the_flow_quadrature(name):
+    # The step factors' products against phi_t phi_s^{-1} from the stored
+    # flow, on the master grid of configs/limit_linear.cfg; 3.5e-14 measured.
+    spec, x0 = U_CASES[name]
+    block, states = reference_block(spec, x0, paths=8, steps=2048)
+    grid = block.grid
+    flows = fundamental_matrix_block(spec, grid, states)
+    for kt in (100, grid.n_steps):
+        want = quadrature_U_block(spec, grid, states, flows, block.values, kt)
+        got = compute_U_block(spec, grid, states, block.values, kt)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_flow_failure_names_the_lowest_failing_path():
@@ -342,6 +377,54 @@ def test_flow_failure_names_the_lowest_failing_path():
                 lowest_failure(lambda b: _limit_block(CUBIC1D, x0, (8, 16), b), part)
         assert err.value.path == 41
         assert str(err.value) == want
+
+
+def test_linear_flow_failure_names_the_same_step_and_path():
+    # b(x) = -5000 x on 2048 steps: 1 - (dt / 2) 5000 < 0 flips the sign of
+    # the flow on the first step of every path.
+    spec = make_linear_drift(np.array([[-5000.0]]))
+    x0 = np.array([1.0])
+    block, states = reference_block(spec, x0, paths=3, steps=2048)
+    with pytest.raises(StepTooLargeError) as single:
+        fundamental_matrix_reference(spec, lane_trajectory(spec, block, states, 0))
+    assert str(single.value) == \
+        "linearization flow lost invertibility at step 1; refine the mesh"
+    with pytest.raises(StepTooLargeError) as lanes:
+        _limit_block(spec, x0, (8, 16), block)
+    assert lanes.value.path == block.indices[0]
+    assert str(lanes.value) == \
+        f"{single.value} (path {block.indices[0]}, path seed {block.seeds[0]})"
+
+
+def test_a_flow_below_the_float_range_keeps_its_sign():
+    # b(x) = -2000 x on 1024 steps contracts by 0.0116 a step, so the flow
+    # rounds to 0 at step 169; its sign, the product of the step
+    # factors' signs, stays positive.
+    spec = make_linear_drift(np.array([[-2000.0]]))
+    block, states = reference_block(spec, [1.0], paths=2, steps=1024)
+    flows = fundamental_matrix_block(spec, block.grid, states)
+    assert flows[:, -1, 0, 0].tolist() == [0.0, 0.0]
+    u = compute_U_block(spec, block.grid, states, block.values, 1024)
+    assert np.isfinite(u).all()
+
+
+@pytest.mark.parametrize("hurst", [0.7, 0.9])
+def test_rate_constant_is_the_l2_norm_of_u(hurst):
+    # n (Y^n - X) -> U gives RMS(Y^h - Y^N) ~ (h - h_N) ||U||_2 against the
+    # master-grid reference, for the rate table's meshes 2^-5..2^-9;
+    # 0.991-1.010 measured at H = 0.7 and 0.986-0.998 at H = 0.9.
+    grid = Partition.uniform(1.0, 2 ** 11)
+    hv = HurstVector.constant(hurst, 2)
+    block = NoiseBlock.stack([sample_multi(grid, hv, child_seed(20250500, i),
+                                           method="circulant") for i in range(128)])
+    ratios = [2 ** (11 - k) for k in range(5, 10)]
+    (ref, *coarse), _ = backward_euler_runs(
+        PLANAR_CUBIC, block, np.array([1.0, 1.0]), [(1, 1.0)] + [(r, 1.0) for r in ratios])
+    u_l2 = np.sqrt(np.mean(sq_norms(
+        compute_U_block(PLANAR_CUBIC, grid, ref, block.values, grid.n_steps))))
+    got = [np.sqrt(np.mean(sq_norms(states[:, -1] - ref[:, -1])))
+           / ((ratio - 1) * grid.mesh * u_l2) for ratio, states in zip(ratios, coarse)]
+    assert all(0.9 <= r <= 1.1 for r in got), got
 
 
 def test_solve_u_ode_zero_field_stays_zero():
