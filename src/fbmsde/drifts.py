@@ -18,6 +18,7 @@ picklable and Monte Carlo work can be farmed out to worker processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -238,13 +239,25 @@ def make_linear_drift(matrix: np.ndarray, name: str = "linear") -> DriftSpec:
     """Linear drift ``b(x) = M x`` with ``kappa`` set to the largest
     eigenvalue of the symmetric part of ``M``; the spec records ``M`` as
     its ``matrix``, and a 1x1 ``M = (a)`` also evaluates on floats, as
-    ``y * a``."""
+    ``y * a``.
+
+    Raises:
+        DomainError: ``M`` is not square, has a non-finite entry, or its
+            symmetric part overflows, so that ``kappa`` is not finite.
+    """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"linear drift needs a square matrix, got {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise DomainError(f"linear drift needs a finite matrix, got {matrix.tolist()}")
     matrix = matrix.copy()
     matrix.flags.writeable = False
-    kappa = float(np.max(np.linalg.eigvalsh(0.5 * (matrix + matrix.T))))
+    # Entries near the float range overflow the symmetric part.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = float(np.max(np.linalg.eigvalsh(0.5 * (matrix + matrix.T))))
+    if not math.isfinite(kappa):
+        raise DomainError(f"linear drift {matrix.tolist()} has no finite kappa: "
+                          f"its symmetric part overflows")
     on_float = None
     if matrix.shape == (1, 1):
         a = float(matrix[0, 0])

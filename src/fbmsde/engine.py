@@ -8,24 +8,25 @@ Hurst vector ``hursts[j]``, so one block may mix Hurst values.
 grid: a run on the coarse grid that keeps every ``ratio``-th node steps
 whenever the master step reaches one of its nodes, reusing
 ``values[:, ::ratio]``, and every run that steps at a master step joins one
-batched damped-Newton solve.  :func:`backward_euler_block` is its one-run
+batched damped-Newton solve (a linear drift's runs step one after the
+other instead, see below).  :func:`backward_euler_block` is its one-run
 call.  Each run steps from its current state and stores only the nodes
 its caller reduces (``keep``): a rate table keeps the terminal states, a
 limit comparison every node of the reference.
 
-A pass costs almost only Python overhead per master step, so the fewer
-blocks the better while their tensors stay small.  :func:`block_count`
-takes the fewest blocks, a multiple of the worker count, whose noise
-tensors stay within :data:`BLOCK_BYTES`, 4 MiB: 128 lanes of the planar
-cubic's 2048-step grid, 255 of a scalar drift's.  One-run passes over that
-grid (``tests/bench_engine.py``, 2-core machine, numpy 2.4, medians of
-three) took 0.43 s at 20 lanes, 0.45 s at 40, 0.49 s at 80, 0.57 s at 160
-and 0.67 s at 320, or 21, 11, 6.1, 3.6 and 2.1 ms per lane: past about 100
-lanes a lane costs about 1 ms of its own, while the pass's fixed ~0.4 s
-is already shared, so a larger budget would save little more and cost
-memory in proportion.  Before the predictor start and the closed-form
-2x2 solve, the same passes took 0.49-0.60 s at 20 lanes and 0.89-1.36 s
-at 320 on the same machine.
+The Newton pass of a drift costs almost only Python overhead per master
+step, so the fewer blocks the better while their tensors stay small.
+:func:`block_count` takes the fewest blocks, a multiple of the worker
+count, whose noise tensors stay within :data:`BLOCK_BYTES`, 4 MiB: 128
+lanes of the planar cubic's 2048-step grid, 255 of a scalar drift's.
+One-run passes over that grid (``tests/bench_engine.py``, 2-core machine,
+numpy 2.4, medians of three) took 0.43 s at 20 lanes, 0.45 s at 40, 0.49
+s at 80, 0.57 s at 160 and 0.67 s at 320, or 21, 11, 6.1, 3.6 and 2.1 ms
+per lane: past about 100 lanes a lane costs about 1 ms of its own, while
+the pass's fixed ~0.4 s is already shared, so a larger budget would save
+little more and cost memory in proportion.  Before the predictor start
+and the closed-form 2x2 solve, the same passes took 0.49-0.60 s at 20
+lanes and 0.89-1.36 s at 320 on the same machine.
 
 Every Newton decision is taken per row, one row per lane and run: the
 start (the target or the explicit predictor), stopping, each halving of
@@ -35,18 +36,35 @@ batchmates, the block size or the other runs of the pass.  A row that
 stalls, reaches ``max_iter``, or gets a singular or non-finite Newton
 update is solved again from the same target by the scalar
 :func:`~fbmsde.solver.solve_backward_step`, which brings the scalar
-bisection rescue and the scalar errors with it.  A linear drift
-(``DriftSpec.matrix``) starts every row at its direct solution, as the
-single-path loops do: one stacked :func:`~fbmsde.solver._solve_linear`
-and one drift evaluation for the residual, counted as one iteration, so
-a step whose rows all meet the tolerance builds no Jacobian.  A row whose
-solution misses the tolerance goes on with Newton from it; one whose
-solution is not finite (a singular system) goes to the scalar solver.
+bisection rescue and the scalar errors with it.  A linear drift's rows
+(``DriftSpec.matrix``) start at their direct solution, as the single-path
+loops do: one stacked :func:`~fbmsde.solver._solve_linear` and one drift
+evaluation for the residual, counted as one iteration, so a step whose
+rows all meet the tolerance builds no Jacobian.  A row whose solution
+misses the tolerance goes on with Newton from it; one whose solution is
+not finite (a singular system) goes to the scalar solver.
 A failing lane is replayed one run at a time, so its error is that of
 its first failing run in the order of ``runs``, and
 :func:`lowest_failure` turns the error of a failing block into that of
 its lowest failing lane, so which path a failure names does not depend
 on the blocks either.
+
+A linear drift takes a pass of its own, which costs a few numpy calls
+per step of each run instead of the Newton pass's overhead per master
+step.  It steps one run at a time, in chunks of :data:`_CHUNK` (256)
+steps of the run.  Within a chunk each step builds its target as the
+Newton pass does and is one direct solve of ``(I - θδA) y = c`` by
+:func:`~fbmsde.solver._solve_small`, the system built once per distinct
+θδ.  After the chunk one stacked :func:`_newton_rows` call takes every
+step of the chunk as the Newton pass would, and its counts are the
+pass's counts.  A lane with a step that is not a plain converged direct
+solve (more iterations, or a fallback) is stepped again by the Newton
+pass, so the states, counts and errors of every lane are the Newton
+pass's bit for bit.  The five-run pass of ``configs/limit_linear.cfg``
+on 64 lanes took 18-34 ms against 51-89 ms for the Newton pass, and on a
+2x2 drift 58-94 ms against 97-132 ms (``tests/bench_engine.py``, minima
+and medians of three alternating runs, 2-core machine whose speed
+switched between levels).
 
 Single paths stay on the scalar integrators of :mod:`fbmsde.integrate`:
 with one lane a batched step costs more than a scalar one, about 140-230
@@ -88,6 +106,10 @@ T = TypeVar("T")
 # Most bytes of the noise tensor of one block, ``M·(n+1)·m·8``.  Lane
 # results do not depend on the blocks; the budget bounds the block tensors.
 BLOCK_BYTES = 4 * 2**20
+
+# Steps of a linear drift's run solved directly before one stacked check;
+# the chunk bounds the arrays that the check holds.
+_CHUNK = 256
 
 
 def block_count(lanes: int, threads: int, lane_bytes: int) -> int:
@@ -300,7 +322,8 @@ def backward_euler_runs(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
 
     ``runs`` lists ``(ratio, theta)`` pairs: the θ-method of ``theta`` on
     the coarse grid that keeps every ``ratio``-th node of the block's
-    grid.  The runs advance together in one pass over the block's grid.
+    grid.  The runs advance together in one pass over the block's grid,
+    or one after the other for a linear drift, with the same results.
     A run stores its state only at its nodes that are multiples of
     ``keep``, a divisor of the grid's step count: every
     ``lcm(ratio, keep) / ratio``-th node of its grid, the first and the
@@ -338,7 +361,8 @@ def backward_euler_runs(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
             stop, runs = exc, runs[:i]
             break
     try:
-        out = _advance(spec, block, x0, runs, cfg, keep)
+        out = (_advance if spec.matrix is None else _linear_advance)(
+            spec, block, x0, runs, cfg, keep)
     except SolverError as exc:
         lane = exc.lane
         if len(runs) > 1:
@@ -428,9 +452,96 @@ def _advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
             for r, stride in enumerate(strides):
                 if (k + 1) % stride == 0:
                     states[r][:, (k + 1) // stride] = current[r]
+    return states, _lane_counts(sums, most)
+
+
+def _lane_counts(sums: np.ndarray, most: np.ndarray) -> np.ndarray:
+    """The ``(M, 4)`` counts of every lane from the summed counts of
+    :func:`_newton_rows` per run and lane, shape ``(runs, M, 3)``, and the
+    most iterations of one step per run and lane."""
     total = sums.sum(axis=0)
-    return states, np.column_stack([total[:, 0], most.max(axis=0, initial=0),
-                                    total[:, 1], total[:, 2]])
+    return np.column_stack([total[:, 0], most.max(axis=0, initial=0),
+                            total[:, 1], total[:, 2]])
+
+
+def _linear_advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
+                    runs: list[tuple[int, float]], cfg: SolveConfig, keep: int
+                    ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The pass of :func:`_advance` for a linear drift, run by run in
+    chunks of :data:`_CHUNK` steps.
+
+    Within a chunk a step builds its target as :func:`_advance` does and
+    solves ``(I - θδA) y = c`` directly by :func:`_solve_small`, with the
+    system built once per distinct θδ.  One stacked :func:`_newton_rows`
+    call then checks every step of the chunk, and its counts are summed
+    as :func:`_advance` sums them.  Every lane with a step that is not a
+    plain converged direct solve, one that took more iterations or fell
+    back, is stepped again by :func:`_advance`, on the lanes from the
+    first such lane to the last, so a failure is the one that
+    :func:`_advance` raises on the whole block, its lane in ``lane``.
+    """
+    lanes, n = block.values.shape[0], block.grid.n_steps
+    times, values = block.grid.times, block.values
+    states = []
+    sums = np.zeros((len(runs), lanes, 3), dtype=np.int64)
+    most = np.zeros((len(runs), lanes), dtype=np.int64)
+    missed = np.zeros(lanes, dtype=bool)
+    with np.errstate(all="ignore"):
+        for r, (ratio, theta) in enumerate(runs):
+            steps = n // ratio
+            # Run steps per stored node.
+            per = math.lcm(ratio, keep) // ratio
+            out = np.empty((lanes, steps // per + 1, spec.dim))
+            out[:, 0] = x0
+            y = out[:, 0]
+            size, system = math.nan, None
+            for start in range(0, steps, _CHUNK):
+                stop = min(start + _CHUNK, steps)
+                nodes = slice(start * ratio, stop * ratio + 1, ratio)
+                v, t = values[:, nodes], times[nodes]
+                jumps, deltas = v[:, 1:] - v[:, :-1], t[1:] - t[:-1]
+                sizes = theta * deltas
+                targets = np.empty((stop - start, lanes, spec.dim))
+                for i, (delta, step) in enumerate(zip(deltas.tolist(), sizes.tolist())):
+                    c = y
+                    if theta < 1.0:
+                        c = c + (1.0 - theta) * delta * spec.eval(y)
+                    c = np.add(c, jumps[:, i], out=targets[i])
+                    if theta == 0.0:
+                        y = c
+                    else:
+                        if step != size:
+                            size = step
+                            system = np.eye(spec.dim) - np.full((lanes, 1, 1), size) \
+                                * spec.matrix
+                        y = _solve_small(system, c[:, :, None])[:, :, 0]
+                    if (start + i + 1) % per == 0:
+                        out[:, (start + i + 1) // per] = y
+                if theta == 0.0:
+                    continue
+                _, tally, _ = _newton_rows(spec, np.repeat(sizes, lanes)[:, None],
+                                           targets.reshape(-1, spec.dim), cfg)
+                tally = tally.reshape(stop - start, lanes, 3)
+                # A plain converged direct solve counts one iteration, no
+                # halving and no fallback.
+                missed |= (tally != (1, 0, 0)).any(axis=(0, 2))
+                sums[r] += tally.sum(axis=0)
+                np.maximum(most[r], tally[:, :, 0].max(axis=0), out=most[r])
+            states.append(out)
+    counts = _lane_counts(sums, most)
+    if missed.any():
+        lo, hi = np.flatnonzero(missed)[[0, -1]]
+        lo, hi = int(lo), int(hi) + 1
+        try:
+            again, again_counts = _advance(spec, block.select(slice(lo, hi)), x0,
+                                           runs, cfg, keep)
+        except SolverError as exc:
+            exc.lane += lo
+            raise
+        for run, part in zip(states, again):
+            run[lo:hi] = part
+        counts[lo:hi] = again_counts
+    return states, counts
 
 
 def backward_euler_block(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,

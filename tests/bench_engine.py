@@ -17,13 +17,18 @@ sweep of 20 paths keeping the terminal states only, as
 The linear cases time the layers that ``limit`` adds on ``b(x) = -x``: the
 five-run pass of ``configs/limit_linear.cfg`` (the reference and n = 32 to
 256) on 64 lanes keeping every node, one direct solve per lane step,
-counted as one Newton iteration, and
+counted as one Newton iteration, the same pass on a 2x2 linear drift, and
 :func:`fbmsde.integrate.fundamental_matrix_block` along its 64 reference
 runs, one division per lane and node; the planar flow case solves its
 2x2 systems by Cramer's rule.  Solved directly instead of by one damped
 Newton iteration from the explicit predictor, the pass took 53-58 ms
 against 128-135 ms (minima and medians of two alternating runs, 2-core
-machine, numpy 2.4).  The ``U`` cases time
+machine, numpy 2.4).  Stepped run by run by direct solves alone, each
+256-step chunk checked by one stacked Newton call, the pass took 18-34 ms
+against 51-89 ms for the pass that solves every master step's rows
+together by the Newton loop, and 58-94 ms against 97-132 ms on the 2x2
+drift (minima and medians of three alternating runs, on a host whose
+speed switched between levels).  The ``U`` cases time
 :func:`fbmsde.limit.compute_U_block`, which ``limit`` runs, along the same
 64 reference runs: on ``b(x) = -x`` its step factors and their suffix
 products are built once for all lanes, on the planar cubic it steps ``U``
@@ -118,6 +123,7 @@ GRID = Partition.uniform(1.0, 2048)
 X0 = np.array([1.0, 1.0])
 RATE_RUNS = [(1, 1.0)] + [(ratio, 1.0) for ratio in (64, 32, 16, 8, 4)]
 LINEAR = make_linear_drift(np.array([[-1.0]]))
+LINEAR_2X2 = make_linear_drift(np.array([[-1.0, 0.5], [-0.5, -1.0]]))
 LIMIT_RUNS = [(1, 1.0)] + [(GRID.n_steps // n, 1.0) for n in (32, 64, 128, 256)]
 
 
@@ -151,10 +157,12 @@ def test_rate_pass_terminal_only(benchmark):
     assert [s.shape[1] for s in states] == [2] * len(RATE_RUNS)
 
 
-def test_linear_limit_pass(benchmark):
-    block = _block(64, dim=1)
+@pytest.mark.parametrize("spec, x0", [(LINEAR, [1.0]), (LINEAR_2X2, [1.0, 1.0])],
+                         ids=["1x1", "2x2"])
+def test_linear_limit_pass(benchmark, spec, x0):
+    block = _block(64, spec.dim)
     states, counts = benchmark.pedantic(backward_euler_runs,
-                                        (LINEAR, block, np.array([1.0]), LIMIT_RUNS),
+                                        (spec, block, np.array(x0), LIMIT_RUNS),
                                         rounds=3, warmup_rounds=1)
     assert counts[:, 0].sum() == 64 * (2048 + 32 + 64 + 128 + 256)
 

@@ -487,6 +487,33 @@ def test_rate_rejects_repeated_values(tmp_path, capsys, old, new, expected):
      "config error: start x0 must be finite, got [inf]"),
     ("stability", STAB_CFG.replace("x0 = 5.0", "x0 = -inf"),
      "config error: start x0 must be finite, got [-inf]"),
+    # A linear drift needs a finite matrix whose symmetric part, and so
+    # kappa, does not overflow.
+    ("limit", LIMIT_CFG.replace("linear_matrix = -1.0", "linear_matrix = nan"),
+     "config error: linear drift needs a finite matrix, got [[nan]]"),
+    ("limit", LIMIT_CFG.replace("linear_matrix = -1.0", "linear_matrix = inf"),
+     "config error: linear drift needs a finite matrix, got [[inf]]"),
+    ("limit", LIMIT_CFG.replace("linear_matrix = -1.0", "linear_matrix = -inf"),
+     "config error: linear drift needs a finite matrix, got [[-inf]]"),
+    ("limit", LIMIT_CFG.replace("linear_matrix = -1.0",
+                                "linear_matrix = 1e308 0; 0 -1e308")
+     .replace("x0 = 1.0", "x0 = 1.0 1.0"),
+     "config error: linear drift [[1e+308, 0.0], [0.0, -1e+308]] has no finite "
+     "kappa: its symmetric part overflows"),
+    ("rate", RATE_CFG.replace("drift = example2",
+                              "drift = linear\nlinear_matrix = nan 0; 0 -1"),
+     "config error: linear drift needs a finite matrix, got [[nan, 0.0], [0.0, -1.0]]"),
+    ("rate", RATE_CFG.replace("drift = example2",
+                              "drift = linear\nlinear_matrix = 1e308 0; 0 -1e308"),
+     "config error: linear drift [[1e+308, 0.0], [0.0, -1e+308]] has no finite "
+     "kappa: its symmetric part overflows"),
+    ("stability", STAB_CFG.replace("drift = example1",
+                                   "drift = linear\nlinear_matrix = -inf"),
+     "config error: linear drift needs a finite matrix, got [[-inf]]"),
+    ("stability", STAB_CFG.replace("drift = example1",
+                                   "drift = linear\nlinear_matrix = -1e308"),
+     "config error: linear drift [[-1e+308]] has no finite kappa: its symmetric "
+     "part overflows"),
     # A time or a mesh ratio that is not finite has no whole step count.
     ("rate", RATE_CFG.replace("t_final = 1.0", "t_final = inf"),
      "config error: t_final must be finite, got inf\n"
@@ -736,6 +763,21 @@ def test_limit_names_the_path_whose_flow_loses_invertibility(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "solver failure: linearization flow lost invertibility at step 1; refine the "
         f"mesh (path 0, path seed {child_seed(3, 0)})\n")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_limit_names_the_path_whose_linear_step_fails(tmp_path, capsys, threads):
+    # From -1e4 the first step of path 1 stalls below rounding, Newton and
+    # bisection alike, while path 0 steps on: the failure names path 1,
+    # with its seed, whatever lanes its block runs beside it.
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text(LIMIT_CFG.replace("x0 = 1.0", "x0 = -1e4")
+                   .replace("mc_paths = 4", f"mc_paths = 8\nthreads = {threads}"))
+    rc = main(["limit", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "solver failure: step 0: damping stalled with residual 1.819e-12 above tol "
+        f"1e-12 (path 1, path seed {child_seed(3, 1)})\n")
 
 
 # --- stability subcommand ---------------------------------------------------------------

@@ -186,6 +186,22 @@ def test_a_matrix_must_be_the_jacobian(spec, matrix):
         replace(spec, matrix=matrix)
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ([[np.nan]], "linear drift needs a finite matrix, got [[nan]]"),
+    ([[-1.0, np.inf], [0.0, -1.0]],
+     "linear drift needs a finite matrix, got [[-1.0, inf], [0.0, -1.0]]"),
+    # Each entry is finite, but M + M^T overflows.
+    ([[1e308, 0.0], [0.0, -1e308]],
+     "linear drift [[1e+308, 0.0], [0.0, -1e+308]] has no finite kappa: "
+     "its symmetric part overflows"),
+], ids=["nan", "inf", "overflow"])
+def test_a_linear_drift_needs_a_finite_matrix_and_kappa(matrix, message):
+    # Raised before anything overflows: a RuntimeWarning here fails the test.
+    with pytest.raises(DomainError) as err:
+        make_linear_drift(np.array(matrix))
+    assert str(err.value) == message
+
+
 # --- structural validation -------------------------------------------------
 
 def test_check_state_validates_shape_and_dtype():

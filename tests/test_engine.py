@@ -29,7 +29,7 @@ from fbmsde import (
     sample_multi,
     solve_backward_step,
 )
-from fbmsde import drifts
+from fbmsde import drifts, engine
 from fbmsde.drifts import CUBIC1D, DOUBLEWELL1D, PLANAR_CUBIC, _cubic1d_eval, _cubic1d_jac
 from fbmsde.integrate import THETA
 from fbmsde.engine import (
@@ -428,7 +428,7 @@ def _counted(fn, calls, name):
     return counting
 
 
-def test_linear_pass_evaluates_the_drift_once_per_master_step():
+def test_linear_pass_evaluates_the_drift_once_per_chunk_of_each_run():
     linear = make_linear_drift(np.array([[-1.0]]))
     calls = []
     spec = replace(linear, eval=_counted(linear.eval, calls, "eval"),
@@ -437,11 +437,80 @@ def test_linear_pass_evaluates_the_drift_once_per_master_step():
     block = _master_block(16, 1)
     runs = [(1, 1.0)] + [(MASTER.n_steps // n, 1.0) for n in LIMIT_N]
     states, counts = backward_euler_runs(spec, block, [1.0], runs)
-    # One residual check over the rows of every run that steps, no Newton.
-    assert calls == ["eval"] * MASTER.n_steps
+    # Direct solves, then one residual check per chunk of a run's steps,
+    # no Newton: 8 chunks of the 2048-step reference, one of every n.
+    chunks = sum(-(-steps // engine._CHUNK) for steps in (MASTER.n_steps, *LIMIT_N))
+    assert chunks == 12
+    assert calls == ["eval"] * chunks
     want, _ = backward_euler_runs(linear, block, [1.0], runs)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(states, want))
     assert SolveStats.of(counts).fallbacks == 0
+
+
+def test_a_failing_linear_lane_keeps_its_name():
+    # Lane 2 jumps by about 3e4 at step 1: its direct solution misses the
+    # tolerance, Newton and the bisection stall, and the lane is replayed.
+    spec = make_linear_drift(np.array([[-1.0]]))
+    values = np.zeros((4, 3, 1))
+    values[2, 2] = 30102.2
+    block = NoiseBlock(grid=Partition.uniform(2e-3, 2), values=values,
+                       hursts=(HurstVector.constant(0.7, 1),) * 4,
+                       indices=(10, 11, 12, 13), seeds=(100, 101, 102, 103))
+    for runs in ([(1, 1.0)], [(2, 1.0), (1, 1.0), (1, 0.5)]):
+        for run in (lambda b: backward_euler_runs(spec, b, [1.0], runs),
+                    lambda b: lowest_failure(
+                        lambda part: backward_euler_runs(spec, part, [1.0], runs), b)):
+            with pytest.raises(NoConvergenceError) as err:
+                run(block)
+            assert str(err.value) == ("step 1: damping stalled with residual 3.638e-12 "
+                                      "above tol 1e-12 (path 12, path seed 102)")
+            assert (err.value.lane, err.value.path, err.value.step) == (2, 12, 1)
+
+
+# 720 steps of 1e-3, of nine different lengths in the last bits, and the
+# runs of a rate table, of its bias check and of a limit comparison.
+LINEAR_GRID = Partition.uniform(0.72, 720)
+LINEAR_RUNS = {
+    "rate": lambda theta: [(1, 1.0)] + [(ratio, theta) for ratio in (16, 8, 4)],
+    "bias": lambda theta: [(1, 1.0), (2, 1.0), (8, theta)],
+    "limit": lambda theta: [(1, 1.0)] + [(720 // n, 1.0) for n in (45, 90, 180)],
+}
+
+
+@given(matrix=st.sampled_from([((-1.0,),), ((0.37,),),
+                               ((-1.0, 3.0), (-0.5, -2.0))]),
+       kind=st.sampled_from(sorted(LINEAR_RUNS)), theta=st.sampled_from([0.0, 0.5, 1.0]),
+       keep=st.sampled_from([1, 720]), lanes=st.integers(1, 9),
+       jump=st.one_of(st.none(), st.tuples(st.integers(0, 8), st.integers(0, 718))),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_linear_pass_equals_the_newton_pass(matrix, kind, theta, keep, lanes, jump,
+                                            seed):
+    spec = make_linear_drift(np.array(matrix))
+    hv = HurstVector.constant(0.7, spec.dim)
+    block = NoiseBlock.stack([sample_multi(LINEAR_GRID, hv, child_seed(seed, i))
+                              for i in range(lanes)])
+    if jump is not None and jump[0] < lanes:
+        # The lane's noise jumps by 3e4 for one step: the direct solution
+        # of that step often misses the tolerance, and then the lane is
+        # replayed.
+        block.values[jump[0], jump[1] + 1] += 3e4
+    x0 = np.full(spec.dim, 0.5)
+    runs = LINEAR_RUNS[kind](theta)
+    results = []
+    for advance in (engine._advance, engine._linear_advance):
+        try:
+            results.append(advance(spec, block, x0, runs, SolveConfig(), keep))
+        except SolverError as exc:
+            results.append(exc)
+    want, got = results
+    if isinstance(want, SolverError):
+        assert type(got) is type(want)
+        assert (str(got), got.lane, got.step) == (str(want), want.lane, want.step)
+        return
+    assert [s.tobytes() for s in got[0]] == [s.tobytes() for s in want[0]]
+    assert got[1].tobytes() == want[1].tobytes()
+    assert SolveStats.of(got[1]) == SolveStats.of(want[1])
 
 
 def _one_step_block(delta, c):
