@@ -76,7 +76,7 @@ class DriftSpec:
     matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        states = np.linspace(0.25, 2.0, (self.dim + 1) * self.dim).reshape(-1, self.dim)
+        states = _check_states(self.dim)
         for fn in (self.eval, self.jacobian):
             rows = np.stack([np.asarray(fn(x)) for x in states])
             try:
@@ -105,8 +105,11 @@ class DriftSpec:
                               f"a one-dimensional drift evaluates on floats")
         b, db = self.on_float
         stack = points[:, None]
-        pairs = (("eval", b, self.eval(stack)[:, 0]),
-                 ("jacobian", db, self.jacobian(stack)[:, 0, 0]))
+        # The far probes overflow a drift of large coefficients; an
+        # infinity is compared by its bits as any other value.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = (("eval", b, self.eval(stack)[:, 0]),
+                     ("jacobian", db, self.jacobian(stack)[:, 0, 0]))
         for label, fn, want in pairs:
             try:
                 got = np.array([fn(y) for y in points.tolist()], dtype=np.float64)
@@ -134,6 +137,12 @@ class DriftSpec:
                 f"drift {self.name!r} expects states of shape ({self.dim},), "
                 f"got {x.shape}")
         return x
+
+
+def _check_states(dim: int) -> np.ndarray:
+    """The ``dim + 1`` states, entries from 0.25 to 2, on which
+    construction checks a spec."""
+    return np.linspace(0.25, 2.0, (dim + 1) * dim).reshape(-1, dim)
 
 
 def _pointwise(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -242,8 +251,9 @@ def make_linear_drift(matrix: np.ndarray, name: str = "linear") -> DriftSpec:
     ``y * a``.
 
     Raises:
-        DomainError: ``M`` is not square, has a non-finite entry, or its
-            symmetric part overflows, so that ``kappa`` is not finite.
+        DomainError: ``M`` is not square, has a non-finite entry, its
+            symmetric part overflows, so that ``kappa`` is not finite, or
+            ``M x`` overflows on the states that construction checks.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -258,6 +268,11 @@ def make_linear_drift(matrix: np.ndarray, name: str = "linear") -> DriftSpec:
     if not math.isfinite(kappa):
         raise DomainError(f"linear drift {matrix.tolist()} has no finite kappa: "
                           f"its symmetric part overflows")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(_linear_eval(matrix, _check_states(len(matrix)))).all()
+    if not finite:
+        raise DomainError(f"linear drift {matrix.tolist()} overflows: M x is not "
+                          f"finite for states with entries in [0.25, 2]")
     on_float = None
     if matrix.shape == (1, 1):
         a = float(matrix[0, 0])

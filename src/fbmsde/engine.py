@@ -54,9 +54,12 @@ per step of each run instead of the Newton pass's overhead per master
 step.  It steps one run at a time, in chunks of :data:`_CHUNK` (256)
 steps of the run.  Within a chunk each step builds its target as the
 Newton pass does and is one direct solve of ``(I - θδA) y = c`` by
-:func:`~fbmsde.solver._solve_small`, the system built once per distinct
-θδ.  After the chunk one stacked :func:`_newton_rows` call takes every
-step of the chunk as the Newton pass would, and its counts are the
+:func:`~fbmsde.solver._solve_small`, the system ``I - θδA`` built once
+per distinct θδ without a lane axis: ``_solve_small`` reads its entries
+as Python floats and solves every lane with them, one division in one
+dimension and Cramer's rule in two, with the bits of the system repeated
+per lane.  After the chunk one stacked :func:`_newton_rows` call takes
+every step of the chunk as the Newton pass would, and its counts are the
 pass's counts.  A lane with a step that is not a plain converged direct
 solve (more iterations, or a fallback) is stepped again by the Newton
 pass, so the states, counts and errors of every lane are the Newton
@@ -64,7 +67,10 @@ pass's bit for bit.  The five-run pass of ``configs/limit_linear.cfg``
 on 64 lanes took 18-34 ms against 51-89 ms for the Newton pass, and on a
 2x2 drift 58-94 ms against 97-132 ms (``tests/bench_engine.py``, minima
 and medians of three alternating runs, 2-core machine whose speed
-switched between levels).
+switched between levels).  With the system's entries as floats instead
+of a ``(M, 1, 1)`` system per step, the pass takes 14.1-14.9 ms against
+18.8-19.5 ms, and 45.7-47.7 ms against 54.5-56.6 ms on the 2x2 drift
+(minima and medians of three alternating runs).
 
 Single paths stay on the scalar integrators of :mod:`fbmsde.integrate`:
 with one lane a batched step costs more than a scalar one, about 140-230
@@ -512,8 +518,7 @@ def _linear_advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
                     else:
                         if step != size:
                             size = step
-                            system = np.eye(spec.dim) - np.full((lanes, 1, 1), size) \
-                                * spec.matrix
+                            system = np.eye(spec.dim) - size * spec.matrix
                         y = _solve_small(system, c[:, :, None])[:, :, 0]
                     if (start + i + 1) % per == 0:
                         out[:, (start + i + 1) // per] = y

@@ -22,6 +22,13 @@ depends on the blocks or the worker count.  A rate sweep is one
 validation of the whole config (:func:`validate_rate_config`, every issue
 of every Hurst value at once) and one call of :func:`map_blocks`.  Single
 paths go through :func:`run_scheme` to the scalar integrators.
+
+Every run that solves checks the solvability guard ``kappa·θ·mesh <=
+0.9`` before its first step.  The config alone decides it, so it is
+checked with the config, before any path is sampled: a rate sweep checks
+each of its runs on its master grid, and :func:`validate_stability_config`
+and :func:`validate_limit_config` the runs of their commands, each
+refused run a ``config error:`` line in the solver's words.
 """
 
 from __future__ import annotations
@@ -44,8 +51,17 @@ from .engine import (
     lowest_failure,
     sq_norms,
 )
-from .errors import ConfigError, DomainError
-from .fbm import FbmPath, HurstVector, child_seed, coarsen, sample_multi, zero_path
+from .errors import ConfigError, DomainError, GridError, StepTooLargeError
+from .fbm import (
+    FbmPath,
+    HurstVector,
+    _circulant_levels,
+    _is_uniform,
+    child_seed,
+    coarsen,
+    sample_multi,
+    zero_path,
+)
 from .grids import MAX_STEPS, Partition
 from .integrate import (
     THETA,
@@ -55,7 +71,7 @@ from .integrate import (
     forward_euler,
     reference_solution,
 )
-from .solver import SolveConfig
+from .solver import SolveConfig, _check_step_guard
 
 __all__ = [
     "ExperimentConfig",
@@ -193,6 +209,31 @@ def _threads_issues(threads: int) -> list[str]:
     return [] if threads >= 1 else [f"threads must be >= 1, got {threads}"]
 
 
+def _guard_issues(spec: DriftSpec, t_final: float, steps: int,
+                  runs: list[tuple[int, float]]) -> list[str]:
+    """The solvability-guard error of every θ-method run ``(ratio,
+    theta)`` on the uniform grid of ``steps`` steps on ``[0, t_final]``
+    that its solver refuses before stepping, in the order of ``runs``,
+    with the solver's text; θ = 0 solves nothing, so an explicit run is
+    never refused."""
+    if not spec.kappa > 0.0:
+        return []       # the guard bounds kappa·θ·mesh for kappa > 0 only
+    grid = Partition.uniform(t_final, steps)
+    issues = []
+    for ratio, theta in runs:
+        try:
+            _check_step_guard(spec, theta * grid.subsample(ratio).mesh)
+        except StepTooLargeError as exc:
+            issues.append(str(exc))
+    return issues
+
+
+def _limit_runs(steps: int, n_values: tuple[int, ...]) -> list[tuple[int, float]]:
+    """The runs of a ``limit`` block on a master grid of ``steps`` steps:
+    the implicit reference and the implicit scheme for every ``n``."""
+    return [(1, 1.0)] + [(steps // n, 1.0) for n in n_values]
+
+
 def _limit_issues(n_values: tuple[int, ...], p: float, mc_paths: int,
                  master_factor: int, threads: int) -> list[tuple[str, str]]:
     """The issues of a ``limit`` run's Monte Carlo settings, each as the
@@ -305,10 +346,26 @@ def validate_stability_config(cfg: ExperimentConfig) -> DriftSpec:
         issues.append("stability runs need at least one scheme")
     if cfg.master_mesh is not None and cfg.master_mesh > 0.0:
         issues += _master_issues(cfg)
+    if not issues:
+        assert spec is not None
+        steps, ratio = _stability_steps(cfg)
+        issues = _guard_issues(
+            spec, cfg.t_final, steps,
+            [(ratio, THETA[scheme]) for scheme in cfg.schemes]
+            + ([(1, 1.0)] if cfg.master_mesh is not None else []))
     if issues:
         raise ConfigError(issues)
     assert spec is not None
     return spec
+
+
+def _stability_steps(cfg: ExperimentConfig) -> tuple[int, int]:
+    """The steps of a valid ``stability`` run's master grid, on the master
+    mesh or else on the mesh, and the ratio of the mesh to it."""
+    coarse_steps = _int_ratio(cfg.t_final, cfg.meshes[0])
+    master_mesh = cfg.meshes[0] if cfg.master_mesh is None else cfg.master_mesh
+    master_steps = _int_ratio(cfg.t_final, master_mesh)
+    return master_steps, master_steps // coarse_steps
 
 
 def validate_limit_config(cfg: LimitConfig) -> DriftSpec:
@@ -323,6 +380,10 @@ def validate_limit_config(cfg: LimitConfig) -> DriftSpec:
         issues.append(f"t must be finite, got {cfg.t}")
     issues += [issue for _, issue in _limit_issues(
         cfg.n_values, cfg.p, cfg.mc_paths, cfg.master_factor, cfg.threads)]
+    if not issues and cfg.t > 0.0:
+        assert spec is not None
+        steps = cfg.master_factor * max(cfg.n_values)
+        issues = _guard_issues(spec, cfg.t, steps, _limit_runs(steps, cfg.n_values))
     if issues:
         raise ConfigError(issues)
     assert spec is not None
@@ -433,18 +494,23 @@ class Ensemble:
                             method="circulant")
 
     def block(self, lanes: range) -> NoiseBlock:
-        """The noise block of ``lanes``, each path written straight into
-        the block tensor."""
-        values = np.empty((len(lanes), self.grid.n_steps + 1, self.hursts[0].dim))
-        seeds = []
-        for j, lane in enumerate(lanes):
-            path = self.path(lane)
-            values[j] = path.values
-            seeds.append(path.seed)
-        return NoiseBlock(grid=self.grid, values=values,
-                          hursts=tuple(self.hursts[i // self.paths] for i in lanes),
-                          indices=tuple(i % self.paths for i in lanes),
-                          seeds=tuple(seeds))
+        """The noise block of ``lanes``, each coordinate of each lane
+        sampled straight into the block tensor, with the bits of
+        :meth:`path`."""
+        values = np.zeros((len(lanes), self.grid.n_steps + 1, self.hursts[0].dim))
+        hursts = tuple(self.hursts[i // self.paths] for i in lanes)
+        if self.zero_noise:
+            seeds = (0,) * len(lanes)
+        else:
+            if not _is_uniform(self.grid):
+                raise GridError("circulant sampling requires a uniform grid")
+            seeds = tuple(child_seed(self.seed, i % self.paths) for i in lanes)
+            for lane, hurst, seed in zip(values, hursts, seeds):
+                for i, h in enumerate(hurst.components):
+                    _circulant_levels(lane[1:, i], self.grid.t_final, h,
+                                      child_seed(seed, i))
+        return NoiseBlock(grid=self.grid, values=values, hursts=hursts,
+                          indices=tuple(i % self.paths for i in lanes), seeds=seeds)
 
 
 def map_indexed(worker: Callable[[Any, int], Any], payload: Any, count: int,
@@ -480,20 +546,27 @@ def map_blocks(run: Callable[[NoiseBlock], object], ensemble: Ensemble,
     return map_indexed(partial(_run_block, run, count), ensemble, count, threads)
 
 
-def _rate_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
+def _rate_runs(cfg: ExperimentConfig) -> list[tuple[int, float]]:
+    """The runs of a rate block: the implicit reference on the master
+    grid, then the scheme on every mesh."""
+    theta = THETA[cfg.schemes[0]]
+    return [(1, 1.0)] + [(_int_ratio(mesh, cfg.master_mesh), theta)
+                         for mesh in cfg.meshes]
+
+
+def _rate_block(cfg: ExperimentConfig, spec: DriftSpec,
+                runs: list[tuple[int, float]], noise: NoiseBlock
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per lane: the squared terminal errors of every mesh, the squared
     sup errors of every mesh (no columns without ``sup_error``), and the
     solve counts of the reference and every mesh."""
-    ratios = [_int_ratio(mesh, cfg.master_mesh) for mesh in cfg.meshes]
-    theta = THETA[cfg.schemes[0]]
+    ratios = [ratio for ratio, _ in runs[1:]]
     # The sup errors compare every coarse node; the terminal errors only
     # the last one.
     keep = math.gcd(*ratios) if cfg.sup_error else noise.grid.n_steps
     (ref, *coarse), counts = backward_euler_runs(
-        spec, noise, np.asarray(cfg.x0, dtype=np.float64),
-        [(1, 1.0)] + [(ratio, theta) for ratio in ratios], cfg.solve_config(),
-        keep)
+        spec, noise, np.asarray(cfg.x0, dtype=np.float64), runs,
+        cfg.solve_config(), keep)
     lanes = ref.shape[0]
     sq_terminal = np.empty((lanes, len(cfg.meshes)))
     sq_sup = np.empty((lanes, len(cfg.meshes) if cfg.sup_error else 0))
@@ -545,19 +618,25 @@ def _rate_report(cfg: ExperimentConfig, h: float, sq_terminal: np.ndarray,
                       sup_errors=sup_errors, solve_stats=stats)
 
 
-def _sweep(block: Callable[..., tuple[np.ndarray, ...]], cfg: ExperimentConfig,
-           refine: int = 1) -> list[tuple[np.ndarray, ...]]:
-    """``block(cfg, spec, noise)`` on every lane of every Hurst value, as
-    one :func:`map_blocks` pass over the master grid refined ``refine``
-    times; the block outputs, one tuple per Hurst value.
+def _sweep(block: Callable[..., tuple[np.ndarray, ...]],
+           runs: Callable[[ExperimentConfig], list[tuple[int, float]]],
+           cfg: ExperimentConfig, refine: int = 1) -> list[tuple[np.ndarray, ...]]:
+    """``block(cfg, spec, runs(cfg), noise)`` on every lane of every Hurst
+    value, as one :func:`map_blocks` pass over the master grid refined
+    ``refine`` times; the block outputs, one tuple per Hurst value.
 
     The whole config is validated once first, so every issue of every
-    Hurst value is reported together.
+    Hurst value is reported together, and then the solvability guard of
+    every run, before any path is sampled.
     """
     spec = validate_rate_config(cfg)
-    grid = Partition.uniform(cfg.t_final,
-                             refine * _int_ratio(cfg.t_final, cfg.master_mesh))
-    blocks = map_blocks(partial(block, cfg, spec), Ensemble.of(cfg, spec, grid),
+    steps = refine * _int_ratio(cfg.t_final, cfg.master_mesh)
+    runs = runs(cfg)
+    issues = _guard_issues(spec, cfg.t_final, steps, runs)
+    if issues:
+        raise ConfigError(issues)
+    blocks = map_blocks(partial(block, cfg, spec, runs),
+                        Ensemble.of(cfg, spec, Partition.uniform(cfg.t_final, steps)),
                         cfg.threads)
     outputs = [np.concatenate(parts) for parts in zip(*blocks)]
     return [tuple(out[i * cfg.mc_paths:(i + 1) * cfg.mc_paths] for out in outputs)
@@ -576,7 +655,7 @@ def sweep_strong_error(cfg: ExperimentConfig) -> list[RateReport]:
     """
     return [_rate_report(cfg, h, sq_terminal, sq_sup, SolveStats.of(counts))
             for h, (sq_terminal, sq_sup, counts)
-            in zip(cfg.hurst_values, _sweep(_rate_block, cfg))]
+            in zip(cfg.hurst_values, _sweep(_rate_block, _rate_runs, cfg))]
 
 
 def mc_strong_error(cfg: ExperimentConfig) -> RateReport:
@@ -598,12 +677,9 @@ def stability_compare(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
     spec = validate_stability_config(cfg)
     solve_cfg = cfg.solve_config()
     x0 = np.asarray(cfg.x0, dtype=np.float64)
-    coarse_steps = _int_ratio(cfg.t_final, cfg.meshes[0])
-    master_mesh = cfg.meshes[0] if cfg.master_mesh is None else cfg.master_mesh
-    master_steps = _int_ratio(cfg.t_final, master_mesh)
+    master_steps, ratio = _stability_steps(cfg)
     master_grid = Partition.uniform(cfg.t_final, master_steps)
     master_noise = Ensemble.of(cfg, spec, master_grid).path(0)
-    ratio = master_steps // coarse_steps
     coarse_noise = coarsen(master_noise, master_grid.subsample(ratio))
 
     rows: list[tuple[str, float, float]] = []
@@ -621,13 +697,20 @@ def stability_compare(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
     return rows
 
 
-def _bias_block(cfg: ExperimentConfig, spec: DriftSpec, noise: NoiseBlock
+def _bias_runs(cfg: ExperimentConfig) -> list[tuple[int, float]]:
+    """The runs of a bias block on the master grid refined twice: the
+    implicit reference on it and on the master grid, then the scheme on
+    the finest mesh."""
+    return [(1, 1.0), (2, 1.0),
+            (2 * _int_ratio(min(cfg.meshes), cfg.master_mesh), THETA[cfg.schemes[0]])]
+
+
+def _bias_block(cfg: ExperimentConfig, spec: DriftSpec,
+                runs: list[tuple[int, float]], noise: NoiseBlock
                 ) -> tuple[np.ndarray, np.ndarray]:
-    ratio = 2 * _int_ratio(min(cfg.meshes), cfg.master_mesh)
     (ref_fine, ref_half, y), _ = backward_euler_runs(
-        spec, noise, np.asarray(cfg.x0, dtype=np.float64),
-        [(1, 1.0), (2, 1.0), (ratio, THETA[cfg.schemes[0]])], cfg.solve_config(),
-        noise.grid.n_steps)
+        spec, noise, np.asarray(cfg.x0, dtype=np.float64), runs,
+        cfg.solve_config(), noise.grid.n_steps)
     return (sq_norms(ref_fine[:, -1] - y[:, -1]),
             sq_norms(ref_half[:, -1] - y[:, -1]))
 
@@ -644,7 +727,7 @@ def reference_bias_check(cfg: ExperimentConfig) -> list[float]:
     failure's message are those of one call per Hurst value in turn.
     """
     shifts = []
-    for sq_fine, sq_half in _sweep(_bias_block, cfg, refine=2):
+    for sq_fine, sq_half in _sweep(_bias_block, _bias_runs, cfg, refine=2):
         eps_fine = float(np.sqrt(sq_fine.mean()))
         eps_half = float(np.sqrt(sq_half.mean()))
         shifts.append(0.0 if eps_fine == eps_half == 0.0

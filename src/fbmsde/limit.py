@@ -39,7 +39,13 @@ from .engine import NoiseBlock, SolveStats, backward_euler_runs, name_path, sq_n
 from .errors import ConfigError, DomainError, GridError, StepTooLargeError
 from .fbm import FbmPath, HurstVector, sample_multi  # noqa: F401
 from .grids import Partition, nested_indices
-from .harness import Ensemble, _limit_issues, _lp_norm_with_se, map_blocks
+from .harness import (
+    Ensemble,
+    _limit_issues,
+    _limit_runs,
+    _lp_norm_with_se,
+    map_blocks,
+)
 from .harness import map_indexed  # noqa: F401
 from .integrate import (  # noqa: F401
     FundamentalMatrixPath,
@@ -282,8 +288,7 @@ def _limit_block(spec: DriftSpec, x0: np.ndarray, n_values: tuple[int, ...],
     the solve counts of the runs (see :meth:`SolveStats.of`)."""
     grid = noise.grid
     (ref, *coarse), counts = backward_euler_runs(
-        spec, noise, x0, [(1, 1.0)] + [(grid.n_steps // n, 1.0) for n in n_values],
-        DEFAULT_SOLVE_CONFIG)
+        spec, noise, x0, _limit_runs(grid.n_steps, n_values), DEFAULT_SOLVE_CONFIG)
     rescaled = np.stack([float(n) * (ref[:, -1] - states[:, -1])
                          for n, states in zip(n_values, coarse)], axis=1)
     try:

@@ -22,7 +22,9 @@ dimension :meth:`_ScalarStep.solve` runs the whole damped Newton on
 Python floats, which saves the numpy overhead of one-element arrays.  For
 ``m >= 2`` :meth:`_VectorStep.solve` runs it on arrays, and
 :func:`_solve_small` solves the Newton system, in closed form for
-``m = 2`` (Cramer's rule) and by LAPACK above.  The engine's
+``m = 2`` (Cramer's rule) and by LAPACK above; given one system for a
+whole stack of right-hand sides, as a linear drift's engine pass gives
+it, it reads the system's entries as Python floats.  The engine's
 ``_newton_rows`` takes the same decisions row by row.  On a
 one-dimensional spec the float loop gives the bits of the array loop,
 whose ``_solve_small`` is then a division.
@@ -121,17 +123,26 @@ def _small_det(a: np.ndarray) -> np.ndarray:
 
 def _solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a x = b`` for a stack of small systems: ``a`` of shape
-    ``(..., m, m)``, ``b`` of shape ``(..., m, k)``.
+    ``(..., m, m)``, ``b`` of shape ``(..., m, k)``; an ``a`` of shape
+    ``(m, m)`` is the one system of every right-hand side of the stack.
 
     For m = 1 this is a division, which is what the 1x1 LU solve of one
     column computes, for m = 2 Cramer's rule, and LAPACK above.  Each
     entry comes from operations on its own system alone, so a system of a
-    stack has the bits of the same system solved as a stack of one.  A
-    singular system gives a NaN solution; it is never divided by, so no
-    division warns (a RuntimeWarning of this package is an error under the
-    test suite).
+    stack has the bits of the same system solved as a stack of one.  One
+    system of m <= 2 for the whole stack is read as Python floats, which
+    round as its entries repeated along the stack would, so it gives the
+    bits of that stack at the cost of one system; LAPACK takes one system
+    as a stack.  (Only a system with a NaN entry may give NaNs of other
+    sign bits: of two NaN factors, numpy keeps either one's bits,
+    depending on the memory layout.)  A singular system gives a NaN
+    solution; it is never
+    divided by, so no division warns (a RuntimeWarning of this package is
+    an error under the test suite).
     """
     m = a.shape[-1]
+    if a.ndim == 2 and m <= 2:
+        return _solve_one(a.tolist(), b)
     if m > 2:
         try:
             return np.linalg.solve(a, b)
@@ -154,6 +165,23 @@ def _solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
               where=solvable)
     np.divide(a[..., 0, :1] * b1 - a[..., 1, :1] * b0, det, out=out[..., 1, :],
               where=solvable)
+    return out
+
+
+def _solve_one(a: list[list[float]], b: np.ndarray) -> np.ndarray:
+    """:func:`_solve_small` for one system of m = 1 or 2 with the entries
+    ``a`` as Python floats, in the stacked arithmetic's operation order."""
+    if len(a) == 1:
+        (a00,), = a
+        return b / a00 if a00 != 0.0 else np.full(b.shape, np.nan)
+    (a00, a01), (a10, a11) = a
+    det = a00 * a11 - a01 * a10
+    if det == 0.0:
+        return np.full(b.shape, np.nan)
+    b0, b1 = b[..., 0, :], b[..., 1, :]
+    out = np.empty(b.shape)
+    np.divide(b0 * a11 - a01 * b1, det, out=out[..., 0, :])
+    np.divide(a00 * b1 - a10 * b0, det, out=out[..., 1, :])
     return out
 
 

@@ -38,6 +38,18 @@ the flow followed by one inverse solve per node and lane, ``U`` took
 against 178-219 ms on the planar cubic (medians, on a host whose speed
 switched between two levels).
 
+The sampling cases time :meth:`fbmsde.harness.Ensemble.block`, the fBm
+layer of every Monte Carlo block: 64 lanes of the 2048-step grid of
+``configs/limit_linear.cfg`` and the 80 planar lanes of a ``rate-planar``
+op, 20 paths for each of the Hurst values 0.6 to 0.9.  Sampled straight
+into the block tensor by the one circulant writer, with no grid, path or
+stack per lane, they took 9.8-10.4 ms against 14.7-15.6 ms and 23.9-24.7
+ms against 34.5-36.5 ms, and the five-run linear pass, its steps solved
+with one system whose entries are read as floats instead of a
+``(M, 1, 1)`` system per step, 14.1-14.9 ms against 18.8-19.5 ms and on
+the 2x2 drift 45.7-47.7 ms against 54.5-56.6 ms (minima and medians of
+three alternating runs, 2-core machine, numpy 2.4).
+
 The implicit-step cases time one :func:`fbmsde.solver.solve_backward_step`
 on the scalar cubic (a coarse stability step from about 5, five Newton
 iterations on floats; the explicit predictor overshoots, so Newton starts
@@ -110,6 +122,7 @@ import pytest
 from fbmsde import HurstVector, Partition, child_seed, sample_multi
 from fbmsde.drifts import CUBIC1D, PLANAR_CUBIC, make_linear_drift
 from fbmsde.engine import NoiseBlock, backward_euler_block, backward_euler_runs
+from fbmsde.harness import Ensemble
 from fbmsde.integrate import (
     backward_euler,
     crank_nicolson,
@@ -125,6 +138,17 @@ RATE_RUNS = [(1, 1.0)] + [(ratio, 1.0) for ratio in (64, 32, 16, 8, 4)]
 LINEAR = make_linear_drift(np.array([[-1.0]]))
 LINEAR_2X2 = make_linear_drift(np.array([[-1.0, 0.5], [-0.5, -1.0]]))
 LIMIT_RUNS = [(1, 1.0)] + [(GRID.n_steps // n, 1.0) for n in (32, 64, 128, 256)]
+
+
+@pytest.mark.parametrize("hursts, paths", [
+    ((HurstVector.constant(0.7, 1),), 64),
+    (tuple(HurstVector.constant(h, 2) for h in (0.6, 0.7, 0.8, 0.9)), 20),
+], ids=["limit-64", "planar-80"])
+def test_block_sampling(benchmark, hursts, paths):
+    ensemble = Ensemble(grid=GRID, hursts=hursts, paths=paths, seed=11)
+    block = benchmark.pedantic(ensemble.block, (range(ensemble.lanes),),
+                               rounds=5, warmup_rounds=1)
+    assert block.values.shape == (ensemble.lanes, 2049, hursts[0].dim)
 
 
 def _block(lanes, dim=2):

@@ -514,6 +514,42 @@ def test_rate_rejects_repeated_values(tmp_path, capsys, old, new, expected):
                                    "drift = linear\nlinear_matrix = -1e308"),
      "config error: linear drift [[-1e+308]] has no finite kappa: its symmetric "
      "part overflows"),
+    # A matrix with a finite kappa whose drift overflows on the states
+    # that construction checks.
+    ("limit", LIMIT_CFG.replace("linear_matrix = -1.0",
+                                "linear_matrix = 0 1e308; -1e308 0")
+     .replace("x0 = 1.0", "x0 = 1.0 1.0"),
+     "config error: linear drift [[0.0, 1e+308], [-1e+308, 0.0]] overflows: "
+     "M x is not finite for states with entries in [0.25, 2]"),
+    ("rate", RATE_CFG.replace("drift = example2",
+                              "drift = linear\nlinear_matrix = 0 1e308; -1e308 0"),
+     "config error: linear drift [[0.0, 1e+308], [-1e+308, 0.0]] overflows: "
+     "M x is not finite for states with entries in [0.25, 2]"),
+    ("stability", STAB_CFG.replace("drift = example1",
+                                   "drift = linear\nlinear_matrix = 0 1e308; -1e308 0"),
+     "config error: linear drift [[0.0, 1e+308], [-1e+308, 0.0]] overflows: "
+     "M x is not finite for states with entries in [0.25, 2]"),
+    # The solvability guard of every run that solves, with the solver's
+    # text, before any path is sampled: the reference on the master grid
+    # and every coarse run, at θ·mesh (cn at half its mesh, em never).
+    ("limit", LIMIT_CFG.replace("linear_matrix = -1.0", "linear_matrix = 1e300"),
+     "config error: kappa * mesh = 7.8125e+297 exceeds the 0.9 solvability guard\n"
+     "config error: kappa * mesh = 1.25e+299 exceeds the 0.9 solvability guard\n"
+     "config error: kappa * mesh = 6.25e+298 exceeds the 0.9 solvability guard"),
+    ("rate", RATE_CFG.replace("drift = example2",
+                              "drift = linear\nlinear_matrix = 1e300 0; 0 -1e300"),
+     "config error: kappa * mesh = 7.8125e+297 exceeds the 0.9 solvability guard\n"
+     "config error: kappa * mesh = 6.25e+298 exceeds the 0.9 solvability guard\n"
+     "config error: kappa * mesh = 3.125e+298 exceeds the 0.9 solvability guard"),
+    ("rate", RATE_CFG.replace("drift = example2",
+                              "drift = linear\nlinear_matrix = 1e300 0; 0 -1e300")
+     .replace("schemes = bem", "schemes = em"),
+     "config error: kappa * mesh = 7.8125e+297 exceeds the 0.9 solvability guard"),
+    ("stability", STAB_CFG.replace("drift = example1",
+                                   "drift = linear\nlinear_matrix = 1e300"),
+     "config error: kappa * mesh = 4e+298 exceeds the 0.9 solvability guard\n"
+     "config error: kappa * mesh = 8e+298 exceeds the 0.9 solvability guard\n"
+     "config error: kappa * mesh = 1e+296 exceeds the 0.9 solvability guard"),
     # A time or a mesh ratio that is not finite has no whole step count.
     ("rate", RATE_CFG.replace("t_final = 1.0", "t_final = inf"),
      "config error: t_final must be finite, got inf\n"

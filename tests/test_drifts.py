@@ -194,12 +194,25 @@ def test_a_matrix_must_be_the_jacobian(spec, matrix):
     ([[1e308, 0.0], [0.0, -1e308]],
      "linear drift [[1e+308, 0.0], [0.0, -1e+308]] has no finite kappa: "
      "its symmetric part overflows"),
-], ids=["nan", "inf", "overflow"])
+    # kappa is finite (M is skew), but M x overflows.
+    ([[0.0, 1e308], [-1e308, 0.0]],
+     "linear drift [[0.0, 1e+308], [-1e+308, 0.0]] overflows: M x is not "
+     "finite for states with entries in [0.25, 2]"),
+], ids=["nan", "inf", "overflow", "drift-overflow"])
 def test_a_linear_drift_needs_a_finite_matrix_and_kappa(matrix, message):
     # Raised before anything overflows: a RuntimeWarning here fails the test.
     with pytest.raises(DomainError) as err:
         make_linear_drift(np.array(matrix))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("a", [-1e305, 1e300])
+def test_a_large_coefficient_builds_without_warning(a):
+    # The float pair is checked on probes up to 1e8, where y * a
+    # overflows for the first coefficient; no RuntimeWarning may escape.
+    spec = make_linear_drift(np.array([[a]]))
+    assert spec.on_float[0](2.0) == 2.0 * a
+    assert spec.kappa == a
 
 
 # --- structural validation -------------------------------------------------

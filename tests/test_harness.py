@@ -9,8 +9,10 @@ import pytest
 from fbmsde import (
     ConfigError,
     ExperimentConfig,
+    GridError,
     NoConvergenceError,
     SolveConfig,
+    StepTooLargeError,
     child_seed,
     fit_order,
     mc_strong_error,
@@ -20,10 +22,12 @@ from fbmsde import (
     sweep_strong_error,
 )
 from fbmsde import HurstVector, Partition, sample_multi
+from fbmsde import harness
 from fbmsde.csvio import write_rate_csv
 from fbmsde.engine import (
     NoiseBlock,
     backward_euler_block,
+    backward_euler_runs,
     lowest_failure,
     sq_norms,
 )
@@ -122,6 +126,55 @@ def test_validate_stability_config():
     with pytest.raises(ConfigError) as err:
         validate_stability_config(bad)
     assert len(err.value.issues) >= 2
+
+
+def _sampling_fails(*args):
+    raise AssertionError("a path was sampled")
+
+
+@pytest.mark.parametrize("scheme, mesh", [("em", 2.0), ("cn", 1.5), ("cn", 2.0),
+                                          ("bem", 0.75), ("bem", 1.5)])
+def test_rate_guard_refuses_what_the_engine_refuses_before_sampling(
+        monkeypatch, scheme, mesh):
+    # doublewell1d declares kappa = 1: the engine refuses a run whose
+    # θ·mesh exceeds 0.9, which em's θ = 0 never does; the reference on
+    # a quarter of the mesh always passes.
+    cfg = rate_cfg(drift="doublewell1d", x0=(0.5,), t_final=6.0,
+                   schemes=(scheme,), meshes=(mesh,), master_mesh=mesh / 4,
+                   mc_paths=2)
+    spec = resolve_drift(cfg)
+    grid = Partition.uniform(cfg.t_final, round(cfg.t_final / cfg.master_mesh))
+    block = Ensemble.of(cfg, spec, grid).block(range(1))
+    try:
+        backward_euler_runs(spec, block, np.array(cfg.x0), [(4, THETA[scheme])])
+        refused = []
+    except StepTooLargeError as exc:
+        refused = [str(exc)]
+    assert bool(refused) == (THETA[scheme] * mesh > 0.9)
+    monkeypatch.setattr(harness, "_circulant_levels", _sampling_fails)
+    if refused:
+        with pytest.raises(ConfigError) as err:
+            sweep_strong_error(cfg)
+        assert err.value.issues == refused
+    else:
+        with pytest.raises(AssertionError, match="sampled"):
+            sweep_strong_error(cfg)
+
+
+def test_stability_guard_lists_every_implicit_run_and_the_reference():
+    # cn at half of the mesh 2 and the reference on the master mesh 1 are
+    # at the guard's kappa·mesh = 1, bem at 2; em is never refused.
+    cfg = ExperimentConfig(drift="doublewell1d", x0=(0.5,), t_final=6.0,
+                           hurst_values=(0.7,), schemes=("em", "cn", "bem"),
+                           meshes=(2.0,), master_mesh=1.0, mc_paths=1, seed=0)
+    with pytest.raises(ConfigError) as err:
+        validate_stability_config(cfg)
+    assert err.value.issues == [
+        f"kappa * mesh = {value} exceeds the 0.9 solvability guard"
+        for value in (1, 2, 1)]
+    explicit = replace(cfg, schemes=("em",), master_mesh=None)
+    assert validate_stability_config(explicit).name == "doublewell1d"
+    assert len(stability_compare(explicit)) == 3
 
 
 def test_resolve_drift_linear_requires_matrix():
@@ -240,6 +293,44 @@ def test_map_blocks_covers_the_ensemble_in_path_order():
     zero = Ensemble(grid=grid, hursts=(hurst,), paths=5, seed=9,
                     zero_noise=True)
     assert not np.any(zero.path(4).values)
+
+
+@pytest.mark.parametrize("hursts, paths, lanes", [
+    ((HurstVector.constant(0.7, 1),), 6, range(6)),
+    ((HurstVector.constant(0.7, 2),), 6, range(6)),
+    # Two Hurst vectors, one of mixed components, in a block that starts
+    # in the middle of the first and ends in the second.
+    ((HurstVector((0.6, 0.85)), HurstVector((0.9, 0.55))), 4, range(2, 7)),
+], ids=["1d", "2d", "mixed-mid"])
+def test_block_equals_its_paths_bit_for_bit(hursts, paths, lanes):
+    # The block tensor is sampled lane by lane straight into place; every
+    # lane must be the path that Ensemble.path and sample_multi draw.
+    grid = Partition.uniform(1.0, 64)
+    ensemble = Ensemble(grid=grid, hursts=hursts, paths=paths, seed=21)
+    block = ensemble.block(lanes)
+    for j, lane in enumerate(lanes):
+        path = ensemble.path(lane)
+        seed = child_seed(21, lane % paths)
+        drawn = sample_multi(grid, hursts[lane // paths], seed, method="circulant")
+        assert block.values[j].tobytes() == path.values.tobytes() \
+            == drawn.values.tobytes()
+        assert block.seeds[j] == path.seed == seed
+        assert block.hursts[j] == path.hurst
+        assert block.indices[j] == lane % paths
+    zero = replace(ensemble, zero_noise=True).block(lanes)
+    assert zero.seeds == (0,) * len(lanes)
+    assert not np.any(zero.values)
+    assert zero.values.shape == block.values.shape
+
+
+def test_block_refuses_a_grid_that_is_not_uniform():
+    grid = Partition(np.array([0.0, 0.1, 0.3, 1.0]))
+    ensemble = Ensemble(grid=grid, hursts=(HurstVector.constant(0.7, 1),),
+                        paths=2, seed=1)
+    with pytest.raises(GridError, match="uniform grid"):
+        ensemble.path(0)
+    with pytest.raises(GridError, match="uniform grid"):
+        ensemble.block(range(2))
 
 
 @pytest.mark.parametrize("count, threads, workers", [(2, 4, 2), (5, 3, 3)])

@@ -299,6 +299,30 @@ def test_small_solve_of_a_stack_equals_each_system_alone(rng, m, k):
                 1e-14 * np.linalg.cond(a[j]) * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_one_system_for_a_stack_equals_it_repeated(rng, m):
+    # One (m, m) system for every right-hand side of a stack gives the
+    # bytes of the same system repeated along the stack axis, NaNs and
+    # infinities of non-finite right-hand sides included; a singular
+    # system gives NaN rows.
+    b = rng.standard_normal((40, m, 2)) * 10.0 ** rng.integers(-150, 150, (40, m, 2))
+    b[3, 0, 0], b[5, -1, 1], b[8, 0, 1] = np.nan, np.inf, -np.nan
+    b[9], b[11, -1] = -np.inf, np.inf
+    regular = np.eye(m) + 0.5 * rng.standard_normal((m, m))
+    singular = regular.copy()
+    singular[-1] = 0.0
+    for a in (regular, singular, np.zeros((m, m))):
+        with np.errstate(all="ignore"):
+            one = _solve_small(a, b)
+            stacked = _solve_small(np.repeat(a[None], 40, axis=0), b)
+        assert one.tobytes() == stacked.tobytes()
+        assert np.array_equal(np.isnan(one), np.isnan(stacked))
+    assert np.isnan(one).all()
+    with np.errstate(all="ignore"):
+        assert np.isnan(_solve_small(singular, b)).all()
+        assert not np.isnan(_solve_small(regular, b[12:])).any()
+
+
 # --- one step object, re-aimed ------------------------------------------------
 
 _SWAP = replace(DriftSpec.pointwise("swap", 2, lambda y: np.array([y[1], y[0]]),
