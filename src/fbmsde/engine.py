@@ -49,28 +49,29 @@ its first failing run in the order of ``runs``, and
 its lowest failing lane, so which path a failure names does not depend
 on the blocks either.
 
-A linear drift takes a pass of its own, which costs a few numpy calls
-per step of each run instead of the Newton pass's overhead per master
-step.  It steps one run at a time, in chunks of :data:`_CHUNK` (256)
-steps of the run.  Within a chunk each step builds its target as the
-Newton pass does and is one direct solve of ``(I - θδA) y = c`` by
-:func:`~fbmsde.solver._solve_small`, the system ``I - θδA`` built once
-per distinct θδ without a lane axis: ``_solve_small`` reads its entries
-as Python floats and solves every lane with them, one division in one
-dimension and Cramer's rule in two, with the bits of the system repeated
-per lane.  After the chunk one stacked :func:`_newton_rows` call takes
-every step of the chunk as the Newton pass would, and its counts are the
-pass's counts.  A lane with a step that is not a plain converged direct
-solve (more iterations, or a fallback) is stepped again by the Newton
-pass, so the states, counts and errors of every lane are the Newton
-pass's bit for bit.  The five-run pass of ``configs/limit_linear.cfg``
-on 64 lanes took 18-34 ms against 51-89 ms for the Newton pass, and on a
-2x2 drift 58-94 ms against 97-132 ms (``tests/bench_engine.py``, minima
-and medians of three alternating runs, 2-core machine whose speed
-switched between levels).  With the system's entries as floats instead
-of a ``(M, 1, 1)`` system per step, the pass takes 14.1-14.9 ms against
-18.8-19.5 ms, and 45.7-47.7 ms against 54.5-56.6 ms on the 2x2 drift
-(minima and medians of three alternating runs).
+A linear drift takes a pass of its own, which costs two numpy calls per
+step of each run in one dimension instead of the Newton pass's overhead
+per master step.  It steps one run at a time, in chunks of
+:data:`_CHUNK` (256) steps of the run, and holds a chunk's jumps and
+states step-major, so that each step's rows are contiguous.  A step
+turns its row of jumps into its target, built as the Newton pass builds
+it, and writes the direct solution of ``(I - θδA) y = c`` into its row of
+states by :func:`~fbmsde.solver._system_solver`.  The system
+``I - θδA`` is built without a lane axis once per distinct θδ, when its
+entries are also read as Python floats: one division in one dimension,
+Cramer's rule in two and LAPACK above, with the bits of the system
+repeated per lane.  A chunk is then checked by the start of
+:func:`_newton_rows` alone (:func:`_start_rows`): one drift evaluation
+for the residuals, no Jacobian, no second solve and no Newton iteration.
+A linear row of ``_newton_rows`` counts one iteration, no halving and no
+fallback exactly when its direct solution is within the tolerance; a
+lane with a row that is not is stepped again by the Newton pass, so the
+states, counts and errors of every lane are the Newton pass's bit for
+bit.  The five-run pass of ``configs/limit_linear.cfg`` on 64 lanes
+takes 5.8-6.5 ms, 36.4-37.6 ms on a 2x2 drift, and a failing block from
+x0 = 1e4 raises after 55-56 ms (``tests/bench_engine.py``, minima and
+medians at the faster of two speed levels of a 2-core machine, numpy
+2.4).
 
 Single paths stay on the scalar integrators of :mod:`fbmsde.integrate`:
 with one lane a batched step costs more than a scalar one, about 140-230
@@ -100,6 +101,7 @@ from .solver import (
     _check_step_guard,
     _solve_linear,
     _solve_small,
+    _system_solver,
     solve_backward_step,
 )
 
@@ -253,6 +255,16 @@ def _take_rows(took: np.ndarray, new: tuple[np.ndarray, ...],
             np.where(took, new[2], old[2]))
 
 
+def _start_rows(spec: DriftSpec, delta: np.ndarray, y: np.ndarray, c: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The residual ``y - delta b(y) - c`` of every row of the start ``y``,
+    its norm, and the mask of the rows whose norm is within ``tol``: the
+    test that ends a linear step at its direct solution."""
+    res = y - delta * spec.eval(y) - c
+    norm = np.sqrt(sq_norms(res))
+    return res, norm, norm <= tol
+
+
 def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
                  cfg: SolveConfig
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,15 +279,16 @@ def _newton_rows(spec: DriftSpec, delta: np.ndarray, c: np.ndarray,
     needs the scalar solver) and the mask of the rows that need it.  A
     linear drift's rows start at their direct solution by
     :func:`~fbmsde.solver._solve_linear`, one iteration, and return at
-    once when every row is within ``cfg.tol``; a row whose direct solution
+    once when every row is within ``cfg.tol`` by :func:`_start_rows`; so a
+    linear row counts ``(1, 0, 0)`` exactly when :func:`_start_rows` puts
+    its direct solution within the tolerance.  A row whose direct solution
     is not finite gets a non-finite Newton update and falls back.
     """
     linear = spec.matrix is not None
     y = _solve_linear(spec.matrix, delta, c) if linear else c.copy()
-    res = y - delta * spec.eval(y) - c
-    norm = np.sqrt(sq_norms(res))
+    res, norm, within = _start_rows(spec, delta, y, c, cfg.tol)
     tally = np.zeros((c.shape[0], 3), dtype=np.int64)
-    active = ~(norm <= cfg.tol)
+    active = ~within
     if linear:
         # The direct solution counts as one iteration.
         tally[:, 0] = 1
@@ -458,16 +471,9 @@ def _advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
             for r, stride in enumerate(strides):
                 if (k + 1) % stride == 0:
                     states[r][:, (k + 1) // stride] = current[r]
-    return states, _lane_counts(sums, most)
-
-
-def _lane_counts(sums: np.ndarray, most: np.ndarray) -> np.ndarray:
-    """The ``(M, 4)`` counts of every lane from the summed counts of
-    :func:`_newton_rows` per run and lane, shape ``(runs, M, 3)``, and the
-    most iterations of one step per run and lane."""
     total = sums.sum(axis=0)
-    return np.column_stack([total[:, 0], most.max(axis=0, initial=0),
-                            total[:, 1], total[:, 2]])
+    return states, np.column_stack([total[:, 0], most.max(axis=0, initial=0),
+                                    total[:, 1], total[:, 2]])
 
 
 def _linear_advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
@@ -476,64 +482,73 @@ def _linear_advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
     """The pass of :func:`_advance` for a linear drift, run by run in
     chunks of :data:`_CHUNK` steps.
 
-    Within a chunk a step builds its target as :func:`_advance` does and
-    solves ``(I - θδA) y = c`` directly by :func:`_solve_small`, with the
-    system built once per distinct θδ.  One stacked :func:`_newton_rows`
-    call then checks every step of the chunk, and its counts are summed
-    as :func:`_advance` sums them.  Every lane with a step that is not a
-    plain converged direct solve, one that took more iterations or fell
-    back, is stepped again by :func:`_advance`, on the lanes from the
-    first such lane to the last, so a failure is the one that
-    :func:`_advance` raises on the whole block, its lane in ``lane``.
+    A chunk holds its jumps and its states step-major, shape ``(steps, M,
+    m, 1)``, so that each step's rows are contiguous.  A step turns its
+    row of jumps into its target, built as :func:`_advance` builds it, and
+    writes the direct solution of ``(I - θδA) y = c`` into its row of
+    states by :func:`~fbmsde.solver._system_solver`, the system built and
+    its entries read once per distinct θδ.  The chunk's kept nodes are
+    then copied out, and the chunk is checked by :func:`_start_rows`
+    alone, one drift evaluation: a linear row of :func:`_newton_rows`
+    counts one iteration, no halving and no fallback exactly when its
+    direct solution is within ``cfg.tol``.  A lane whose rows all are
+    counts one iteration per implicit step; every other lane is stepped
+    again by :func:`_advance`, on the lanes from the first such lane to
+    the last, so a failure is the one that :func:`_advance` raises on the
+    whole block, its lane in ``lane``.
     """
-    lanes, n = block.values.shape[0], block.grid.n_steps
+    lanes, n, m = block.values.shape[0], block.grid.n_steps, spec.dim
     times, values = block.grid.times, block.values
     states = []
-    sums = np.zeros((len(runs), lanes, 3), dtype=np.int64)
-    most = np.zeros((len(runs), lanes), dtype=np.int64)
     missed = np.zeros(lanes, dtype=bool)
     with np.errstate(all="ignore"):
-        for r, (ratio, theta) in enumerate(runs):
+        for ratio, theta in runs:
             steps = n // ratio
             # Run steps per stored node.
             per = math.lcm(ratio, keep) // ratio
-            out = np.empty((lanes, steps // per + 1, spec.dim))
+            out = np.empty((lanes, steps // per + 1, m))
             out[:, 0] = x0
-            y = out[:, 0]
-            size, system = math.nan, None
+            y = out[:, 0, :, None]
+            size = math.nan
             for start in range(0, steps, _CHUNK):
                 stop = min(start + _CHUNK, steps)
                 nodes = slice(start * ratio, stop * ratio + 1, ratio)
-                v, t = values[:, nodes], times[nodes]
-                jumps, deltas = v[:, 1:] - v[:, :-1], t[1:] - t[:-1]
+                v, t = values[:, nodes].swapaxes(0, 1), times[nodes]
+                deltas = t[1:] - t[:-1]
                 sizes = theta * deltas
-                targets = np.empty((stop - start, lanes, spec.dim))
-                for i, (delta, step) in enumerate(zip(deltas.tolist(), sizes.tolist())):
+                targets = np.empty((stop - start, lanes, m, 1))
+                np.subtract(v[1:], v[:-1], out=targets[..., 0])
+                ys = targets if theta == 0.0 else np.empty_like(targets)
+                for jump, row, delta, step in zip(targets, ys, deltas.tolist(),
+                                                  sizes.tolist()):
                     c = y
                     if theta < 1.0:
-                        c = c + (1.0 - theta) * delta * spec.eval(y)
-                    c = np.add(c, jumps[:, i], out=targets[i])
+                        c = c + (1.0 - theta) * delta * spec.eval(y[..., 0])[..., None]
+                    # The step's row of jumps becomes its target.
+                    c = np.add(c, jump, jump)
                     if theta == 0.0:
                         y = c
-                    else:
-                        if step != size:
-                            size = step
-                            system = np.eye(spec.dim) - size * spec.matrix
-                        y = _solve_small(system, c[:, :, None])[:, :, 0]
-                    if (start + i + 1) % per == 0:
-                        out[:, (start + i + 1) // per] = y
-                if theta == 0.0:
-                    continue
-                _, tally, _ = _newton_rows(spec, np.repeat(sizes, lanes)[:, None],
-                                           targets.reshape(-1, spec.dim), cfg)
-                tally = tally.reshape(stop - start, lanes, 3)
-                # A plain converged direct solve counts one iteration, no
-                # halving and no fallback.
-                missed |= (tally != (1, 0, 0)).any(axis=(0, 2))
-                sums[r] += tally.sum(axis=0)
-                np.maximum(most[r], tally[:, :, 0].max(axis=0), out=most[r])
+                        continue
+                    if step != size:
+                        size = step
+                        solve = _system_solver(np.eye(m) - size * spec.matrix)
+                    y = solve(c, row)
+                # Row i of the chunk is node start + i + 1; copy out the
+                # nodes that the run stores.
+                first = -(start + 1) % per
+                kept = ys[first::per, :, :, 0]
+                node = (start + first + 1) // per
+                out[:, node:node + kept.shape[0]] = kept.swapaxes(0, 1)
+                if theta != 0.0:
+                    _, _, within = _start_rows(spec, np.repeat(sizes, lanes)[:, None],
+                                               ys.reshape(-1, m), targets.reshape(-1, m),
+                                               cfg.tol)
+                    missed |= ~within.reshape(-1, lanes).all(axis=0)
             states.append(out)
-    counts = _lane_counts(sums, most)
+    # Each implicit step of a lane that missed none is one iteration.
+    implicit = sum(n // ratio for ratio, theta in runs if theta != 0.0)
+    counts = np.zeros((lanes, 4), dtype=np.int64)
+    counts[:, 0], counts[:, 1] = implicit, implicit > 0
     if missed.any():
         lo, hi = np.flatnonzero(missed)[[0, -1]]
         lo, hi = int(lo), int(hi) + 1

@@ -22,12 +22,14 @@ dimension :meth:`_ScalarStep.solve` runs the whole damped Newton on
 Python floats, which saves the numpy overhead of one-element arrays.  For
 ``m >= 2`` :meth:`_VectorStep.solve` runs it on arrays, and
 :func:`_solve_small` solves the Newton system, in closed form for
-``m = 2`` (Cramer's rule) and by LAPACK above; given one system for a
-whole stack of right-hand sides, as a linear drift's engine pass gives
-it, it reads the system's entries as Python floats.  The engine's
-``_newton_rows`` takes the same decisions row by row.  On a
-one-dimensional spec the float loop gives the bits of the array loop,
-whose ``_solve_small`` is then a division.
+``m = 2`` (Cramer's rule) and by LAPACK above.  A linear drift's engine
+pass solves every step of a run with one system for the whole stack of
+lanes through :func:`_system_solver`, which for ``m <= 2`` reads the
+system's entries as Python floats once and writes each solution into
+the pass's buffer of states.  The engine's ``_newton_rows`` takes the
+same decisions row by row.  On a one-dimensional spec the float loop
+gives the bits of the array loop, whose ``_solve_small`` is then a
+division.
 
 A linear drift ``b(y) = A y`` (``DriftSpec.matrix``) starts instead from
 the direct solution of ``(I - delta A) y = c`` (:func:`_solve_linear`, a
@@ -129,20 +131,13 @@ def _solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     For m = 1 this is a division, which is what the 1x1 LU solve of one
     column computes, for m = 2 Cramer's rule, and LAPACK above.  Each
     entry comes from operations on its own system alone, so a system of a
-    stack has the bits of the same system solved as a stack of one.  One
-    system of m <= 2 for the whole stack is read as Python floats, which
-    round as its entries repeated along the stack would, so it gives the
-    bits of that stack at the cost of one system; LAPACK takes one system
-    as a stack.  (Only a system with a NaN entry may give NaNs of other
-    sign bits: of two NaN factors, numpy keeps either one's bits,
-    depending on the memory layout.)  A singular system gives a NaN
-    solution; it is never
-    divided by, so no division warns (a RuntimeWarning of this package is
-    an error under the test suite).
+    stack has the bits of the same system solved as a stack of one, and
+    one system broadcast along a stack the bits of it repeated.  A
+    singular system gives a NaN solution; it is never divided by, so no
+    division warns (a RuntimeWarning of this package is an error under
+    the test suite).
     """
     m = a.shape[-1]
-    if a.ndim == 2 and m <= 2:
-        return _solve_one(a.tolist(), b)
     if m > 2:
         try:
             return np.linalg.solve(a, b)
@@ -168,21 +163,46 @@ def _solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_one(a: list[list[float]], b: np.ndarray) -> np.ndarray:
+def _solve_one(a: list[list[float]], b: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
     """:func:`_solve_small` for one system of m = 1 or 2 with the entries
-    ``a`` as Python floats, in the stacked arithmetic's operation order."""
+    ``a`` as Python floats, in the stacked arithmetic's operation order:
+    they round as the entries repeated along the stack would, so this
+    gives the bits of that stack at the cost of one system.  (Only a
+    system with a NaN entry may give NaNs of other sign bits: of two NaN
+    factors, numpy keeps either one's bits, depending on the memory
+    layout.)"""
+    if out is None:
+        out = np.empty(b.shape)
     if len(a) == 1:
         (a00,), = a
-        return b / a00 if a00 != 0.0 else np.full(b.shape, np.nan)
+        if a00 == 0.0:
+            out.fill(np.nan)
+            return out
+        return np.divide(b, a00, out)
     (a00, a01), (a10, a11) = a
     det = a00 * a11 - a01 * a10
     if det == 0.0:
-        return np.full(b.shape, np.nan)
+        out.fill(np.nan)
+        return out
     b0, b1 = b[..., 0, :], b[..., 1, :]
-    out = np.empty(b.shape)
-    np.divide(b0 * a11 - a01 * b1, det, out=out[..., 0, :])
-    np.divide(a00 * b1 - a10 * b0, det, out=out[..., 1, :])
+    np.divide(b0 * a11 - a01 * b1, det, out[..., 0, :])
+    np.divide(a00 * b1 - a10 * b0, det, out[..., 1, :])
     return out
+
+
+def _system_solver(a: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``b, out ->`` the solution of ``a x = b`` by :func:`_solve_small`,
+    written into ``out``, for the one system ``a`` of shape ``(m, m)``
+    that many stacks share; for m <= 2 its entries are read as Python
+    floats once, here, instead of once per call."""
+    if a.shape[-1] <= 2:
+        return partial(_solve_one, a.tolist())
+
+    def solve(b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out[...] = _solve_small(a, b)
+        return out
+    return solve
 
 
 def _solve_linear(matrix: np.ndarray, delta: np.ndarray, c: np.ndarray) -> np.ndarray:

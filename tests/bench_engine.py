@@ -20,15 +20,12 @@ five-run pass of ``configs/limit_linear.cfg`` (the reference and n = 32 to
 counted as one Newton iteration, the same pass on a 2x2 linear drift, and
 :func:`fbmsde.integrate.fundamental_matrix_block` along its 64 reference
 runs, one division per lane and node; the planar flow case solves its
-2x2 systems by Cramer's rule.  Solved directly instead of by one damped
-Newton iteration from the explicit predictor, the pass took 53-58 ms
-against 128-135 ms (minima and medians of two alternating runs, 2-core
-machine, numpy 2.4).  Stepped run by run by direct solves alone, each
-256-step chunk checked by one stacked Newton call, the pass took 18-34 ms
-against 51-89 ms for the pass that solves every master step's rows
-together by the Newton loop, and 58-94 ms against 97-132 ms on the 2x2
-drift (minima and medians of three alternating runs, on a host whose
-speed switched between levels).  The ``U`` cases time
+2x2 systems by Cramer's rule.  The failing case times the 1x1 pass from
+x0 = 1e4, where some step's direct solution misses the tolerance and the
+Newton pass then stalls (``damping stalled``), until the error.  The
+pass takes 5.8-6.5 ms, 36.4-37.6 ms on the 2x2 drift, and the failing
+case 55-56 ms (minima and medians of five runs, at the faster of the two
+speed levels of a 2-core machine, numpy 2.4).  The ``U`` cases time
 :func:`fbmsde.limit.compute_U_block`, which ``limit`` runs, along the same
 64 reference runs: on ``b(x) = -x`` its step factors and their suffix
 products are built once for all lanes, on the planar cubic it steps ``U``
@@ -44,11 +41,8 @@ layer of every Monte Carlo block: 64 lanes of the 2048-step grid of
 op, 20 paths for each of the Hurst values 0.6 to 0.9.  Sampled straight
 into the block tensor by the one circulant writer, with no grid, path or
 stack per lane, they took 9.8-10.4 ms against 14.7-15.6 ms and 23.9-24.7
-ms against 34.5-36.5 ms, and the five-run linear pass, its steps solved
-with one system whose entries are read as floats instead of a
-``(M, 1, 1)`` system per step, 14.1-14.9 ms against 18.8-19.5 ms and on
-the 2x2 drift 45.7-47.7 ms against 54.5-56.6 ms (minima and medians of
-three alternating runs, 2-core machine, numpy 2.4).
+ms against 34.5-36.5 ms (minima and medians of three alternating runs,
+2-core machine, numpy 2.4).
 
 The implicit-step cases time one :func:`fbmsde.solver.solve_backward_step`
 on the scalar cubic (a coarse stability step from about 5, five Newton
@@ -119,7 +113,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fbmsde import HurstVector, Partition, child_seed, sample_multi
+from fbmsde import HurstVector, NoConvergenceError, Partition, child_seed, sample_multi
 from fbmsde.drifts import CUBIC1D, PLANAR_CUBIC, make_linear_drift
 from fbmsde.engine import NoiseBlock, backward_euler_block, backward_euler_runs
 from fbmsde.harness import Ensemble
@@ -189,6 +183,18 @@ def test_linear_limit_pass(benchmark, spec, x0):
                                         (spec, block, np.array(x0), LIMIT_RUNS),
                                         rounds=3, warmup_rounds=1)
     assert counts[:, 0].sum() == 64 * (2048 + 32 + 64 + 128 + 256)
+
+
+def test_failing_linear_pass(benchmark):
+    # From x0 = 1e4 a step's direct solution misses the tolerance and the
+    # Newton pass stalls on it; timed until the error.
+    block = _block(64, 1)
+
+    def until_the_error():
+        with pytest.raises(NoConvergenceError, match="damping stalled"):
+            backward_euler_runs(LINEAR, block, np.array([1e4]), LIMIT_RUNS)
+
+    benchmark.pedantic(until_the_error, rounds=3, warmup_rounds=1)
 
 
 @pytest.mark.parametrize("spec, x0", [(LINEAR, [1.0]), (PLANAR_CUBIC, [1.0, 1.0])],

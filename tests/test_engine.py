@@ -1,10 +1,11 @@
 """The path-batched implicit Euler engine against the scalar integrator."""
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbmsde import (
@@ -447,16 +448,24 @@ def test_linear_pass_evaluates_the_drift_once_per_chunk_of_each_run():
     assert SolveStats.of(counts).fallbacks == 0
 
 
-def test_a_failing_linear_lane_keeps_its_name():
-    # Lane 2 jumps by about 3e4 at step 1: its direct solution misses the
-    # tolerance, Newton and the bisection stall, and the lane is replayed.
-    spec = make_linear_drift(np.array([[-1.0]]))
+def _failing_linear_block():
+    """Four lanes of two steps; lane 2 jumps by about 3e4 at step 1: its
+    direct solution misses the tolerance, Newton and the bisection stall,
+    and the lane is replayed."""
     values = np.zeros((4, 3, 1))
     values[2, 2] = 30102.2
-    block = NoiseBlock(grid=Partition.uniform(2e-3, 2), values=values,
-                       hursts=(HurstVector.constant(0.7, 1),) * 4,
-                       indices=(10, 11, 12, 13), seeds=(100, 101, 102, 103))
-    for runs in ([(1, 1.0)], [(2, 1.0), (1, 1.0), (1, 0.5)]):
+    return NoiseBlock(grid=Partition.uniform(2e-3, 2), values=values,
+                      hursts=(HurstVector.constant(0.7, 1),) * 4,
+                      indices=(10, 11, 12, 13), seeds=(100, 101, 102, 103))
+
+
+FAILING_LINEAR_RUNS = ([(1, 1.0)], [(2, 1.0), (1, 1.0), (1, 0.5)])
+
+
+def test_a_failing_linear_lane_keeps_its_name():
+    spec = make_linear_drift(np.array([[-1.0]]))
+    block = _failing_linear_block()
+    for runs in FAILING_LINEAR_RUNS:
         for run in (lambda b: backward_euler_runs(spec, b, [1.0], runs),
                     lambda b: lowest_failure(
                         lambda part: backward_euler_runs(spec, part, [1.0], runs), b)):
@@ -465,6 +474,26 @@ def test_a_failing_linear_lane_keeps_its_name():
             assert str(err.value) == ("step 1: damping stalled with residual 3.638e-12 "
                                       "above tol 1e-12 (path 12, path seed 102)")
             assert (err.value.lane, err.value.path, err.value.step) == (2, 12, 1)
+
+
+@pytest.mark.parametrize("runs", FAILING_LINEAR_RUNS, ids=["one-run", "three-runs"])
+def test_a_failing_linear_block_runs_no_newton_before_the_replay(monkeypatch, runs):
+    # The linear pass only checks its direct solutions; the Newton loop,
+    # which builds the Jacobian, runs in the replay alone.
+    linear = make_linear_drift(np.array([[-1.0]]))
+    calls = []
+    spec = replace(linear, jacobian=_counted(linear.jacobian, calls, "jacobian"))
+    calls.clear()       # construction checks the callables
+    advance = engine._advance
+
+    def replay(*args):
+        calls.append("advance")
+        return advance(*args)
+
+    monkeypatch.setattr(engine, "_advance", replay)
+    with pytest.raises(NoConvergenceError):
+        backward_euler_runs(spec, _failing_linear_block(), [1.0], runs)
+    assert calls[:2] == ["advance", "jacobian"]
 
 
 # 720 steps of 1e-3, of nine different lengths in the last bits, and the
@@ -477,24 +506,52 @@ LINEAR_RUNS = {
 }
 
 
+def _grid_with_a_long_step(at):
+    """720 steps of 2^-10 but step ``at``, which lasts 1/2; every node is
+    a dyadic fraction, so every step length is exact."""
+    steps = np.full(720, 2.0**-10)
+    steps[at] = 0.5
+    return Partition(np.concatenate([[0.0], np.cumsum(steps)]))
+
+
 @given(matrix=st.sampled_from([((-1.0,),), ((0.37,),),
-                               ((-1.0, 3.0), (-0.5, -2.0))]),
+                               ((-1.0, 3.0), (-0.5, -2.0)),
+                               ((-1.0, 2.0, 0.0), (-0.5, -2.0, 1.0), (0.3, -1.0, -0.5))]),
        kind=st.sampled_from(sorted(LINEAR_RUNS)), theta=st.sampled_from([0.0, 0.5, 1.0]),
        keep=st.sampled_from([1, 720]), lanes=st.integers(1, 9),
        jump=st.one_of(st.none(), st.tuples(st.integers(0, 8), st.integers(0, 718))),
-       seed=st.integers(0, 2**16))
-@settings(max_examples=30, deadline=None)
+       seed=st.integers(0, 2**16),
+       # Drawn inputs have no singular step; the examples below have one.
+       singular=st.just(None))
+@example(matrix=((-1.0,),), kind="rate", theta=0.5, keep=1, lanes=5, jump=None,
+         seed=3, singular=400)
+@example(matrix=((-1.0,),), kind="limit", theta=1.0, keep=720, lanes=3, jump=(2, 100),
+         seed=4, singular=360)
+@example(matrix=((-1.0,),), kind="bias", theta=0.0, keep=1, lanes=9, jump=(0, 500),
+         seed=5, singular=255)
+@example(matrix=((-1.0,),), kind="rate", theta=1.0, keep=720, lanes=2, jump=None,
+         seed=6, singular=719)
+@settings(max_examples=40, deadline=None)
 def test_linear_pass_equals_the_newton_pass(matrix, kind, theta, keep, lanes, jump,
-                                            seed):
+                                            seed, singular):
     spec = make_linear_drift(np.array(matrix))
+    if singular is not None:
+        # b(x) = 2x, kappa lowered to 0 to pass the guard, on a grid whose
+        # step `singular` has θδa = 1 in the reference run: its system
+        # I - θδA is singular there, in every lane.
+        spec = replace(make_linear_drift(np.array([[2.0]])), kappa=0.0)
     hv = HurstVector.constant(0.7, spec.dim)
     block = NoiseBlock.stack([sample_multi(LINEAR_GRID, hv, child_seed(seed, i))
                               for i in range(lanes)])
+    if singular is not None:
+        block = replace(block, grid=_grid_with_a_long_step(singular))
     if jump is not None and jump[0] < lanes:
         # The lane's noise jumps by 3e4 for one step: the direct solution
         # of that step often misses the tolerance, and then the lane is
         # replayed.
         block.values[jump[0], jump[1] + 1] += 3e4
+    # Neither pass writes the noise.
+    block.values.flags.writeable = False
     x0 = np.full(spec.dim, 0.5)
     runs = LINEAR_RUNS[kind](theta)
     results = []
@@ -511,6 +568,11 @@ def test_linear_pass_equals_the_newton_pass(matrix, kind, theta, keep, lanes, ju
     assert [s.tobytes() for s in got[0]] == [s.tobytes() for s in want[0]]
     assert got[1].tobytes() == want[1].tobytes()
     assert SolveStats.of(got[1]) == SolveStats.of(want[1])
+    if jump is None:
+        # Every direct solution meets the tolerance: the states are the
+        # linear pass's own, with no lane stepped again by the Newton pass.
+        with mock.patch.object(engine, "_advance", side_effect=AssertionError):
+            engine._linear_advance(spec, block, x0, runs, SolveConfig(), keep)
 
 
 def _one_step_block(delta, c):

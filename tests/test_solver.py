@@ -24,6 +24,7 @@ from fbmsde.solver import (
     _ScalarStep,
     _solve_linear,
     _solve_small,
+    _system_solver,
     _step_for,
     _VectorStep,
 )
@@ -315,8 +316,11 @@ def test_one_system_for_a_stack_equals_it_repeated(rng, m):
         with np.errstate(all="ignore"):
             one = _solve_small(a, b)
             stacked = _solve_small(np.repeat(a[None], 40, axis=0), b)
+            # The engine's linear pass writes into its own buffer.
+            into = _system_solver(a)(b, np.full(b.shape, 7.0))
         assert one.tobytes() == stacked.tobytes()
         assert np.array_equal(np.isnan(one), np.isnan(stacked))
+        assert into.tobytes() == one.tobytes()
     assert np.isnan(one).all()
     with np.errstate(all="ignore"):
         assert np.isnan(_solve_small(singular, b)).all()
