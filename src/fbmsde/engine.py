@@ -24,9 +24,7 @@ numpy 2.4, medians of three) took 0.43 s at 20 lanes, 0.45 s at 40, 0.49
 s at 80, 0.57 s at 160 and 0.67 s at 320, or 21, 11, 6.1, 3.6 and 2.1 ms
 per lane: past about 100 lanes a lane costs about 1 ms of its own, while
 the pass's fixed ~0.4 s is already shared, so a larger budget would save
-little more and cost memory in proportion.  Before the predictor start
-and the closed-form 2x2 solve, the same passes took 0.49-0.60 s at 20
-lanes and 0.89-1.36 s at 320 on the same machine.
+little more and cost memory in proportion.
 
 Every Newton decision is taken per row, one row per lane and run: the
 start (the target or the explicit predictor), stopping, each halving of
@@ -64,14 +62,20 @@ repeated per lane.  A chunk is then checked by the start of
 :func:`_newton_rows` alone (:func:`_start_rows`): one drift evaluation
 for the residuals, no Jacobian, no second solve and no Newton iteration.
 A linear row of ``_newton_rows`` counts one iteration, no halving and no
-fallback exactly when its direct solution is within the tolerance; a
-lane with a row that is not is stepped again by the Newton pass, so the
-states, counts and errors of every lane are the Newton pass's bit for
-bit.  The five-run pass of ``configs/limit_linear.cfg`` on 64 lanes
-takes 5.8-6.5 ms, 36.4-37.6 ms on a 2x2 drift, and a failing block from
-x0 = 1e4 raises after 55-56 ms (``tests/bench_engine.py``, minima and
-medians at the faster of two speed levels of a 2-core machine, numpy
-2.4).
+fallback exactly when its direct solution is within the tolerance, so a
+pass whose rows all are gives the states and counts of the Newton pass
+bit for bit.  At the first chunk with a row that is not, the Newton pass
+runs on the whole block from the start instead, and its states, counts
+and errors are the result.  A direct solution misses the absolute
+tolerance only at states of about 4e3 and more, where that tolerance
+nears the rounding of the residual, and on ``b(x) = -x`` such a lane
+then stalls in the Newton pass too, so a block that misses needs no
+faster rule of its own.  The five-run pass of ``configs/limit_linear.cfg``
+on 64 lanes takes 5.8-6.5 ms, 36.4-37.6 ms on a 2x2 drift; a block from
+x0 = 1e4, which misses in its first chunk, raises after 47-50 ms, and
+one whose lane 5 jumps by 1e4 at the middle node after 84-92 ms
+(``tests/bench_engine.py``, medians at the faster of the two speed
+levels of a 2-core machine, numpy 2.4).
 
 Single paths stay on the scalar integrators of :mod:`fbmsde.integrate`:
 with one lane a batched step costs more than a scalar one, about 140-230
@@ -342,7 +346,9 @@ def backward_euler_runs(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
     ``runs`` lists ``(ratio, theta)`` pairs: the θ-method of ``theta`` on
     the coarse grid that keeps every ``ratio``-th node of the block's
     grid.  The runs advance together in one pass over the block's grid,
-    or one after the other for a linear drift, with the same results.
+    or one after the other by direct solves for a linear drift, with the
+    same results: a linear block whose direct solutions miss the
+    tolerance takes the one pass instead.
     A run stores its state only at its nodes that are multiples of
     ``keep``, a divisor of the grid's step count: every
     ``lcm(ratio, keep) / ratio``-th node of its grid, the first and the
@@ -491,16 +497,15 @@ def _linear_advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
     then copied out, and the chunk is checked by :func:`_start_rows`
     alone, one drift evaluation: a linear row of :func:`_newton_rows`
     counts one iteration, no halving and no fallback exactly when its
-    direct solution is within ``cfg.tol``.  A lane whose rows all are
-    counts one iteration per implicit step; every other lane is stepped
-    again by :func:`_advance`, on the lanes from the first such lane to
-    the last, so a failure is the one that :func:`_advance` raises on the
-    whole block, its lane in ``lane``.
+    direct solution is within ``cfg.tol``.  When every row of every chunk
+    is, each lane counts one iteration per implicit step.  At the first
+    chunk with a row that is not, the block is stepped by :func:`_advance`
+    from the start instead, so its states, counts and failure, its lane in
+    ``lane``, are those of :func:`_advance`.
     """
     lanes, n, m = block.values.shape[0], block.grid.n_steps, spec.dim
     times, values = block.grid.times, block.values
     states = []
-    missed = np.zeros(lanes, dtype=bool)
     with np.errstate(all="ignore"):
         for ratio, theta in runs:
             steps = n // ratio
@@ -543,24 +548,13 @@ def _linear_advance(spec: DriftSpec, block: NoiseBlock, x0: np.ndarray,
                     _, _, within = _start_rows(spec, np.repeat(sizes, lanes)[:, None],
                                                ys.reshape(-1, m), targets.reshape(-1, m),
                                                cfg.tol)
-                    missed |= ~within.reshape(-1, lanes).all(axis=0)
+                    if not within.all():
+                        return _advance(spec, block, x0, runs, cfg, keep)
             states.append(out)
-    # Each implicit step of a lane that missed none is one iteration.
+    # Each implicit step is one iteration.
     implicit = sum(n // ratio for ratio, theta in runs if theta != 0.0)
     counts = np.zeros((lanes, 4), dtype=np.int64)
     counts[:, 0], counts[:, 1] = implicit, implicit > 0
-    if missed.any():
-        lo, hi = np.flatnonzero(missed)[[0, -1]]
-        lo, hi = int(lo), int(hi) + 1
-        try:
-            again, again_counts = _advance(spec, block.select(slice(lo, hi)), x0,
-                                           runs, cfg, keep)
-        except SolverError as exc:
-            exc.lane += lo
-            raise
-        for run, part in zip(states, again):
-            run[lo:hi] = part
-        counts[lo:hi] = again_counts
     return states, counts
 
 

@@ -18,10 +18,8 @@ path in :func:`sample_path_circulant` and :func:`sample_multi`, and one
 coordinate of one lane of a Monte Carlo block tensor in
 :meth:`fbmsde.harness.Ensemble.block`, which so builds no grid and no
 path per lane.  On the 2048-step grid of ``configs/limit_linear.cfg`` a
-block of 64 lanes takes 9.8-10.4 ms this way instead of 14.7-15.6 ms
-through one :func:`sample_multi` call per lane, and 80 planar lanes over
-four Hurst values 23.9-24.7 ms instead of 34.5-36.5 ms
-(``tests/bench_engine.py``, 2-core machine).  One FFT over all the lanes
+block of 64 lanes takes 9.8-10.4 ms, and 80 planar lanes over four Hurst
+values 23.9-24.7 ms (``tests/bench_engine.py``, 2-core machine).  One FFT over all the lanes
 of a block gives the same bits but saves nothing: on those 64 lanes it
 took 10.6-10.7 ms against 9.8-9.9 ms for the writer, since its
 ``(M, 2n)`` complex temporaries cost what the shared FFT call saves.

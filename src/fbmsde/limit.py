@@ -48,7 +48,6 @@ from .harness import (
 )
 from .harness import map_indexed  # noqa: F401
 from .integrate import (  # noqa: F401
-    FundamentalMatrixPath,
     Trajectory,
     _flow_failure,
     backward_euler,
@@ -263,19 +262,18 @@ def compute_U_block(spec: DriftSpec, grid: Partition, states: np.ndarray,
     return 0.5 * twice
 
 
-def compute_U(spec: DriftSpec, traj: Trajectory, phi: FundamentalMatrixPath,
-              noise: FbmPath, t: float) -> np.ndarray:
+def compute_U(spec: DriftSpec, traj: Trajectory, noise: FbmPath, t: float
+              ) -> np.ndarray:
     """Evaluate the limit process at ``t`` by left-point sums on the grid:
     the one-lane :func:`compute_U_block`.
 
-    ``traj``, ``phi`` and ``noise`` must share one (fine) grid; ``t`` must
-    be one of its nodes.  ``phi`` is checked, not read: the sums step the
-    flow's factors themselves.  Returns a vector of shape ``(m,)``.
+    ``traj`` and ``noise`` must share one (fine) grid; ``t`` must be one of
+    its nodes.  The sums step the flow's factors themselves, so no flow is
+    passed.  Returns a vector of shape ``(m,)``.
     """
-    if traj.dim != spec.dim or noise.dim != spec.dim or phi.dim != spec.dim:
-        raise DomainError("drift, trajectory, flow and noise dimensions must agree")
+    if traj.dim != spec.dim or noise.dim != spec.dim:
+        raise DomainError("drift, trajectory and noise dimensions must agree")
     _check_same_grid(traj.grid, noise.grid, "trajectory and noise")
-    _check_same_grid(traj.grid, phi.grid, "trajectory and flow")
     kt = traj.grid.index_of(float(t))
     return compute_U_block(spec, traj.grid, traj.states[None],
                            noise.values[None], kt)[0]

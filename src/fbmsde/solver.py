@@ -10,7 +10,7 @@ Newton iterations start at ``c`` or at the explicit predictor
 tie keeps ``c``), as the path-batched engine's do.  The predictor lies
 within ``O(delta^2)`` of the root, so one iteration usually suffices where
 two were needed from ``c``; where it overshoots, as for large ``|c|``, the
-solve starts at ``c`` as before (Hairer & Wanner, *Solving ODEs II*,
+solve starts at ``c`` (Hairer & Wanner, *Solving ODEs II*,
 §IV.8).  Each iteration halves the update up to 30 times until the
 residual norm decreases, and the solve falls back to sign-change bisection
 in one dimension when damping stalls.

@@ -12,7 +12,8 @@ sizes :data:`fbmsde.engine.BLOCK_BYTES`.  The rate cases time the six-run
 pass of one rate block, the reference and the five meshes of that config:
 on 40 lanes keeping every node, and on the 80 lanes of a four-Hurst-value
 sweep of 20 paths keeping the terminal states only, as
-:func:`fbmsde.harness.sweep_strong_error` runs them.
+:func:`fbmsde.harness.sweep_strong_error` runs them, which takes
+0.34-0.71 s.
 
 The linear cases time the layers that ``limit`` adds on ``b(x) = -x``: the
 five-run pass of ``configs/limit_linear.cfg`` (the reference and n = 32 to
@@ -21,18 +22,19 @@ counted as one Newton iteration, the same pass on a 2x2 linear drift, and
 :func:`fbmsde.integrate.fundamental_matrix_block` along its 64 reference
 runs, one division per lane and node; the planar flow case solves its
 2x2 systems by Cramer's rule.  The failing case times the 1x1 pass from
-x0 = 1e4, where some step's direct solution misses the tolerance and the
-Newton pass then stalls (``damping stalled``), until the error.  The
-pass takes 5.8-6.5 ms, 36.4-37.6 ms on the 2x2 drift, and the failing
-case 55-56 ms (minima and medians of five runs, at the faster of the two
-speed levels of a 2-core machine, numpy 2.4).  The ``U`` cases time
+x0 = 1e4, whose direct solutions miss the tolerance in the first chunk,
+so the Newton pass steps the block instead and stalls (``damping
+stalled``), until the error.  The missed case starts at x0 = 1 and lifts
+lane 5's noise by 1e4 from the middle node on: the direct pass runs up to
+the chunk of that node, then the Newton pass steps all 64 lanes from the
+start and stalls on lane 5.  The pass takes 5.8-6.5 ms, 36.4-37.6 ms on
+the 2x2 drift, the failing case 47-50 ms and the missed case 84-92 ms
+(medians at the faster of the two speed levels of a 2-core machine,
+numpy 2.4).  The ``U`` cases time
 :func:`fbmsde.limit.compute_U_block`, which ``limit`` runs, along the same
 64 reference runs: on ``b(x) = -x`` its step factors and their suffix
-products are built once for all lanes, on the planar cubic it steps ``U``
-node by node.  In two alternating runs against the former evaluation,
-the flow followed by one inverse solve per node and lane, ``U`` took
-1.31-1.34 ms against 33.7-40.7 ms on the linear drift and 44.9-69.5 ms
-against 178-219 ms on the planar cubic (medians, on a host whose speed
+products are built once for all lanes (1.31-1.34 ms), on the planar cubic
+it steps ``U`` node by node (44.9-69.5 ms; medians, on a host whose speed
 switched between two levels).
 
 The sampling cases time :meth:`fbmsde.harness.Ensemble.block`, the fBm
@@ -40,73 +42,40 @@ layer of every Monte Carlo block: 64 lanes of the 2048-step grid of
 ``configs/limit_linear.cfg`` and the 80 planar lanes of a ``rate-planar``
 op, 20 paths for each of the Hurst values 0.6 to 0.9.  Sampled straight
 into the block tensor by the one circulant writer, with no grid, path or
-stack per lane, they took 9.8-10.4 ms against 14.7-15.6 ms and 23.9-24.7
-ms against 34.5-36.5 ms (minima and medians of three alternating runs,
-2-core machine, numpy 2.4).
+stack per lane, they take 9.8-10.4 ms and 23.9-24.7 ms (minima and
+medians, 2-core machine, numpy 2.4).
 
 The implicit-step cases time one :func:`fbmsde.solver.solve_backward_step`
 on the scalar cubic (a coarse stability step from about 5, five Newton
 iterations on floats; the explicit predictor overshoots, so Newton starts
-at the target), on the planar cubic (a master-grid step, one iteration
-from the predictor, with the 2x2 system solved in closed form) and on
-``b(x) = -x`` (one division on floats, counted as one iteration; 5.4-5.6
-µs against 5.1-5.6 µs for the former Newton iteration, since checking the
-inputs and building the step cost most of one public call).  The
-single-path cases time the integrators, which step on one reused step
-object and call the public solver only to re-solve a step:
-:func:`fbmsde.integrate.reference_solution` over the 7200-step master
-grid of ``configs/stability_example1.cfg``, the single path that
+at the target; 7.7-11.6 µs), on the planar cubic (a master-grid step, one
+iteration from the predictor, with the 2x2 system solved in closed form)
+and on ``b(x) = -x`` (one division on floats, counted as one iteration;
+5.4-5.6 µs, since checking the inputs and building the step cost most of
+one public call).  The single-path cases time the integrators, which step
+on one reused step object and call the public solver only to re-solve a
+step: :func:`fbmsde.integrate.reference_solution` over the 7200-step
+master grid of ``configs/stability_example1.cfg``, the single path that
 dominates a ``stability`` run; :func:`fbmsde.integrate.backward_euler` on
 one planar path of the 2048-step grid; and the coarse
 ``crank_nicolson(..., stability_mode=True)`` run of a ``stability`` op from
 x0 = 500, whose first implicit step stalls, is re-solved by the public
-solver (Newton, then the failing bisection) and leaves NaN rows.  On a
-2-core machine (numpy 2.4) whose speed switched between two levels, five
-alternating runs against the loop that called the public solver on every
-step gave the reference 10-20 µs per step against 15-30 µs (1.5x in every
-pair), the planar path 50-100 µs per step either way, and the 9-step run
-0.9-1.9 ms against 0.75-1.6 ms: its stalled step runs Newton twice, once
-in the loop and once in the public re-solve, before the failing bisection.
-Started from the explicit predictor, with the 2x2 systems in closed form,
-three alternating runs against the former solve from the target by LAPACK
-gave the reference 79-113 ms against 146-161 ms, the 80-lane rate pass
-0.34-0.71 s against 0.82-0.96 s and the 320-lane one-run pass 0.59-0.72 s
-against 0.89-1.15 s; the 9-step run stayed at about 2 ms.  The planar
-path, which solves its one 2x2 system per iteration as a stack of one,
-took 100-170 ms against 115-200 ms (medians of seven runs, five
-alternations, faster in four).
+solver (Newton, then the failing bisection) and leaves NaN rows.  Its
+stalled step runs Newton twice, once in the loop and once in the public
+re-solve, before the failing bisection.
 
 The reference case runs twice: on the cubic's float pair
-(``DriftSpec.on_float``), as ``stability`` does, and on an array-only copy
-of the same spec, which evaluates the same callables on a reused
-one-element array.  In two alternating runs against the former tree,
-whose cube was the array power ``-(x**3)``, the float pair took 15.6-32.2
-ms (2.2-4.5 µs per step) against 57-109 ms before, and the array-only copy
-89-120 ms: a cube written as a product costs one more numpy call on an
-array than the power did.  The scalar implicit step took 13-15 µs against
-26-29 µs and the 9-step run 0.43-0.46 ms against 0.92-1.75 ms (minima).
-
-Since a one-dimensional step runs its whole damped Newton in one float
-loop (``_ScalarStep.solve``) and a single path stores its states through
-a memoryview, two alternating runs against the former loop, which made a
-step-object method call per residual and a numpy row store per step,
-gave the reference on the float pair 8.0-13.6 ms (1.1-1.9 µs per step)
-against 14.1-26.8 ms and on the array-only copy 51-67 ms against 52-102
-ms, the scalar implicit step 7.7-11.6 µs against 8.4-13.8 µs and the
-9-step run 0.18-0.31 ms against 0.21-0.42 ms (minima and medians).  The
-planar path, whose steps still ran the array loop through step-object
-method calls, took 81-110 ms against 77-140 ms.
-
-Since the array loop for ``m >= 2`` is one function too,
-``_VectorStep.solve``, five alternating runs against the former loop,
-which called the step's ``start``, ``residual`` and ``newton``, gave the
-planar path 152-177 ms against 97-172 ms (minima and medians) on a host
-whose speed switched between two levels: the unchanged scalar implicit
-step moved by as much in the same runs, so these runs tell the two
-apart in neither direction.  Timed in one process instead, alternating
-ten times over the 2048 step targets of that path, the fused solve took
-58-78 µs per step against 73-81 µs before (minima and medians of three
-such runs; faster in six to eight of ten), which is no claimed gain.
+(``DriftSpec.on_float``), as ``stability`` does, where a one-dimensional
+step runs its whole damped Newton in one float loop
+(``_ScalarStep.solve``) and the path stores its states through a
+memoryview, and on an array-only copy of the same spec, which evaluates
+the same callables on a reused one-element array.  The float pair takes
+8.0-13.6 ms (1.1-1.9 µs per step) and the array-only copy 51-67 ms, and
+the 9-step run 0.18-0.31 ms (minima and medians, 2-core machine, numpy
+2.4).  The planar path, on the array loop ``_VectorStep.solve``, takes
+152-177 ms on a host whose speed switched between two levels; timed in
+one process over the 2048 step targets of that path, its solve
+takes 58-78 µs per step.
 """
 from dataclasses import replace
 
@@ -193,6 +162,20 @@ def test_failing_linear_pass(benchmark):
     def until_the_error():
         with pytest.raises(NoConvergenceError, match="damping stalled"):
             backward_euler_runs(LINEAR, block, np.array([1e4]), LIMIT_RUNS)
+
+    benchmark.pedantic(until_the_error, rounds=3, warmup_rounds=1)
+
+
+def test_missed_linear_block(benchmark):
+    # Lane 5's noise jumps by 1e4 at the middle node, so from there its
+    # direct solutions miss the tolerance: the block is stepped by the
+    # Newton pass instead, which stalls on that lane; timed until the error.
+    block = _block(64, 1)
+    block.values[5, GRID.n_steps // 2:] += 1e4
+
+    def until_the_error():
+        with pytest.raises(NoConvergenceError, match=r"damping stalled.*\(path 5,"):
+            backward_euler_runs(LINEAR, block, np.array([1.0]), LIMIT_RUNS)
 
     benchmark.pedantic(until_the_error, rounds=3, warmup_rounds=1)
 

@@ -496,6 +496,39 @@ def test_a_failing_linear_block_runs_no_newton_before_the_replay(monkeypatch, ru
     assert calls[:2] == ["advance", "jacobian"]
 
 
+# The residual checks before the Newton pass: the one run's first chunk
+# misses at lane 2; of the three runs, the coarse run's one step meets the
+# tolerance, the reference's first chunk misses and the θ = 0.5 run is
+# never stepped.
+CHECKS_BEFORE_THE_NEWTON_PASS = (["eval"], ["eval", "eval"])
+
+
+@pytest.mark.parametrize("runs, checks", zip(FAILING_LINEAR_RUNS, CHECKS_BEFORE_THE_NEWTON_PASS),
+                         ids=["one-run", "three-runs"])
+def test_a_linear_block_that_misses_runs_the_newton_pass_on_every_lane(monkeypatch, runs,
+                                                                       checks):
+    # The linear pass stops at the first chunk that misses and hands the
+    # whole block, from the start, to the Newton pass.
+    linear = make_linear_drift(np.array([[-1.0]]))
+    calls, blocks = [], []
+    spec = replace(linear, eval=_counted(linear.eval, calls, "eval"))
+    calls.clear()       # construction checks the callables
+    advance = engine._advance
+
+    def newton_pass(spec, block, *args):
+        calls.append("advance")
+        blocks.append(block)
+        return advance(spec, block, *args)
+
+    monkeypatch.setattr(engine, "_advance", newton_pass)
+    block = _failing_linear_block()
+    with pytest.raises(NoConvergenceError):
+        backward_euler_runs(spec, block, [1.0], runs)
+    assert calls[:len(checks) + 1] == checks + ["advance"]
+    assert blocks[0].indices == block.indices
+    assert blocks[0].values is block.values
+
+
 # 720 steps of 1e-3, of nine different lengths in the last bits, and the
 # runs of a rate table, of its bias check and of a limit comparison.
 LINEAR_GRID = Partition.uniform(0.72, 720)

@@ -244,8 +244,7 @@ def test_compute_u_is_zero_at_time_origin():
     g = Partition.uniform(1.0, 8)
     noise = sample_multi(g, H07, seed=1, method="circulant")
     traj = reference_solution(CUBIC1D, noise, np.array([1.0]))
-    phi = fundamental_matrix_reference(CUBIC1D, traj)
-    assert np.array_equal(compute_U(CUBIC1D, traj, phi, noise, 0.0), np.zeros(1))
+    assert np.array_equal(compute_U(CUBIC1D, traj, noise, 0.0), np.zeros(1))
 
 
 def test_compute_u_vanishes_at_equilibrium_without_noise():
@@ -253,8 +252,7 @@ def test_compute_u_vanishes_at_equilibrium_without_noise():
     g = Partition.uniform(1.0, 16)
     traj = flat_traj(g, 1.0)
     noise = zero_path(g, H07)
-    phi = fundamental_matrix_reference(DOUBLEWELL1D, traj)
-    u = compute_U(DOUBLEWELL1D, traj, phi, noise, 1.0)
+    u = compute_U(DOUBLEWELL1D, traj, noise, 1.0)
     assert u == pytest.approx([0.0], abs=1e-14)
 
 
@@ -275,7 +273,7 @@ def test_compute_u_scalar_left_point_oracle():
         bx = lam * traj.states[j, 0]
         acc += (phis[kt] / phis[j]) * lam * (bx * dt + db)
     oracle = 0.5 * acc
-    got = compute_U(spec, traj, phi, noise, 1.0)
+    got = compute_U(spec, traj, noise, 1.0)
     assert got[0] == pytest.approx(oracle, rel=1e-12)
 
 
@@ -283,14 +281,13 @@ def test_compute_u_requires_shared_grid_and_node():
     g = Partition.uniform(1.0, 8)
     noise = sample_multi(g, H07, seed=1, method="circulant")
     traj = reference_solution(CUBIC1D, noise, np.array([1.0]))
-    phi = fundamental_matrix_reference(CUBIC1D, traj)
     from fbmsde import GridError
 
     other = zero_path(Partition.uniform(1.0, 4), H07)
     with pytest.raises(GridError):
-        compute_U(CUBIC1D, traj, phi, other, 1.0)
+        compute_U(CUBIC1D, traj, other, 1.0)
     with pytest.raises(GridError):
-        compute_U(CUBIC1D, traj, phi, noise, 0.33)
+        compute_U(CUBIC1D, traj, noise, 0.33)
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
@@ -325,7 +322,7 @@ def test_one_lane_flow_and_u_match_the_per_node_formulas(name):
             # Cramer's rule against LAPACK, over 256 nodes; 5e-15 measured.
             assert np.max(np.abs(phi.matrices - flow)) <= 1e-13 * np.max(np.abs(flow))
         for t in (0.5, 1.0):
-            got = compute_U(spec, traj, phi, block.path(lane), t)
+            got = compute_U(spec, traj, block.path(lane), t)
             want = per_node_u(spec, traj, block.path(lane), traj.grid.index_of(t))
             assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
@@ -482,8 +479,7 @@ def test_limit_evaluations_refine_as_cauchy_sequences():
             cg = gm.subsample(512 // n)
             cn_noise = coarsen(noise, cg)
             ct = reference_solution(spec, cn_noise, x0)
-            cphi = fundamental_matrix_reference(spec, ct)
-            us.append(compute_U(spec, ct, cphi, cn_noise, 1.0))
+            us.append(compute_U(spec, ct, cn_noise, 1.0))
             vs.append(solve_U_ode(spec, ct, cn_noise).states[-1])
         u_ratios.append(np.linalg.norm(us[2] - us[1]) / np.linalg.norm(us[1] - us[0]))
         v_ratios.append(np.linalg.norm(vs[2] - vs[1]) / np.linalg.norm(vs[1] - vs[0]))
@@ -499,8 +495,7 @@ def test_two_limit_evaluators_agree_to_leading_order():
     g = Partition.uniform(1.0, 256)
     noise = sample_multi(g, H07, seed=6, method="circulant")
     traj = reference_solution(CUBIC1D, noise, np.array([1.0]))
-    phi = fundamental_matrix_reference(CUBIC1D, traj)
-    u_quad = compute_U(CUBIC1D, traj, phi, noise, 1.0)
+    u_quad = compute_U(CUBIC1D, traj, noise, 1.0)
     u_ode = solve_U_ode(CUBIC1D, traj, noise).states[-1]
     assert np.linalg.norm(u_quad - u_ode) <= 0.1 * max(np.linalg.norm(u_quad), 1e-3)
 
